@@ -8,35 +8,55 @@ dequantization multiplies the 4-bit code by 2^shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 Q4_MIN, Q4_MAX = -8, 7
 MAX_SHIFT = 4
+_POW2 = np.left_shift(1, np.arange(63, dtype=np.int64))  # 2^0 .. 2^62
+
+
+def group_bitwidths(codes, group_size: int, axis: int = 0, keep: int | None = None) -> np.ndarray:
+    """Effective signed bitwidth of each feature group of ``codes``.
+
+    Signs fold with ~q (a negative code needs the bits of its one's
+    complement), the widest folded code decides, and b = bit_length + 1.
+    Groups are the blocks of ``group_slices`` along ``axis``; every other
+    axis except ``keep`` is reduced away.
+    """
+    q = np.asarray(codes)
+    axis %= q.ndim
+    reduced = tuple(a for a in range(q.ndim) if a not in (axis, keep))
+    mags = np.where(q >= 0, q, ~q).max(axis=reduced, keepdims=True)
+    starts = [sl.start for sl in group_slices(q.shape[axis], group_size)]
+    widest = np.maximum.reduceat(mags, starts, axis=axis)
+    return np.searchsorted(_POW2, widest.squeeze(axis=reduced), side="right") + 1
+
+
+def group_shifts(codes, group_size: int, axis: int = 0, keep: int | None = None) -> np.ndarray:
+    """Extraction shift of each feature group: max(0, b - 4) for its bitwidth b."""
+    return np.maximum(group_bitwidths(codes, group_size, axis, keep) - 4, 0)
 
 
 def signed_bitwidth(value: int) -> int:
     """Minimal signed bitwidth containing a single integer value."""
-    if value >= 0:
-        return int(value).bit_length() + 1
-    return int(-value - 1).bit_length() + 1
+    return int(group_bitwidths([value], 1)[0])
 
 
 def effective_bitwidth(values) -> int:
     """Minimal b in [1, 8] such that all values fit the signed b-bit range."""
-    arr = np.asarray(values)
+    arr = np.asarray(values).ravel()
     if arr.size == 0:
         raise ValueError("effective_bitwidth of an empty group")
     if arr.min() < -128 or arr.max() > 127:
         raise ValueError("codes outside the 8-bit range")
-    lo, hi = int(arr.min()), int(arr.max())
-    return max(signed_bitwidth(lo), signed_bitwidth(hi), 1)
+    return int(group_bitwidths(arr, arr.size)[0])
 
 
 def bitwidth_from_bounds(lo: int, hi: int) -> int:
     """Effective bitwidth of an integer range [lo, hi]."""
-    return max(signed_bitwidth(int(lo)), signed_bitwidth(int(hi)), 1)
+    return int(group_bitwidths([lo, hi], 2)[0])
 
 
 def static_shift(b: int) -> int:
@@ -63,20 +83,12 @@ def extract4(q8, shift: int):
 
 
 def dynamic_shift(group_values) -> int:
-    """Runtime extraction shift from the actual codes of a group.
-
-    OR-accumulates the codes' magnitudes (negatives contribute their one's
-    complement) and looks up the highest set bit; equals
-    static_shift(effective_bitwidth(group_values)).
-    """
-    arr = np.asarray(group_values)
+    """Runtime extraction shift from the actual codes of a group; equals
+    static_shift(effective_bitwidth(group_values))."""
+    arr = np.asarray(group_values).ravel()
     if arr.size == 0:
         raise ValueError("dynamic_shift of an empty group")
-    arr = arr.astype(np.int64)
-    mags = np.where(arr >= 0, arr, ~arr)
-    acc = int(np.bitwise_or.reduce(mags.ravel()))
-    b = acc.bit_length() + 1
-    return max(0, b - 4)
+    return int(group_shifts(arr, arr.size)[0])
 
 
 @dataclass(frozen=True)
@@ -142,20 +154,12 @@ def plan_extraction(
             f"weight input channels {weight_codes.shape[1]} do not match "
             f"activation channels {n_in}"
         )
-    slices = group_slices(n_in, group_size)
-    n_out = weight_codes.shape[0]
-    act_shifts = np.zeros(len(slices), dtype=np.int64)
-    weight_shifts = np.zeros((len(slices), n_out), dtype=np.int64)
-    w = weight_codes.reshape(n_out, n_in, -1)
-    for g, sl in enumerate(slices):
-        lo = int(act_q8_bounds[sl, 0].min())
-        hi = int(act_q8_bounds[sl, 1].max())
-        act_shifts[g] = static_shift(bitwidth_from_bounds(lo, hi))
-        if mode == "naive":
-            act_shifts[g] = MAX_SHIFT
-        sliced = w[:, sl, :]
-        for o in range(n_out):
-            weight_shifts[g, o] = (
-                MAX_SHIFT if mode == "naive" else static_shift(effective_bitwidth(sliced[o]))
-            )
+    for codes in (act_q8_bounds, weight_codes):
+        if codes.min(initial=0) < -128 or codes.max(initial=0) > 127:
+            raise ValueError("codes outside the 8-bit range")
+    act_shifts = group_shifts(act_q8_bounds, group_size)
+    weight_shifts = group_shifts(weight_codes, group_size, axis=1, keep=0).T
+    if mode == "naive":
+        act_shifts = np.full_like(act_shifts, MAX_SHIFT)
+        weight_shifts = np.full_like(weight_shifts, MAX_SHIFT)
     return ExtractionPlan(act_shifts, weight_shifts, mode=mode)

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 import zlib
 from pathlib import Path
 
@@ -80,7 +81,6 @@ def do_calibrate(model_dir, momentum, quantile, extraction, batch_size) -> netsi
     new.selections = model.selections
     new.boundaries = model.boundaries
     new.input_perm = model.input_perm
-    new.perms = model.perms
     new.laid_out = model.laid_out
     modelio.save_model(model_dir, new)
     return new
@@ -232,17 +232,23 @@ def do_serve_sim(seed, out_dir, policy_name, fixed_ratio, quality=None, out_name
                  threshold=None, window=None, trace_file=None):
     trace, cost, policy = serve.shipped_scenario(seed=stage_seed(seed, "serve"))
     if trace_file is not None:
-        arrivals = np.loadtxt(trace_file, dtype=np.float64, ndmin=1)
-        trace = serve.ServingTrace(np.sort(arrivals), float(duration or arrivals.max()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's "input contained no data"
+            arrivals = np.loadtxt(trace_file, dtype=np.float64, ndmin=1)
+        if arrivals.size == 0:
+            raise ValueError(f"trace file {trace_file} holds no arrival times")
+        trace = serve.ServingTrace(np.sort(arrivals),
+                                   float(arrivals.max() if duration is None else duration))
     elif rate is not None:
-        trace = serve.gen_poisson(rate, duration or trace.duration, stage_seed(seed, "serve"))
+        trace = serve.gen_poisson(rate, trace.duration if duration is None else duration,
+                                  stage_seed(seed, "serve"))
     elif min_rate is not None:
-        trace = serve.gen_fluctuating(min_rate, duration or trace.duration,
+        trace = serve.gen_fluctuating(min_rate, trace.duration if duration is None else duration,
                                       stage_seed(seed, "serve"), peak_factor=peak_factor)
     if threshold is not None or window is not None:
         policy = serve.ControllerPolicy(
-            window=window or policy.window,
-            threshold=threshold or policy.threshold,
+            window=policy.window if window is None else window,
+            threshold=policy.threshold if threshold is None else threshold,
             profile=policy.profile,
         )
     if policy_name == "fixed":
@@ -398,6 +404,13 @@ def run_ablate(seed: int, verbose=print) -> list[tuple[str, float]]:
 # argument parsing
 
 
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mixq", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -475,9 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rate", type=float, default=None, help="constant Poisson rate, req/s")
     sp.add_argument("--min-rate", type=float, default=None, help="fluctuating trace minimum rate")
     sp.add_argument("--peak-factor", type=float, default=3.0)
-    sp.add_argument("--duration", type=float, default=None, help="trace length, seconds")
-    sp.add_argument("--threshold", type=float, default=None, help="latency threshold, seconds")
-    sp.add_argument("--window", type=float, default=None, help="controller window, seconds")
+    sp.add_argument("--duration", type=_positive, default=None,
+                    help="trace length, seconds (with --trace, --rate or --min-rate)")
+    sp.add_argument("--threshold", type=_positive, default=None, help="latency threshold, seconds")
+    sp.add_argument("--window", type=_positive, default=None, help="controller window, seconds")
 
     sp = add("demo", "generate a synthetic model and run every stage end to end")
     sp.add_argument("--out", default=_default_dir())
@@ -553,7 +567,11 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (args.command == "serve-sim" and args.duration is not None
+            and args.trace is None and args.rate is None and args.min_rate is None):
+        parser.error("--duration needs --trace, --rate or --min-rate")
     try:
         return _dispatch(args)
     except MissingArtifactError as exc:

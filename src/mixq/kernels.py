@@ -1,11 +1,18 @@
-"""Bit-exact reference kernels for mixed 4/8-bit integer GEMM and conv2d.
+"""Bit-exact integer kernels for mixed 4/8-bit GEMM and conv2d.
 
-These kernels prioritize exactness over speed: all accumulation is
-integer (int64 internally, asserted to fit 32-bit) and the per-output
-scale multiply is the only float operation.  4-bit channel groups are
-lowered on the fly from the stored 8-bit codes, mirroring runtime bit
-extraction; with contiguous layout the active groups are simply the
-first ``max_4bit_ch / group_size``.
+A 4-bit channel keeps the four most significant used bits of its 8-bit
+code: x4 = clip(x >> px, -8, 7), and it stands for x4 << px.  Because
+(x4 << px) * (w4 << pw) = (x4 * w4) << (px + pw), a mixed matmul is the
+ordinary 8-bit matmul on operands lowered elementwise: each flagged
+group's codes are replaced by clip(q >> p, -8, 7) << p.  So every kernel
+is one lowering step (mixed kernels only) followed by one contraction, a
+plain GEMM or a same-padded conv.
+
+Accumulation is int64 and exact: a lowered code still lies in [-128, 127],
+so every product is at most 2^14 in magnitude and the 32-bit accumulator
+check (raising ``OverflowError``) trips long before int64 could wrap.  The
+per-output scale multiply is the only float operation.  With contiguous
+layout the 4-bit groups are simply the first ``max_4bit_ch / group_size``.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitlower import MAX_SHIFT, Q4_MAX, Q4_MIN, ExtractionPlan, dynamic_shift, group_slices
+from .bitlower import MAX_SHIFT, Q4_MAX, Q4_MIN, ExtractionPlan, group_shifts, group_slices
 
 INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1
 
@@ -32,38 +39,84 @@ class KernelStats:
     act_shifts_used: np.ndarray
 
 
-def _check_acc(acc: np.ndarray):
-    if acc.min(initial=0) < INT32_MIN or acc.max(initial=0) > INT32_MAX:
-        raise OverflowError("32-bit accumulator would wrap for this shape")
-
-
-def _extract_group(codes: np.ndarray, shift: int) -> tuple[np.ndarray, np.ndarray]:
-    """Shift-and-clip codes to the 4-bit field; returns (q4, clipped mask)."""
-    shifted = codes >> shift
-    clipped = np.clip(shifted, Q4_MIN, Q4_MAX)
-    return clipped, shifted != clipped
-
-
-def _resolve_flags(n_groups: int, group_flags, max_4bit_ch, slices, n_in) -> np.ndarray:
+def _resolve_flags(n_in: int, group_size: int, group_flags, max_4bit_ch) -> np.ndarray:
+    stops = np.array([sl.stop for sl in group_slices(n_in, group_size)])
     if group_flags is not None:
         flags = np.asarray(group_flags, dtype=bool)
-        if flags.size != n_groups:
-            raise ValueError(f"expected {n_groups} group flags, got {flags.size}")
+        if flags.size != stops.size:
+            raise ValueError(f"expected {stops.size} group flags, got {flags.size}")
         return flags
     if max_4bit_ch is None:
         raise ValueError("either group_flags or max_4bit_ch is required")
     if not 0 <= max_4bit_ch <= n_in:
         raise ValueError(f"max_4bit_ch {max_4bit_ch} outside [0, {n_in}]")
-    flags = np.zeros(n_groups, dtype=bool)
-    covered = 0
-    for g, sl in enumerate(slices):
-        if covered >= max_4bit_ch:
-            break
-        if sl.stop > max_4bit_ch:
-            raise ValueError(f"max_4bit_ch {max_4bit_ch} is not group-aligned")
-        flags[g] = True
-        covered = sl.stop
-    return flags
+    if max_4bit_ch and max_4bit_ch not in stops:
+        raise ValueError(f"max_4bit_ch {max_4bit_ch} is not group-aligned")
+    return stops <= max_4bit_ch
+
+
+def _lower(x, w, w_axis, plan, group_size, flags, mode):
+    """int64 copies of activation codes ``x`` (channels on axis 1) and
+    weight codes ``w`` (channels on ``w_axis``, outputs on the other of
+    its first two axes) with every flagged group lowered, plus the
+    saturated channels and shifts used.
+
+    Lowering runs in the codes' own integer dtype: a lowered code never
+    needs more bits than the code it replaces, and on int8 codes the
+    elementwise passes move an eighth of the bytes.  Copies keep the
+    memory order: numpy's int64 matmul is 2-3x slower on a C-ordered copy
+    of the transposed weight view.
+    """
+    x, w = np.copy(x), np.copy(w)
+    sat = np.zeros(x.shape[1], dtype=bool)
+    shifts_used = plan.act_shifts.copy()
+    w_shifts = plan.weight_shifts.astype(w.dtype)
+    if mode == "dynamic":
+        shifts_used[flags] = group_shifts(x, group_size, axis=1)[flags]
+    elif mode == "naive":
+        shifts_used[flags] = MAX_SHIFT
+        w_shifts[:] = MAX_SHIFT
+    reduced = tuple(a for a in range(x.ndim) if a != 1)
+    out_shape = [1] * w.ndim
+    out_shape[1 - w_axis] = -1
+    w_index = [slice(None)] * w.ndim
+    slices = group_slices(x.shape[1], group_size)
+    for g in np.flatnonzero(flags):
+        sl = slices[g]
+        px = int(shifts_used[g])
+        shifted = x[:, sl] >> px
+        x4 = np.clip(shifted, Q4_MIN, Q4_MAX)
+        sat[sl] = (shifted != x4).any(axis=reduced)
+        x[:, sl] = x4 << px
+        pw = w_shifts[g].reshape(out_shape)
+        w_index[w_axis] = sl
+        wg = tuple(w_index)
+        w[wg] = np.clip(w[wg] >> pw, Q4_MIN, Q4_MAX) << pw
+    stats = KernelStats(sat, shifts_used)
+    return np.asarray(x, dtype=np.int64), np.asarray(w, dtype=np.int64), stats
+
+
+def conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Stride-1, same-padded 2-D convolution, accumulated in the operands'
+    dtype.  x: [B, C, H, W]; w: [O, C, kh, kw]; returns [B, O, H, W]."""
+    B, C, H, W = x.shape
+    O, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    out = np.zeros((B, O, H, W), dtype=np.result_type(x, w))
+    for dy in range(kh):
+        for dx in range(kw):
+            out += np.einsum("bchw,oc->bohw", xp[:, :, dy : dy + H, dx : dx + W], w[:, :, dy, dx])
+    return out
+
+
+def _scale(acc: np.ndarray, act_scale: float, w_scales: np.ndarray) -> np.ndarray:
+    """Check the int32 accumulator range, then apply the per-output scales
+    (outputs on axis 1)."""
+    if acc.min(initial=0) < INT32_MIN or acc.max(initial=0) > INT32_MAX:
+        raise OverflowError("32-bit accumulator would wrap for this shape")
+    scales = float(act_scale) * np.asarray(w_scales, dtype=np.float64)
+    scales = scales.reshape((-1,) + (1,) * (acc.ndim - 2))
+    return (acc.astype(np.float64) * scales).astype(np.float32)
 
 
 def mixed_gemm(
@@ -81,44 +134,17 @@ def mixed_gemm(
 
     x_q: [B, K] int8 activation codes; w_q: [K, N] int8 weight codes with
     per-output-channel scales ``w_scales`` [N].  Groups flagged 4-bit are
-    lowered per the plan (or per runtime OR-scan when extraction is
+    lowered per the plan (or per runtime scan when extraction is
     "dynamic"); the rest are multiplied as plain 8-bit.  Returns the
     float32 output [B, N] and extraction stats.
     """
-    x_q = np.asarray(x_q, dtype=np.int64)
-    w_q = np.asarray(w_q, dtype=np.int64)
-    B, K = x_q.shape
+    x_q, w_q = np.asarray(x_q), np.asarray(w_q)
+    K = x_q.shape[1]
     if w_q.shape[0] != K:
         raise ValueError(f"shape mismatch: x has {K} channels, w has {w_q.shape[0]}")
-    N = w_q.shape[1]
-    slices = group_slices(K, group_size)
-    flags = _resolve_flags(len(slices), group_flags, max_4bit_ch, slices, K)
-    mode = extraction or plan.mode
-
-    acc = np.zeros((B, N), dtype=np.int64)
-    sat = np.zeros(K, dtype=bool)
-    shifts_used = plan.act_shifts.copy()
-    for g, sl in enumerate(slices):
-        xg = x_q[:, sl]
-        wg = w_q[sl, :]
-        if not flags[g]:
-            acc += xg @ wg
-            continue
-        px = int(plan.act_shifts[g])
-        pw = plan.weight_shifts[g]  # [N]
-        if mode == "dynamic":
-            px = dynamic_shift(xg)
-        elif mode == "naive":
-            px = MAX_SHIFT
-            pw = np.full_like(pw, MAX_SHIFT)
-        shifts_used[g] = px
-        x4, x_clip = _extract_group(xg, px)
-        sat[sl] |= x_clip.any(axis=0)
-        w4 = np.clip(wg >> pw[np.newaxis, :], Q4_MIN, Q4_MAX)
-        acc += (x4 @ w4) << (px + pw)[np.newaxis, :]
-    _check_acc(acc)
-    out = acc.astype(np.float64) * (float(act_scale) * np.asarray(w_scales, dtype=np.float64))
-    return out.astype(np.float32), KernelStats(sat, shifts_used)
+    flags = _resolve_flags(K, group_size, group_flags, max_4bit_ch)
+    x_lo, w_lo, stats = _lower(x_q, w_q, 0, plan, group_size, flags, extraction or plan.mode)
+    return _scale(x_lo @ w_lo, act_scale, w_scales), stats
 
 
 def mixed_conv2d(
@@ -139,73 +165,25 @@ def mixed_conv2d(
     where every spatial tap of a channel shares that channel's group
     shift.
     """
-    x_q = np.asarray(x_q, dtype=np.int64)
-    w_q = np.asarray(w_q, dtype=np.int64)
-    B, C, H, W = x_q.shape
-    O, Cw, kh, kw = w_q.shape
+    x_q, w_q = np.asarray(x_q), np.asarray(w_q)
+    C, Cw = x_q.shape[1], w_q.shape[1]
     if Cw != C:
         raise ValueError(f"shape mismatch: x has {C} channels, w has {Cw}")
-    slices = group_slices(C, group_size)
-    flags = _resolve_flags(len(slices), group_flags, max_4bit_ch, slices, C)
-    mode = extraction or plan.mode
-
-    ph, pw_pad = kh // 2, kw // 2
-    xp = np.pad(x_q, ((0, 0), (0, 0), (ph, ph), (pw_pad, pw_pad)))
-    acc = np.zeros((B, O, H, W), dtype=np.int64)
-    sat = np.zeros(C, dtype=bool)
-    shifts_used = plan.act_shifts.copy()
-    for g, sl in enumerate(slices):
-        xg = xp[:, sl]
-        wg = w_q[:, sl]
-        pg = plan.weight_shifts[g]  # [O]
-        if flags[g]:
-            px = int(plan.act_shifts[g])
-            if mode == "dynamic":
-                px = dynamic_shift(x_q[:, sl])
-            elif mode == "naive":
-                px = MAX_SHIFT
-                pg = np.full_like(pg, MAX_SHIFT)
-            shifts_used[g] = px
-            _, x_clip = _extract_group(x_q[:, sl], px)
-            sat[sl] |= x_clip.any(axis=(0, 2, 3))
-            xg, _ = _extract_group(xg, px)
-            wg = np.clip(wg >> pg[:, np.newaxis, np.newaxis, np.newaxis], Q4_MIN, Q4_MAX)
-        contrib = np.zeros((B, O, H, W), dtype=np.int64)
-        for dy in range(kh):
-            for dx in range(kw):
-                patch = xg[:, :, dy : dy + H, dx : dx + W]
-                contrib += np.einsum("bchw,oc->bohw", patch, wg[:, :, dy, dx])
-        if flags[g]:
-            contrib <<= (int(shifts_used[g]) + pg)[np.newaxis, :, np.newaxis, np.newaxis]
-        acc += contrib
-    _check_acc(acc)
-    scales = float(act_scale) * np.asarray(w_scales, dtype=np.float64)
-    out = acc.astype(np.float64) * scales[np.newaxis, :, np.newaxis, np.newaxis]
-    return out.astype(np.float32), KernelStats(sat, shifts_used)
+    flags = _resolve_flags(C, group_size, group_flags, max_4bit_ch)
+    x_lo, w_lo, stats = _lower(x_q, w_q, 1, plan, group_size, flags, extraction or plan.mode)
+    return _scale(conv2d_same(x_lo, w_lo), act_scale, w_scales), stats
 
 
 def int_gemm(x_q: np.ndarray, w_q: np.ndarray, act_scale: float, w_scales: np.ndarray) -> np.ndarray:
     """Plain uniform integer GEMM (8-bit or 4-bit codes)."""
     acc = np.asarray(x_q, dtype=np.int64) @ np.asarray(w_q, dtype=np.int64)
-    _check_acc(acc)
-    out = acc.astype(np.float64) * (float(act_scale) * np.asarray(w_scales, dtype=np.float64))
-    return out.astype(np.float32)
+    return _scale(acc, act_scale, w_scales)
 
 
 def int_conv2d(x_q: np.ndarray, w_q: np.ndarray, act_scale: float, w_scales: np.ndarray) -> np.ndarray:
     """Plain uniform integer conv2d (stride 1, same padding)."""
-    x_q = np.asarray(x_q, dtype=np.int64)
-    w_q = np.asarray(w_q, dtype=np.int64)
-    B, C, H, W = x_q.shape
-    O, _, kh, kw = w_q.shape
-    xp = np.pad(x_q, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
-    acc = np.zeros((B, O, H, W), dtype=np.int64)
-    for dy in range(kh):
-        for dx in range(kw):
-            acc += np.einsum("bchw,oc->bohw", xp[:, :, dy : dy + H, dx : dx + W], w_q[:, :, dy, dx])
-    _check_acc(acc)
-    scales = float(act_scale) * np.asarray(w_scales, dtype=np.float64)
-    return (acc.astype(np.float64) * scales[np.newaxis, :, np.newaxis, np.newaxis]).astype(np.float32)
+    acc = conv2d_same(np.asarray(x_q, dtype=np.int64), np.asarray(w_q, dtype=np.int64))
+    return _scale(acc, act_scale, w_scales)
 
 
 def accumulator_error_bound(

@@ -146,7 +146,6 @@ def apply_layout(model: PreparedModel, plans: dict[int, ChannelPermutation]) -> 
     states = {}
     selections: dict[float, dict[int, np.ndarray]] = {r: {} for r in model.selections}
     boundaries: dict[float, dict[int, int]] = {r: {} for r in model.selections}
-    perms: dict[int, np.ndarray] = {}
     for old_idx, new_idx in zip(matmuls, new_matmuls):
         plan = plans[old_idx]
         old_state = model.states[old_idx]
@@ -156,7 +155,6 @@ def apply_layout(model: PreparedModel, plans: dict[int, ChannelPermutation]) -> 
             new_graph.layers[new_idx], permuted_range, new_graph.group_size,
             old_state.plan.mode,
         )
-        perms[new_idx] = plan.perm
         for r in model.selections:
             flags = model.selections[r].get(old_idx)
             if flags is not None:
@@ -169,7 +167,6 @@ def apply_layout(model: PreparedModel, plans: dict[int, ChannelPermutation]) -> 
         selections=selections,
         boundaries=boundaries,
         input_perm=input_perm,
-        perms=perms,
         laid_out=True,
         active_ratio=model.active_ratio,
     )

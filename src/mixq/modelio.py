@@ -98,7 +98,6 @@ def save_model(path, model: PreparedModel):
         "ratio_boundaries": {
             f"{r}": {str(i): int(c) for i, c in b.items()} for r, b in model.boundaries.items()
         },
-        "layout": {str(i): [int(v) for v in p] for i, p in model.perms.items()},
         "input_perm": None if model.input_perm is None else [int(v) for v in model.input_perm],
         "laid_out": model.laid_out,
     }
@@ -144,7 +143,6 @@ def load_model(path) -> PreparedModel:
         float(r): {int(i): int(c) for i, c in b.items()}
         for r, b in manifest.get("ratio_boundaries", {}).items()
     }
-    perms = {int(i): np.asarray(p, dtype=np.int64) for i, p in manifest.get("layout", {}).items()}
     input_perm = manifest.get("input_perm")
     return PreparedModel(
         graph=graph,
@@ -152,7 +150,6 @@ def load_model(path) -> PreparedModel:
         selections=selections,
         boundaries=boundaries,
         input_perm=None if input_perm is None else np.asarray(input_perm, dtype=np.int64),
-        perms=perms,
         laid_out=manifest.get("laid_out", False),
     )
 

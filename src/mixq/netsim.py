@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .bitlower import ExtractionPlan, bitwidth_from_bounds, effective_bitwidth, group_slices, plan_extraction
-from .qtensor import ChannelRange, QuantParams, calibrate_ranges, derive_scales, qrange, quantize
+from .bitlower import ExtractionPlan, group_bitwidths, group_slices, plan_extraction
+from .qtensor import ChannelRange, QuantParams, calibrate_ranges, derive_scales, quantize
 
 MATMUL_KINDS = ("linear", "conv2d")
 
@@ -81,7 +81,6 @@ class PreparedModel:
     selections: dict[float, dict[int, np.ndarray]] = field(default_factory=dict)
     boundaries: dict[float, dict[int, int]] = field(default_factory=dict)
     input_perm: np.ndarray | None = None
-    perms: dict[int, np.ndarray] = field(default_factory=dict)  # matmul idx -> channel perm
     laid_out: bool = False
     active_ratio: float | None = None
 
@@ -110,23 +109,11 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return (0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))).astype(np.float32)
 
 
-def _act_codes(x: np.ndarray, scale: float, bitwidth: int) -> np.ndarray:
-    q_min, q_max = qrange(bitwidth)
-    return np.clip(np.rint(x.astype(np.float64) / scale), q_min, q_max).astype(np.int64)
-
-
 def _matmul_fp32(layer: Layer, h: np.ndarray) -> np.ndarray:
     w = layer.weight.astype(np.float64)
     if layer.kind == "linear":
         return (h.astype(np.float64) @ w.T).astype(np.float32)
-    B, C, H, W = h.shape
-    O, _, kh, kw = w.shape
-    hp = np.pad(h.astype(np.float64), ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
-    out = np.zeros((B, O, H, W), dtype=np.float64)
-    for dy in range(kh):
-        for dx in range(kw):
-            out += np.einsum("bchw,oc->bohw", hp[:, :, dy : dy + H, dx : dx + W], w[:, :, dy, dx])
-    return out.astype(np.float32)
+    return kernels.conv2d_same(h.astype(np.float64), w).astype(np.float32)
 
 
 def _matmul_quant(
@@ -139,13 +126,10 @@ def _matmul_quant(
     extraction: str | None,
 ) -> tuple[np.ndarray, kernels.KernelStats | None]:
     if mode == "int4":
-        codes = _act_codes(h, state.act_scale4, 4)
-        w_q, scales = state.w_q4, state.w_params4.scale
-        act_scale = state.act_scale4
+        act_scale, bits, w_q, scales = state.act_scale4, 4, state.w_q4, state.w_params4.scale
     else:
-        codes = _act_codes(h, state.act_scale, 8)
-        w_q, scales = state.w_q8, state.w_params8.scale
-        act_scale = state.act_scale
+        act_scale, bits, w_q, scales = state.act_scale, 8, state.w_q8, state.w_params8.scale
+    codes = quantize(h, QuantParams(act_scale, bits)).data
     if mode in ("int8", "int4"):
         if layer.kind == "linear":
             return kernels.int_gemm(codes, w_q.T, act_scale, scales), None
@@ -407,20 +391,13 @@ def unused_bit_report(model: PreparedModel) -> dict[int, dict[str, list[float]]]
         raise ValueError("model is not calibrated")
     report = {}
     for idx, state in model.states.items():
-        layer = model.graph.layers[idx]
-        n_in = layer.n_in
-        w = state.w_q8.reshape(layer.n_out, n_in, -1)
-        w_hist = np.zeros(5)
-        a_hist = np.zeros(5)
-        bounds = state.act_q8_bounds()
-        for c in range(n_in):
-            wb = effective_bitwidth(w[:, c, :])
-            w_hist[min(8 - wb, 4)] += 1
-            ab = bitwidth_from_bounds(bounds[c, 0], bounds[c, 1])
-            a_hist[min(8 - ab, 4)] += 1
+        bits = {
+            "weight": group_bitwidths(state.w_q8, 1, axis=1),
+            "activation": group_bitwidths(state.act_q8_bounds(), 1),
+        }
         report[idx] = {
-            "weight": (w_hist / n_in).tolist(),
-            "activation": (a_hist / n_in).tolist(),
+            k: (np.bincount(np.minimum(8 - b, 4), minlength=5) / b.size).tolist()
+            for k, b in bits.items()
         }
     return report
 

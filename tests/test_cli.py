@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixq import cli
+from mixq import cli, modelio
 
 
 def run_cli(*argv):
@@ -116,3 +116,42 @@ def test_ablate_prints_ladder(capsys):
 def test_default_model_dir_from_env(tmp_path, monkeypatch):
     monkeypatch.setenv("MIXQ_OUT", str(tmp_path / "envdir"))
     assert cli._default_dir() == str(tmp_path / "envdir")
+
+
+def test_infer_non_finite_input_exit_4(demo_dir, capsys):
+    x, y = modelio.load_dataset(demo_dir, "eval")
+    x = x.copy()
+    x[0, 0] = np.nan
+    modelio.save_dataset(demo_dir, "nan_eval", x, y)
+    assert run_cli("infer", "--model", str(demo_dir), "--mode", "mixed", "--ratio", "0.5",
+                   "--dataset", "nan_eval") == 4
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--threshold", "--window", "--duration"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_serve_sim_rejects_non_positive(tmp_path, flag, value):
+    with pytest.raises(SystemExit) as e:
+        run_cli("serve-sim", "--out", str(tmp_path), "--rate", "100", flag, value)
+    assert e.value.code == 2
+
+
+def test_serve_sim_threshold_and_window_are_used(tmp_path):
+    assert run_cli("serve-sim", "--out", str(tmp_path), "--threshold", "0.125",
+                   "--window", "5") == 0
+    summary = json.loads((tmp_path / "serve_summary.json").read_text())
+    assert summary["threshold"] == 0.125
+    assert summary["windows"] == 24  # the shipped 120-s trace in 5-s windows
+
+
+def test_serve_sim_empty_trace_names_file(tmp_path, capsys):
+    trace = tmp_path / "empty.txt"
+    trace.write_text("")
+    assert run_cli("serve-sim", "--out", str(tmp_path), "--trace", str(trace)) == 4
+    assert str(trace) in capsys.readouterr().err
+
+
+def test_serve_sim_duration_needs_a_generated_trace(tmp_path):
+    with pytest.raises(SystemExit) as e:
+        run_cli("serve-sim", "--out", str(tmp_path), "--duration", "10")
+    assert e.value.code == 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixq import oracle
 from mixq.bitlower import group_slices, plan_extraction, signed_bitwidth
@@ -184,3 +186,62 @@ def test_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="channels"):
         mixed_gemm(np.zeros((1, 5), dtype=np.int64), np.zeros((4, 1), dtype=np.int64),
                    1.0, np.ones(1), plan, 4, group_flags=[False])
+
+
+@st.composite
+def kernel_cases(draw, conv):
+    """Tiny operands with ragged last groups, random or prefix 4-bit flags,
+    calibration bounds narrow enough for static extraction to saturate."""
+    group_size = draw(st.integers(1, 4))
+    C = draw(st.integers(1, 9))
+    n_out = draw(st.integers(1, 4))
+    B = draw(st.integers(1, 2 if conv else 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if conv:
+        k = draw(st.sampled_from([1, 3]))
+        x_q = rng.integers(-128, 128, size=(B, C, draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+        w_q = rng.integers(-128, 128, size=(n_out, C, k, k))
+    else:
+        x_q = rng.integers(-128, 128, size=(B, C))
+        w_q = rng.integers(-128, 128, size=(C, n_out))
+    calib = np.moveaxis(x_q >> draw(st.integers(0, 4)), 1, 0).reshape(C, -1)
+    bounds = np.stack([calib.min(axis=1), calib.max(axis=1)], axis=1)
+    slices = group_slices(C, group_size)
+    if draw(st.booleans()):
+        flags = np.array(draw(st.lists(st.booleans(), min_size=len(slices), max_size=len(slices))))
+        select = {"group_flags": flags}
+    else:
+        n4 = draw(st.integers(0, len(slices)))
+        flags = np.arange(len(slices)) < n4
+        select = {"max_4bit_ch": slices[n4 - 1].stop if n4 else 0}
+    mode = draw(st.sampled_from(["static", "dynamic", "naive"]))
+    extraction = draw(st.sampled_from([None, mode]))
+    return x_q, w_q, bounds, group_size, flags, select, mode, extraction
+
+
+def check_against_oracle(case, conv):
+    x_q, w_q, bounds, group_size, flags, select, mode, extraction = case
+    n_out = w_q.shape[0] if conv else w_q.shape[1]
+    w_scales = np.linspace(1e-3, 1e-1, n_out)
+    plan = plan_extraction(bounds, w_q if conv else w_q.T, group_size, mode=mode)
+    kernel = mixed_conv2d if conv else mixed_gemm
+    got, stats = kernel(x_q, w_q, 0.02, w_scales, plan, group_size, extraction=extraction, **select)
+    shifts = None
+    if mode == "dynamic":
+        shifts = oracle_dynamic_shifts(np.moveaxis(x_q, 1, -1).reshape(-1, x_q.shape[1]), group_size)
+        assert stats.act_shifts_used[flags].tolist() == np.asarray(shifts)[flags].tolist()
+    scalar = oracle.scalar_mixed_conv2d if conv else oracle.scalar_mixed_gemm
+    want = scalar(x_q, w_q, 0.02, w_scales, plan, group_size, flags, act_shifts=shifts)
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_cases(conv=False))
+def test_mixed_gemm_property_matches_scalar_oracle(case):
+    check_against_oracle(case, conv=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_cases(conv=True))
+def test_mixed_conv2d_property_matches_scalar_oracle(case):
+    check_against_oracle(case, conv=True)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mixq import evoselect, netsim, scoring, synth
+from mixq import evoselect, kernels, netsim, scoring, synth
 from mixq.kernels import int_gemm
 from mixq.netsim import (
     Layer,
@@ -17,7 +17,7 @@ from mixq.netsim import (
     total_loss,
 )
 from mixq.qtensor import quantize
-from conftest import small_model
+from conftest import small_conv_model, small_model
 
 
 def one_layer_model(seed=41, features=8, group_size=4):
@@ -212,3 +212,52 @@ def test_saturation_report_static_vs_dynamic():
     assert all(v == 0.0 for v in dynamic.values())
     calm = netsim.saturation_report(model, x_cal[:16], 1.0, extraction="static")
     assert all(v == 0.0 for v in calm.values())
+
+
+@pytest.mark.parametrize("mode", ["int8", "int4", "mixed"])
+def test_quantized_forward_rejects_non_finite_input(mode):
+    model, x = one_layer_model()
+    x = x.copy()
+    x[3, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        run(model, x, mode=mode, flags_override={})
+
+
+def test_one_kernel_call_per_matmul_layer(monkeypatch):
+    """netsim.run makes exactly one public kernel call per matmul layer, and
+    no public kernel calls another; tracing and the kernel probes of the
+    benchmark rely on both."""
+    calls, active, nested = [], [], []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if active:
+                nested.append((active[-1], name))
+            calls.append((name, kwargs))
+            active.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                active.pop()
+        return wrapper
+
+    for name in ("mixed_gemm", "int_gemm", "mixed_conv2d", "int_conv2d"):
+        monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
+    linear, _, (x_lin, _) = small_model(seed=44)
+    conv, _, (x_conv, _) = small_conv_model(seed=45)
+    for model, x, kind in ((linear, x_lin, "gemm"), (conv, x_conv, "conv2d")):
+        matmuls = model.graph.matmul_indices()
+        runs = [("fp32", None), ("int8", None), ("int4", None)] + [
+            ("mixed", {i: np.full(model.n_groups(i), on) for i in matmuls}) for on in (False, True)
+        ]
+        for mode, flags in runs:
+            calls.clear()
+            run(model, x, mode=mode, flags_override=flags)
+            if mode == "fp32":
+                assert calls == []
+                continue
+            want = f"mixed_{kind}" if mode == "mixed" else f"int_{kind}"
+            assert [name for name, _ in calls] == [want] * len(matmuls)
+            if mode == "mixed":
+                assert all(kw.get("group_flags") is not None for _, kw in calls)
+    assert nested == []
