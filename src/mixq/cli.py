@@ -53,6 +53,13 @@ def _batches(x: np.ndarray, batch_size: int):
     return [x[i : i + batch_size] for i in range(0, len(x), batch_size)]
 
 
+def _top_ratio(model: netsim.PreparedModel) -> float:
+    """The highest prepared ratio: what ``--ratio`` defaults to."""
+    if not model.selections:
+        raise ValueError("no selections prepared; pass --ratio or run select first")
+    return max(model.selections)
+
+
 def _parse_ratios(text: str) -> list[float]:
     try:
         ratios = [float(t) for t in text.split(",") if t.strip()]
@@ -175,8 +182,10 @@ def run_gemm_check(cases: int, seed: int, group_size: int, max_dim: int) -> list
 def do_infer(model_dir, mode, ratio, extraction, dataset):
     model = _load(model_dir)
     x, y = modelio.load_dataset(model_dir, dataset)
+    if mode == "mixed" and ratio is None:
+        ratio = _top_ratio(model)
     out = netsim.run(model, x, mode=mode, ratio=ratio, extraction=extraction)
-    ref = netsim.run(model, x, mode="int8")
+    ref = out if mode == "int8" else netsim.run(model, x, mode="int8")
     metrics = {
         "mode": mode,
         "ratio": ratio if ratio is not None else "",
@@ -206,6 +215,8 @@ def do_report_bits(model_dir, out_name="bits.csv"):
 def do_report_saturation(model_dir, ratio, extraction, scale, dataset, out_name="saturation.csv"):
     model = _load(model_dir)
     x, _ = modelio.load_dataset(model_dir, dataset)
+    if ratio is None:
+        ratio = _top_ratio(model)
     report = netsim.saturation_report(model, x * scale, ratio, extraction=extraction)
     rows = [[idx, float(report[idx])] for idx in sorted(report)]
     _write_csv(Path(model_dir) / out_name, ["layer", "saturated_pct"], rows)
@@ -215,8 +226,7 @@ def do_report_saturation(model_dir, ratio, extraction, scale, dataset, out_name=
 def do_report_l2(model_dir, dataset, extraction, out_name="l2.csv"):
     model = _load(model_dir)
     x, _ = modelio.load_dataset(model_dir, dataset)
-    _, ref_caps = netsim.run(model, x, mode="int8", capture=True)
-    ref = netsim.run(model, x, mode="int8")
+    ref, ref_caps = netsim.run(model, x, mode="int8", capture=True)
     rows = []
     for ratio in sorted(model.selections):
         out, caps = netsim.run(model, x, mode="mixed", ratio=ratio, extraction=extraction, capture=True)
@@ -232,6 +242,8 @@ def do_serve_sim(seed, out_dir, policy_name, fixed_ratio, quality=None, out_name
                  threshold=None, window=None, trace_file=None):
     trace, cost, policy = serve.shipped_scenario(seed=stage_seed(seed, "serve"))
     if trace_file is not None:
+        if not Path(trace_file).is_file():
+            raise MissingArtifactError(f"trace file {trace_file} not found")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # numpy's "input contained no data"
             arrivals = np.loadtxt(trace_file, dtype=np.float64, ndmin=1)
@@ -339,7 +351,8 @@ def run_demo(out_dir, seed: int, algo: str = "evo", verbose=print) -> dict:
         runs.append(("mixed", r, "static"))
         runs.append(("mixed", r, "dynamic"))
     for mode, ratio, extraction in runs:
-        y_hat = netsim.run(model, x_eval, mode=mode, ratio=ratio, extraction=extraction)
+        y_hat = ref if mode == "int8" else netsim.run(model, x_eval, mode=mode, ratio=ratio,
+                                                      extraction=extraction)
         top1 = netsim.top1_accuracy(y_hat, y_eval)
         rows.append([mode, _fmt(ratio) if ratio is not None else "", extraction or "",
                      float(top1), netsim.l2_distance(y_hat, ref)])
@@ -459,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("infer", "run the stored eval set and print accuracy/drift metrics")
     add_model(sp)
     sp.add_argument("--mode", choices=("fp32", "int8", "int4", "mixed"), default="mixed")
-    sp.add_argument("--ratio", type=float, default=None)
+    sp.add_argument("--ratio", type=float, default=None,
+                    help="4-bit ratio of mixed mode (default: the highest prepared)")
     sp.add_argument("--extraction", choices=("static", "dynamic", "naive"), default=None)
     sp.add_argument("--dataset", default="eval")
 
@@ -468,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("report-saturation", "percentage of clipped 4-bit channels per layer")
     add_model(sp)
-    sp.add_argument("--ratio", type=float, default=None)
+    sp.add_argument("--ratio", type=float, default=None,
+                    help="4-bit ratio (default: the highest prepared)")
     sp.add_argument("--extraction", choices=("static", "dynamic", "naive"), default=None)
     sp.add_argument("--scale", type=float, default=1.0,
                     help="multiply eval inputs to emulate out-of-range batches")
@@ -537,13 +552,8 @@ def _dispatch(args) -> int:
         do_report_bits(args.model)
         print(f"wrote {args.model}/bits.csv")
     elif cmd == "report-saturation":
-        ratio = args.ratio
-        if ratio is None:
-            model = _load(args.model)
-            if not model.selections:
-                raise ValueError("no selections prepared; pass --ratio or run select first")
-            ratio = max(model.selections)
-        report = do_report_saturation(args.model, ratio, args.extraction, args.scale, args.dataset)
+        report = do_report_saturation(args.model, args.ratio, args.extraction, args.scale,
+                                      args.dataset)
         for idx in sorted(report):
             print(f"layer {idx}: {report[idx]:.2f}% channels saturated")
     elif cmd == "report-l2":

@@ -8,15 +8,20 @@ group's codes are replaced by clip(q >> p, -8, 7) << p.  So every kernel
 is one lowering step (mixed kernels only) followed by one contraction, a
 plain GEMM or a same-padded conv.
 
-Accumulation is int64 and exact: a lowered code still lies in [-128, 127],
-so every product is at most 2^14 in magnitude and the 32-bit accumulator
-check (raising ``OverflowError``) trips long before int64 could wrap.  The
-per-output scale multiply is the only float operation.  With contiguous
-layout the 4-bit groups are simply the first ``max_4bit_ch / group_size``.
+The contraction is a float64 BLAS product of the integer codes, and it is
+exact: every product and partial sum is an integer, and float64 holds
+every integer up to 2^53, so BLAS's order of summation cannot change an
+accumulator.  A lowered code still lies in [-128, 127], so K 8-bit
+products stay below K * 2^14; ``_contract`` raises ``OverflowError``
+where wider codes could pass 2^53, and the 32-bit accumulator check
+(also ``OverflowError``) trips long before that for 8-bit codes.  With
+contiguous layout the 4-bit groups are simply the first
+``max_4bit_ch / group_size``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +29,7 @@ import numpy as np
 from .bitlower import MAX_SHIFT, Q4_MAX, Q4_MIN, ExtractionPlan, group_shifts, group_slices
 
 INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1
+EXACT_LIMIT = 1 << 53  # float64 represents every integer of at most this magnitude
 
 
 @dataclass
@@ -56,16 +62,14 @@ def _resolve_flags(n_in: int, group_size: int, group_flags, max_4bit_ch) -> np.n
 
 
 def _lower(x, w, w_axis, plan, group_size, flags, mode):
-    """int64 copies of activation codes ``x`` (channels on axis 1) and
-    weight codes ``w`` (channels on ``w_axis``, outputs on the other of
-    its first two axes) with every flagged group lowered, plus the
-    saturated channels and shifts used.
+    """Copies of activation codes ``x`` (channels on axis 1) and weight
+    codes ``w`` (channels on ``w_axis``, outputs on the other of its first
+    two axes) with every flagged group lowered, plus the saturated channels
+    and shifts used.
 
     Lowering runs in the codes' own integer dtype: a lowered code never
     needs more bits than the code it replaces, and on int8 codes the
-    elementwise passes move an eighth of the bytes.  Copies keep the
-    memory order: numpy's int64 matmul is 2-3x slower on a C-ordered copy
-    of the transposed weight view.
+    elementwise passes move an eighth of the bytes.
     """
     x, w = np.copy(x), np.copy(w)
     sat = np.zeros(x.shape[1], dtype=bool)
@@ -92,21 +96,54 @@ def _lower(x, w, w_axis, plan, group_size, flags, mode):
         w_index[w_axis] = sl
         wg = tuple(w_index)
         w[wg] = np.clip(w[wg] >> pw, Q4_MIN, Q4_MAX) << pw
-    stats = KernelStats(sat, shifts_used)
-    return np.asarray(x, dtype=np.int64), np.asarray(w, dtype=np.int64), stats
+    return x, w, KernelStats(sat, shifts_used)
+
+
+def _magnitude(q: np.ndarray) -> int:
+    """Bound on |code| over ``q``: the dtype's range for 8-bit codes (a
+    lowered code stays in its dtype), the widest code otherwise."""
+    if q.dtype.kind in "iu" and q.dtype.itemsize == 1:
+        info = np.iinfo(q.dtype)
+        return max(-int(info.min), int(info.max))
+    return max(-int(q.min(initial=0)), int(q.max(initial=0)))
+
+
+def _contract(x: np.ndarray, w: np.ndarray, conv: bool) -> np.ndarray:
+    """Integer accumulators of codes ``x`` and ``w`` as one float64 BLAS
+    GEMM or same-padded conv.
+
+    float64 holds every integer up to 2^53, so the result is exact while
+    (products per output) * max|x| * max|w| stays within it; beyond that
+    it raises.
+    """
+    terms = math.prod(w.shape[1:]) if conv else x.shape[1]
+    mx, mw = _magnitude(x), _magnitude(w)
+    if terms * mx * mw > EXACT_LIMIT:
+        raise OverflowError(
+            f"float64 accumulation is exact only up to 2^53: {terms} products of codes "
+            f"up to {mx} x {mw} could exceed it"
+        )
+    x, w = x.astype(np.float64), w.astype(np.float64)
+    return conv2d_same(x, w) if conv else x @ w
 
 
 def conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Stride-1, same-padded 2-D convolution, accumulated in the operands'
-    dtype.  x: [B, C, H, W]; w: [O, C, kh, kw]; returns [B, O, H, W]."""
+    """Stride-1, same-padded 2-D convolution in the operands' dtype.
+
+    x: [B, C, H, W]; w: [O, C, kh, kw]; returns [B, O, H, W] (a view of a
+    channels-last array).  Each of the kh * kw taps is one matmul of the
+    shifted channels-last input [B*H*W, C] with that tap's [C, O] weights,
+    so float operands run through BLAS; no im2col buffer is built.
+    """
     B, C, H, W = x.shape
     O, _, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
-    out = np.zeros((B, O, H, W), dtype=np.result_type(x, w))
+    xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
+    taps = w.transpose(2, 3, 1, 0)  # [kh, kw, C, O]
+    out = np.zeros((B * H * W, O), dtype=np.result_type(x, w))
     for dy in range(kh):
         for dx in range(kw):
-            out += np.einsum("bchw,oc->bohw", xp[:, :, dy : dy + H, dx : dx + W], w[:, :, dy, dx])
-    return out
+            out += xp[:, dy : dy + H, dx : dx + W].reshape(-1, C) @ taps[dy, dx]
+    return out.reshape(B, H, W, O).transpose(0, 3, 1, 2)
 
 
 def _scale(acc: np.ndarray, act_scale: float, w_scales: np.ndarray) -> np.ndarray:
@@ -116,7 +153,7 @@ def _scale(acc: np.ndarray, act_scale: float, w_scales: np.ndarray) -> np.ndarra
         raise OverflowError("32-bit accumulator would wrap for this shape")
     scales = float(act_scale) * np.asarray(w_scales, dtype=np.float64)
     scales = scales.reshape((-1,) + (1,) * (acc.ndim - 2))
-    return (acc.astype(np.float64) * scales).astype(np.float32)
+    return (acc * scales).astype(np.float32)
 
 
 def mixed_gemm(
@@ -144,7 +181,7 @@ def mixed_gemm(
         raise ValueError(f"shape mismatch: x has {K} channels, w has {w_q.shape[0]}")
     flags = _resolve_flags(K, group_size, group_flags, max_4bit_ch)
     x_lo, w_lo, stats = _lower(x_q, w_q, 0, plan, group_size, flags, extraction or plan.mode)
-    return _scale(x_lo @ w_lo, act_scale, w_scales), stats
+    return _scale(_contract(x_lo, w_lo, conv=False), act_scale, w_scales), stats
 
 
 def mixed_conv2d(
@@ -171,19 +208,17 @@ def mixed_conv2d(
         raise ValueError(f"shape mismatch: x has {C} channels, w has {Cw}")
     flags = _resolve_flags(C, group_size, group_flags, max_4bit_ch)
     x_lo, w_lo, stats = _lower(x_q, w_q, 1, plan, group_size, flags, extraction or plan.mode)
-    return _scale(conv2d_same(x_lo, w_lo), act_scale, w_scales), stats
+    return _scale(_contract(x_lo, w_lo, conv=True), act_scale, w_scales), stats
 
 
 def int_gemm(x_q: np.ndarray, w_q: np.ndarray, act_scale: float, w_scales: np.ndarray) -> np.ndarray:
     """Plain uniform integer GEMM (8-bit or 4-bit codes)."""
-    acc = np.asarray(x_q, dtype=np.int64) @ np.asarray(w_q, dtype=np.int64)
-    return _scale(acc, act_scale, w_scales)
+    return _scale(_contract(np.asarray(x_q), np.asarray(w_q), conv=False), act_scale, w_scales)
 
 
 def int_conv2d(x_q: np.ndarray, w_q: np.ndarray, act_scale: float, w_scales: np.ndarray) -> np.ndarray:
     """Plain uniform integer conv2d (stride 1, same padding)."""
-    acc = conv2d_same(np.asarray(x_q, dtype=np.int64), np.asarray(w_q, dtype=np.int64))
-    return _scale(acc, act_scale, w_scales)
+    return _scale(_contract(np.asarray(x_q), np.asarray(w_q), conv=True), act_scale, w_scales)
 
 
 def accumulator_error_bound(

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixq import cli, modelio
+from mixq import cli, modelio, netsim, synth
 
 
 def run_cli(*argv):
@@ -155,3 +155,52 @@ def test_serve_sim_duration_needs_a_generated_trace(tmp_path):
     with pytest.raises(SystemExit) as e:
         run_cli("serve-sim", "--out", str(tmp_path), "--duration", "10")
     assert e.value.code == 2
+
+
+def test_serve_sim_missing_trace_exit_3(tmp_path, capsys):
+    trace = tmp_path / "no-such-trace.txt"
+    assert run_cli("serve-sim", "--out", str(tmp_path), "--trace", str(trace)) == 3
+    assert str(trace) in capsys.readouterr().err
+
+
+def test_infer_defaults_to_highest_prepared_ratio(demo_dir, capsys):
+    assert run_cli("infer", "--model", str(demo_dir)) == 0
+    default = capsys.readouterr().out
+    assert "ratio: 1.0\n" in default
+    assert run_cli("infer", "--model", str(demo_dir), "--ratio", "1.0") == 0
+    assert capsys.readouterr().out == default
+
+
+def test_infer_without_selections_exit_4(tmp_path, capsys):
+    graph = synth.make_linear_net(3, 2, 16, 4, 8)
+    x, y = synth.make_dataset(4, 16, 4, 32)
+    modelio.save_model(tmp_path, netsim.prepare(graph, [x]))
+    modelio.save_dataset(tmp_path, "eval", x, y)
+    assert run_cli("infer", "--model", str(tmp_path)) == 4
+    assert "no selections prepared; pass --ratio or run select first" in capsys.readouterr().err
+    assert run_cli("infer", "--model", str(tmp_path), "--mode", "int8") == 0
+
+
+@pytest.fixture
+def forward_count(monkeypatch):
+    calls = []
+    run = netsim.run
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("mode", args[2] if len(args) > 2 else "fp32"))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(netsim, "run", counting)
+    return calls
+
+
+def test_reports_run_one_reference_forward(demo_dir, forward_count):
+    n_ratios = len(modelio.load_model(demo_dir).selections)
+    cli.do_report_l2(demo_dir, "eval", None, out_name="l2_count.csv")
+    assert forward_count == ["int8"] + ["mixed"] * n_ratios
+    forward_count.clear()
+    cli.do_infer(demo_dir, "int8", None, None, "eval")
+    assert forward_count == ["int8"]
+    forward_count.clear()
+    cli.do_infer(demo_dir, "mixed", 0.5, None, "eval")
+    assert forward_count == ["mixed", "int8"]

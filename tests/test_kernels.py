@@ -7,6 +7,7 @@ from mixq import oracle
 from mixq.bitlower import group_slices, plan_extraction, signed_bitwidth
 from mixq.kernels import (
     accumulator_error_bound,
+    conv2d_same,
     int_conv2d,
     int_gemm,
     mixed_conv2d,
@@ -245,3 +246,71 @@ def test_mixed_gemm_property_matches_scalar_oracle(case):
 @given(kernel_cases(conv=True))
 def test_mixed_conv2d_property_matches_scalar_oracle(case):
     check_against_oracle(case, conv=True)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_int_gemm_exact_up_to_the_int32_boundary(dtype):
+    # K * 128 * 128 = 2^31 - 2^14 still fits the 32-bit accumulator
+    k = 131071
+    x_q = np.full((1, k), -128, dtype=dtype)
+    w_q = np.full((k, 1), -128, dtype=dtype)
+    out = int_gemm(x_q, w_q, 1.0, np.ones(1))
+    assert out.tolist() == [[np.float32(k * 128 * 128)]]
+    with pytest.raises(OverflowError, match="32-bit"):
+        int_gemm(np.full((1, k + 1), -128, dtype=dtype), np.full((k + 1, 1), -128, dtype=dtype),
+                 1.0, np.ones(1))
+
+
+@pytest.mark.parametrize("conv", [False, True])
+def test_float64_inexact_contraction_raises(conv):
+    # the exact sum is 1, but partial sums pass 2^53, where float64 drops
+    # the low bits, so a float64 contraction could return 0 or 2
+    a = 2**26 + 1
+    x_q = np.array([[a, a, 1, a, a]], dtype=np.int64)
+    w_q = np.array([[a], [a], [1], [-a], [-a]], dtype=np.int64)
+    assert sum(int(x) * int(w) for x, w in zip(x_q[0], w_q[:, 0])) == 1
+    with pytest.raises(OverflowError, match="float64"):
+        if conv:
+            int_conv2d(x_q[:, :, None, None], w_q.T[:, :, None, None], 1.0, np.ones(1))
+        else:
+            int_gemm(x_q, w_q, 1.0, np.ones(1))
+
+
+def conv_reference(x, w):
+    """Same-padded stride-1 convolution, one output pixel at a time, summed
+    in Python numbers (the indexing of ``oracle.scalar_mixed_conv2d_acc``)."""
+    B, C, H, W = x.shape
+    O, _, kh, kw = w.shape
+    out = np.zeros((B, O, H, W), dtype=object)
+    for b in range(B):
+        for o in range(O):
+            for y in range(H):
+                for xx in range(W):
+                    total = 0
+                    for c in range(C):
+                        for dy in range(kh):
+                            for dx in range(kw):
+                                yy, xs = y + dy - kh // 2, xx + dx - kw // 2
+                                if 0 <= yy < H and 0 <= xs < W:
+                                    total += x[b, c, yy, xs].item() * w[o, c, dy, dx].item()
+                    out[b, o, y, xx] = total
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(*[st.integers(1, 3)] * 3, st.integers(1, 4), st.integers(1, 4)),
+    kernel=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv2d_same_property_matches_direct_reference(shape, kernel, seed):
+    (B, C, O, H, W), (kh, kw) = shape, kernel
+    rng = np.random.default_rng(seed)
+    x_q = rng.integers(-128, 128, size=(B, C, H, W))
+    w_q = rng.integers(-128, 128, size=(O, C, kh, kw))
+    want = conv_reference(x_q, w_q).astype(np.int64)
+    assert np.array_equal(conv2d_same(x_q, w_q), want)
+    got = conv2d_same(x_q.astype(np.float64), w_q.astype(np.float64))
+    assert got.shape == want.shape and np.array_equal(got, want)
+    x, w = rng.standard_normal((B, C, H, W)), rng.standard_normal((O, C, kh, kw))
+    assert np.allclose(conv2d_same(x, w), conv_reference(x, w).astype(np.float64))
