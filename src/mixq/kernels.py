@@ -8,15 +8,21 @@ group's codes are replaced by clip(q >> p, -8, 7) << p.  So every kernel
 is one lowering step (mixed kernels only) followed by one contraction, a
 plain GEMM or a same-padded conv.
 
-The contraction is a float64 BLAS product of the integer codes, and it is
-exact: every product and partial sum is an integer, and float64 holds
-every integer up to 2^53, so BLAS's order of summation cannot change an
-accumulator.  A lowered code still lies in [-128, 127], so K 8-bit
-products stay below K * 2^14; ``_contract`` raises ``OverflowError``
-where wider codes could pass 2^53, and the 32-bit accumulator check
-(also ``OverflowError``) trips long before that for 8-bit codes.  With
-contiguous layout the 4-bit groups are simply the first
-``max_4bit_ch / group_size``.
+Weights are constant, so their lowered codes are built once per layer
+(``lower_weights``; ``netsim`` keeps them next to the 8-bit codes) and a
+call only splices the flagged channel runs of the lowered copy into the
+8-bit codes: on a laid-out model that is one prefix up to
+``max_4bit_ch``.  Activations are lowered per call in one vectorized pass.
+
+The contraction is a float BLAS product of the integer codes, and it is
+exact: every product and partial sum is an integer no larger than
+K * max|x| * max|w| (K products per output).  float32 holds every integer
+up to 2^24 and float64 every integer up to 2^53, so ``_contract`` runs in
+float32 while that bound is at most 2^24 (K <= 1024 for 8-bit codes) and
+in float64 up to 2^53, and raises ``OverflowError`` beyond; BLAS's order
+of summation cannot change an accumulator.  A lowered code still lies in
+[-128, 127], so 8-bit products stay below K * 2^14, and the 32-bit
+accumulator check (also ``OverflowError``) trips long before 2^53.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import numpy as np
 from .bitlower import MAX_SHIFT, Q4_MAX, Q4_MIN, ExtractionPlan, group_shifts, group_slices
 
 INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1
+F32_EXACT_LIMIT = 1 << 24  # float32 represents every integer of at most this magnitude
 EXACT_LIMIT = 1 << 53  # float64 represents every integer of at most this magnitude
 
 
@@ -45,58 +52,108 @@ class KernelStats:
     act_shifts_used: np.ndarray
 
 
+def lower_weights(
+    w_q: np.ndarray, weight_shifts: np.ndarray, group_size: int, axis: int
+) -> np.ndarray:
+    """Weight codes with every group lowered: clip(w >> pw, -8, 7) << pw.
+
+    ``w_q`` has its input channels on ``axis`` and its outputs on the other
+    of its first two axes; ``weight_shifts`` is [n_groups, n_out].  The
+    result has the dtype, shape and memory order of ``w_q``.  Full groups
+    are lowered in one broadcast pass over [.., n_groups, group_size, ..],
+    a ragged last group in a second one.
+    """
+    w = np.asarray(w_q)
+    if axis not in (0, 1):
+        raise ValueError(f"channel axis must be 0 or 1, got {axis}")
+    shifts = np.asarray(weight_shifts).astype(w.dtype)  # [n_groups, n_out]
+    lowered = np.empty_like(w)
+    C = w.shape[axis]
+    full = C - C % group_size
+    index = [slice(None)] * w.ndim
+    for start, stop in ((0, full), (full, C)):
+        if start == stop:
+            continue
+        size = min(group_size, stop - start)
+        index[axis] = slice(start, stop)
+        block = w[tuple(index)]
+        p = shifts[start // group_size : -(-stop // group_size)]  # [g, n_out]
+        if axis == 0:  # [g, size, n_out, ...]
+            p = p.reshape(p.shape[0], 1, p.shape[1], *(1,) * (w.ndim - 2))
+        else:  # [n_out, g, size, ...]
+            p = p.T.reshape(p.shape[1], p.shape[0], *(1,) * (w.ndim - 1))
+        split = block.shape[:axis] + (-1, size) + block.shape[axis + 1 :]
+        low = np.clip(block.reshape(split) >> p, Q4_MIN, Q4_MAX) << p
+        lowered[tuple(index)] = low.reshape(block.shape)
+    return lowered
+
+
 def _resolve_flags(n_in: int, group_size: int, group_flags, max_4bit_ch) -> np.ndarray:
-    stops = np.array([sl.stop for sl in group_slices(n_in, group_size)])
+    if group_size <= 0:
+        raise ValueError("group size must be positive")
+    n_groups = -(-n_in // group_size)
     if group_flags is not None:
         flags = np.asarray(group_flags, dtype=bool)
-        if flags.size != stops.size:
-            raise ValueError(f"expected {stops.size} group flags, got {flags.size}")
+        if flags.size != n_groups:
+            raise ValueError(f"expected {n_groups} group flags, got {flags.size}")
         return flags
     if max_4bit_ch is None:
         raise ValueError("either group_flags or max_4bit_ch is required")
     if not 0 <= max_4bit_ch <= n_in:
         raise ValueError(f"max_4bit_ch {max_4bit_ch} outside [0, {n_in}]")
-    if max_4bit_ch and max_4bit_ch not in stops:
+    if max_4bit_ch % group_size and max_4bit_ch != n_in:
         raise ValueError(f"max_4bit_ch {max_4bit_ch} is not group-aligned")
-    return stops <= max_4bit_ch
+    return np.arange(n_groups) * group_size < max_4bit_ch
 
 
-def _lower(x, w, w_axis, plan, group_size, flags, mode):
-    """Copies of activation codes ``x`` (channels on axis 1) and weight
-    codes ``w`` (channels on ``w_axis``, outputs on the other of its first
-    two axes) with every flagged group lowered, plus the saturated channels
-    and shifts used.
+def _lower(x, w, w_lo, w_axis, plan, group_size, flags, mode):
+    """Activation codes ``x`` (channels on axis 1) and weight codes ``w``
+    (channels on ``w_axis``) with every flagged group lowered, plus the
+    saturated channels and shifts used.
 
-    Lowering runs in the codes' own integer dtype: a lowered code never
-    needs more bits than the code it replaces, and on int8 codes the
-    elementwise passes move an eighth of the bytes.
+    The activations are lowered in one pass in their own integer dtype,
+    with a per-channel shift and clip range (the dtype's range on 8-bit
+    channels, which leaves them unchanged).  The weights are ``w`` with
+    each maximal run of flagged channels copied from its lowered codes
+    ``w_lo``; ``w_lo`` is built here when omitted, and rebuilt with
+    ``MAX_SHIFT`` when naive extraction overrides a plan of another mode.
     """
-    x, w = np.copy(x), np.copy(w)
-    sat = np.zeros(x.shape[1], dtype=bool)
     shifts_used = plan.act_shifts.copy()
-    w_shifts = plan.weight_shifts.astype(w.dtype)
+    if not flags.any():
+        return x, w, KernelStats(np.zeros(x.shape[1], dtype=bool), shifts_used)
     if mode == "dynamic":
         shifts_used[flags] = group_shifts(x, group_size, axis=1)[flags]
     elif mode == "naive":
         shifts_used[flags] = MAX_SHIFT
-        w_shifts[:] = MAX_SHIFT
-    reduced = tuple(a for a in range(x.ndim) if a != 1)
-    out_shape = [1] * w.ndim
-    out_shape[1 - w_axis] = -1
-    w_index = [slice(None)] * w.ndim
-    slices = group_slices(x.shape[1], group_size)
-    for g in np.flatnonzero(flags):
-        sl = slices[g]
-        px = int(shifts_used[g])
-        shifted = x[:, sl] >> px
-        x4 = np.clip(shifted, Q4_MIN, Q4_MAX)
-        sat[sl] = (shifted != x4).any(axis=reduced)
-        x[:, sl] = x4 << px
-        pw = w_shifts[g].reshape(out_shape)
-        w_index[w_axis] = sl
-        wg = tuple(w_index)
-        w[wg] = np.clip(w[wg] >> pw, Q4_MIN, Q4_MAX) << pw
-    return x, w, KernelStats(sat, shifts_used)
+    if w_lo is None or (mode == "naive" and plan.mode != "naive"):
+        w_shifts = plan.weight_shifts
+        if mode == "naive":
+            w_shifts = np.full_like(w_shifts, MAX_SHIFT)
+        w_lo = lower_weights(w, w_shifts, group_size, w_axis)
+    elif w_lo.shape != w.shape:
+        raise ValueError(f"w_lo shape {w_lo.shape} differs from w_q shape {w.shape}")
+
+    C = x.shape[1]
+    group = np.arange(C) // group_size
+    on = flags[group]
+    info = np.iinfo(x.dtype)
+    per_channel = (1, C) + (1,) * (x.ndim - 2)
+    px = np.where(on, shifts_used[group], 0).astype(x.dtype).reshape(per_channel)
+    lo = np.where(on, Q4_MIN, info.min).astype(x.dtype).reshape(per_channel)
+    hi = np.where(on, Q4_MAX, info.max).astype(x.dtype).reshape(per_channel)
+    shifted = x >> px
+    x4 = np.minimum(np.maximum(shifted, lo), hi)  # np.clip with array bounds is ~5x slower
+    sat = (shifted != x4).any(axis=tuple(a for a in range(x.ndim) if a != 1))
+
+    if not flags.all():
+        padded = np.concatenate(([False], flags, [False]))
+        runs = np.flatnonzero(padded[1:] != padded[:-1]) * group_size
+        w_mixed, w_index = np.copy(w), [slice(None)] * w.ndim
+        for start, stop in runs.reshape(-1, 2):
+            w_index[w_axis] = slice(start, stop)
+            w_mixed[tuple(w_index)] = w_lo[tuple(w_index)]
+        w_lo = w_mixed
+    return x4 << px, w_lo, KernelStats(sat, shifts_used)
 
 
 def _magnitude(q: np.ndarray) -> int:
@@ -109,22 +166,29 @@ def _magnitude(q: np.ndarray) -> int:
 
 
 def _contract(x: np.ndarray, w: np.ndarray, conv: bool) -> np.ndarray:
-    """Integer accumulators of codes ``x`` and ``w`` as one float64 BLAS
-    GEMM or same-padded conv.
+    """Integer accumulators of codes ``x`` and ``w`` as one float BLAS GEMM
+    or same-padded conv, checked against the 32-bit accumulator range.
 
-    float64 holds every integer up to 2^53, so the result is exact while
-    (products per output) * max|x| * max|w| stays within it; beyond that
-    it raises.
+    No partial sum exceeds bound = (products per output) * max|x| * max|w|,
+    so the result is exact in float32 while bound <= 2^24 and in float64
+    while bound <= 2^53; beyond that it raises.  The GEMM runs as
+    (w.T @ x.T).T, which lets BLAS read [N, K] C-ordered weight codes (the
+    layout ``netsim`` holds) without a copy.
     """
     terms = math.prod(w.shape[1:]) if conv else x.shape[1]
     mx, mw = _magnitude(x), _magnitude(w)
-    if terms * mx * mw > EXACT_LIMIT:
+    bound = terms * mx * mw
+    if bound > EXACT_LIMIT:
         raise OverflowError(
             f"float64 accumulation is exact only up to 2^53: {terms} products of codes "
             f"up to {mx} x {mw} could exceed it"
         )
-    x, w = x.astype(np.float64), w.astype(np.float64)
-    return conv2d_same(x, w) if conv else x @ w
+    dtype = np.float32 if bound <= F32_EXACT_LIMIT else np.float64
+    x, w = x.astype(dtype), w.astype(dtype)
+    acc = conv2d_same(x, w) if conv else (w.T @ x.T).T
+    if bound > INT32_MAX and (acc.min(initial=0) < INT32_MIN or acc.max(initial=0) > INT32_MAX):
+        raise OverflowError("32-bit accumulator would wrap for this shape")
+    return acc
 
 
 def conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -147,13 +211,13 @@ def conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _scale(acc: np.ndarray, act_scale: float, w_scales: np.ndarray) -> np.ndarray:
-    """Check the int32 accumulator range, then apply the per-output scales
-    (outputs on axis 1)."""
-    if acc.min(initial=0) < INT32_MIN or acc.max(initial=0) > INT32_MAX:
-        raise OverflowError("32-bit accumulator would wrap for this shape")
+    """Apply the per-output scales (outputs on axis 1) in float64 and round
+    once to float32.  A GEMM output is C-ordered; a conv output keeps the
+    channels-last memory order of ``conv2d_same``."""
     scales = float(act_scale) * np.asarray(w_scales, dtype=np.float64)
     scales = scales.reshape((-1,) + (1,) * (acc.ndim - 2))
-    return (acc * scales).astype(np.float32)
+    out = np.empty_like(acc, dtype=np.float32, order="C" if acc.ndim == 2 else "K")
+    return np.multiply(acc, scales, out=out, casting="unsafe")
 
 
 def mixed_gemm(
@@ -166,22 +230,26 @@ def mixed_gemm(
     max_4bit_ch: int | None = None,
     group_flags=None,
     extraction: str | None = None,
+    w_lo: np.ndarray | None = None,
 ) -> tuple[np.ndarray, KernelStats]:
     """Mixed-precision integer GEMM.
 
     x_q: [B, K] int8 activation codes; w_q: [K, N] int8 weight codes with
     per-output-channel scales ``w_scales`` [N].  Groups flagged 4-bit are
     lowered per the plan (or per runtime scan when extraction is
-    "dynamic"); the rest are multiplied as plain 8-bit.  Returns the
-    float32 output [B, N] and extraction stats.
+    "dynamic"); the rest are multiplied as plain 8-bit.  ``w_lo`` is
+    ``lower_weights(w_q, plan.weight_shifts, group_size, axis=0)``, built
+    once by the caller for constant weights; it is computed when omitted.
+    Returns the float32 output [B, N] and extraction stats.
     """
     x_q, w_q = np.asarray(x_q), np.asarray(w_q)
     K = x_q.shape[1]
     if w_q.shape[0] != K:
         raise ValueError(f"shape mismatch: x has {K} channels, w has {w_q.shape[0]}")
     flags = _resolve_flags(K, group_size, group_flags, max_4bit_ch)
-    x_lo, w_lo, stats = _lower(x_q, w_q, 0, plan, group_size, flags, extraction or plan.mode)
-    return _scale(_contract(x_lo, w_lo, conv=False), act_scale, w_scales), stats
+    mode = extraction or plan.mode
+    x_lo, w_mixed, stats = _lower(x_q, w_q, w_lo, 0, plan, group_size, flags, mode)
+    return _scale(_contract(x_lo, w_mixed, conv=False), act_scale, w_scales), stats
 
 
 def mixed_conv2d(
@@ -194,21 +262,24 @@ def mixed_conv2d(
     max_4bit_ch: int | None = None,
     group_flags=None,
     extraction: str | None = None,
+    w_lo: np.ndarray | None = None,
 ) -> tuple[np.ndarray, KernelStats]:
     """Mixed-precision 2-D convolution (stride 1, same padding).
 
     x_q: [B, C, H, W] int8 codes; w_q: [O, C, kh, kw] int8 codes.
     Feature channels are input channels; semantics match an im2col GEMM
     where every spatial tap of a channel shares that channel's group
-    shift.
+    shift.  ``w_lo`` is ``lower_weights(w_q, plan.weight_shifts,
+    group_size, axis=1)``, computed when omitted.
     """
     x_q, w_q = np.asarray(x_q), np.asarray(w_q)
     C, Cw = x_q.shape[1], w_q.shape[1]
     if Cw != C:
         raise ValueError(f"shape mismatch: x has {C} channels, w has {Cw}")
     flags = _resolve_flags(C, group_size, group_flags, max_4bit_ch)
-    x_lo, w_lo, stats = _lower(x_q, w_q, 1, plan, group_size, flags, extraction or plan.mode)
-    return _scale(_contract(x_lo, w_lo, conv=True), act_scale, w_scales), stats
+    mode = extraction or plan.mode
+    x_lo, w_mixed, stats = _lower(x_q, w_q, w_lo, 1, plan, group_size, flags, mode)
+    return _scale(_contract(x_lo, w_mixed, conv=True), act_scale, w_scales), stats
 
 
 def int_gemm(x_q: np.ndarray, w_q: np.ndarray, act_scale: float, w_scales: np.ndarray) -> np.ndarray:

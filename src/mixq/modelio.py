@@ -17,6 +17,7 @@ from .netsim import Layer, NetworkGraph, PreparedModel, _build_state
 from .qtensor import ChannelRange
 
 MANIFEST = "manifest.json"
+FORMAT = "mixq-model-v1"
 
 
 class MissingArtifactError(FileNotFoundError):
@@ -85,7 +86,7 @@ def save_model(path, model: PreparedModel):
         }
 
     manifest = {
-        "format": "mixq-model-v1",
+        "format": FORMAT,
         "group_size": graph.group_size,
         "input_shape": list(graph.input_shape),
         "layers": layers_json,
@@ -112,6 +113,10 @@ def load_model(path) -> PreparedModel:
     if not mpath.exists():
         raise MissingArtifactError(f"no {MANIFEST} in {path}; run the generation stage first")
     manifest = json.loads(mpath.read_text())
+    if manifest.get("format") != FORMAT:
+        raise ValueError(
+            f"{mpath} has format {manifest.get('format')!r}, expected {FORMAT!r}"
+        )
     layers = []
     for idx, rec in enumerate(manifest["layers"]):
         weight = None

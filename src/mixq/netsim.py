@@ -67,11 +67,18 @@ class QuantState:
     w_params4: QuantParams
     w_q4: np.ndarray
     plan: ExtractionPlan
+    w_lo8: np.ndarray  # w_q8 with every group lowered per the plan (kernels.lower_weights)
 
     def act_q8_bounds(self) -> np.ndarray:
-        lo = np.clip(np.rint(self.act_range.min / self.act_scale), -128, 127)
-        hi = np.clip(np.rint(self.act_range.max / self.act_scale), -128, 127)
-        return np.stack([lo, hi], axis=1).astype(np.int64)
+        return _act_code_bounds(self.act_range, self.act_scale)
+
+
+def _act_code_bounds(act_range: ChannelRange, act_scale: float) -> np.ndarray:
+    """[n_channels, 2] int64 (lo, hi) 8-bit activation code bounds of the
+    calibrated per-channel ranges."""
+    lo = np.clip(np.rint(act_range.min / act_scale), -128, 127)
+    hi = np.clip(np.rint(act_range.max / act_scale), -128, 127)
+    return np.stack([lo, hi], axis=1).astype(np.int64)
 
 
 @dataclass
@@ -138,11 +145,11 @@ def _matmul_quant(
     if layer.kind == "linear":
         return kernels.mixed_gemm(
             codes, w_q.T, act_scale, scales, state.plan, group_size,
-            group_flags=flags, extraction=extraction,
+            group_flags=flags, extraction=extraction, w_lo=state.w_lo8.T,
         )
     return kernels.mixed_conv2d(
         codes, w_q, act_scale, scales, state.plan, group_size,
-        group_flags=flags, extraction=extraction,
+        group_flags=flags, extraction=extraction, w_lo=state.w_lo8,
     )
 
 
@@ -258,12 +265,11 @@ def _build_state(
     abs_max = float(act_range.abs_max().max())
     act_scale = abs_max / 127.0 if abs_max > 0 else 1e-8
     act_scale4 = abs_max / 7.0 if abs_max > 0 else 1e-8
-    lo = np.clip(np.rint(act_range.min / act_scale), -128, 127)
-    hi = np.clip(np.rint(act_range.max / act_scale), -128, 127)
     plan = plan_extraction(
-        np.stack([lo, hi], axis=1).astype(np.int64), q8.data, group_size, mode=extraction_mode
+        _act_code_bounds(act_range, act_scale), q8.data, group_size, mode=extraction_mode
     )
-    return QuantState(act_range, act_scale, act_scale4, p8, q8.data, p4, q4.data, plan)
+    w_lo8 = kernels.lower_weights(q8.data, plan.weight_shifts, group_size, axis=1)
+    return QuantState(act_range, act_scale, act_scale4, p8, q8.data, p4, q4.data, plan, w_lo8)
 
 
 def prepare(

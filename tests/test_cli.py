@@ -69,6 +69,19 @@ def test_missing_artifacts_exit_3(tmp_path):
     assert run_cli("infer", "--model", str(tmp_path / "void")) == 3
 
 
+def test_unknown_model_format_exit_4(demo_dir, tmp_path, capsys):
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    for path in demo_dir.iterdir():
+        if path.suffix in (".json", ".f32bin", ".i8bin", ".i64bin"):
+            (model_dir / path.name).write_bytes(path.read_bytes())
+    manifest = json.loads((model_dir / "manifest.json").read_text())
+    manifest["format"] = "mixq-model-v2"
+    (model_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli("infer", "--model", str(model_dir), "--mode", "int8") == 4
+    assert "'mixq-model-v2', expected 'mixq-model-v1'" in capsys.readouterr().err
+
+
 def test_validation_failure_exit_4(demo_dir):
     # 0.3 of the group total is not a whole number of groups
     assert run_cli("select", "--model", str(demo_dir), "--ratios", "0.3") == 4

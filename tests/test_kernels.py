@@ -10,6 +10,7 @@ from mixq.kernels import (
     conv2d_same,
     int_conv2d,
     int_gemm,
+    lower_weights,
     mixed_conv2d,
     mixed_gemm,
 )
@@ -216,17 +217,30 @@ def kernel_cases(draw, conv):
         flags = np.arange(len(slices)) < n4
         select = {"max_4bit_ch": slices[n4 - 1].stop if n4 else 0}
     mode = draw(st.sampled_from(["static", "dynamic", "naive"]))
-    extraction = draw(st.sampled_from([None, mode]))
-    return x_q, w_q, bounds, group_size, flags, select, mode, extraction
+    extraction = draw(st.sampled_from([None, mode, "naive"]))
+    return x_q, w_q, bounds, group_size, flags, select, mode, extraction, draw(st.booleans())
 
 
 def check_against_oracle(case, conv):
-    x_q, w_q, bounds, group_size, flags, select, mode, extraction = case
+    x_q, w_q, bounds, group_size, flags, select, mode, extraction, pass_w_lo = case
     n_out = w_q.shape[0] if conv else w_q.shape[1]
     w_scales = np.linspace(1e-3, 1e-1, n_out)
     plan = plan_extraction(bounds, w_q if conv else w_q.T, group_size, mode=mode)
     kernel = mixed_conv2d if conv else mixed_gemm
     got, stats = kernel(x_q, w_q, 0.02, w_scales, plan, group_size, extraction=extraction, **select)
+    if pass_w_lo:
+        # the lowered weights a caller builds once give byte-identical results,
+        # also where naive extraction overrides the plan and must ignore them
+        w_lo = lower_weights(w_q, plan.weight_shifts, group_size, axis=1 if conv else 0)
+        cached, cached_stats = kernel(x_q, w_q, 0.02, w_scales, plan, group_size,
+                                      extraction=extraction, w_lo=w_lo, **select)
+        assert cached.tobytes() == got.tobytes() and cached.strides == got.strides
+        for field in ("saturated_channels", "act_shifts_used"):
+            a, b = getattr(cached_stats, field), getattr(stats, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if extraction == "naive":  # the override lowers both operands with shift 4
+        plan = plan_extraction(bounds, w_q if conv else w_q.T, group_size, mode="naive")
+        mode = "naive"
     shifts = None
     if mode == "dynamic":
         shifts = oracle_dynamic_shifts(np.moveaxis(x_q, 1, -1).reshape(-1, x_q.shape[1]), group_size)
@@ -259,6 +273,28 @@ def test_int_gemm_exact_up_to_the_int32_boundary(dtype):
     with pytest.raises(OverflowError, match="32-bit"):
         int_gemm(np.full((1, k + 1), -128, dtype=dtype), np.full((k + 1, 1), -128, dtype=dtype),
                  1.0, np.ones(1))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_int_gemm_float32_contraction_exact_up_to_2_24(dtype):
+    # K * 128 * 128 = 2^24: every partial sum is an integer float32 holds
+    k = 1024
+    out = int_gemm(np.full((1, k), -128, dtype=dtype), np.full((k, 1), -128, dtype=dtype),
+                   1.0, np.ones(1))
+    assert out.tolist() == [[float(2**24)]]
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_int_gemm_above_2_24_contracts_in_float64(dtype):
+    # the accumulator 2^24 + 1 has no float32 value (a float32 contraction
+    # gives 2^24 or 2^24 + 2); through the scale 3 the float32 outputs of
+    # those three accumulators are all different
+    x_q = np.array([[-128] * 1024 + [1]], dtype=dtype)
+    w_q = np.array([[-128]] * 1024 + [[1]], dtype=dtype)
+    out = int_gemm(x_q, w_q, 1.0, np.array([3.0]))
+    want = np.float32((2**24 + 1) * 3.0)
+    assert len({float(np.float32(a * 3.0)) for a in (2**24, 2**24 + 1, 2**24 + 2)}) == 3
+    assert out.tolist() == [[float(want)]]
 
 
 @pytest.mark.parametrize("conv", [False, True])

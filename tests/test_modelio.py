@@ -92,3 +92,17 @@ def test_missing_artifacts_raise(tmp_path):
     next(tmp_path.glob("*.f32bin")).unlink()
     with pytest.raises(MissingArtifactError):
         modelio.load_model(tmp_path)
+
+
+@pytest.mark.parametrize("found", ["mixq-model-v0", None])
+def test_load_model_checks_format(tmp_path, found):
+    model, _ = full_pipeline_model()
+    modelio.save_model(tmp_path, model)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    if found is None:
+        del manifest["format"]
+    else:
+        manifest["format"] = found
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=f"format {found!r}, expected 'mixq-model-v1'"):
+        modelio.load_model(tmp_path)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mixq import evoselect, kernels, netsim, scoring, synth
+from mixq import evoselect, kernels, netsim, oracle, scoring, synth
+from mixq.bitlower import MAX_SHIFT, ExtractionPlan
 from mixq.kernels import int_gemm
 from mixq.netsim import (
     Layer,
@@ -261,3 +262,46 @@ def test_one_kernel_call_per_matmul_layer(monkeypatch):
             if mode == "mixed":
                 assert all(kw.get("group_flags") is not None for _, kw in calls)
     assert nested == []
+
+
+def test_mixed_forward_reuses_the_lowered_weights(monkeypatch):
+    """A static or dynamic mixed forward of a prepared model lowers no weights
+    (they were lowered once when the state was built); naive extraction on
+    a static-plan model lowers them with shift 4 and matches the oracle."""
+    model, _, (x, _) = small_model(seed=46)
+    matmuls = model.graph.matmul_indices()
+    rng = np.random.default_rng(0)
+    flags = {i: rng.integers(0, 2, model.n_groups(i)).astype(bool) for i in matmuls}
+    for i in matmuls:
+        flags[i][0] = True
+    lowered = []
+
+    def counted(*args, **kwargs):
+        lowered.append(args)
+        return lower_weights(*args, **kwargs)
+
+    lower_weights = kernels.lower_weights
+    monkeypatch.setattr(kernels, "lower_weights", counted)
+    for extraction in ("static", "dynamic"):
+        run(model, x, mode="mixed", flags_override=flags, extraction=extraction)
+    assert lowered == []
+
+    calls = []
+    mixed_gemm = kernels.mixed_gemm
+
+    def caught(*args, **kwargs):
+        out = mixed_gemm(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(kernels, "mixed_gemm", caught)
+    run(model, x[:4], mode="mixed", flags_override=flags, extraction="naive")
+    assert len(lowered) == len(calls) == len(matmuls)
+    for (x_q, w_q, act_scale, w_scales, plan, group_size), kwargs, (got, _) in calls:
+        assert plan.mode == "static" and kwargs["w_lo"] is not None
+        n_groups, n_out = plan.weight_shifts.shape
+        naive = ExtractionPlan(np.full(n_groups, MAX_SHIFT), np.full((n_groups, n_out), MAX_SHIFT),
+                               mode="naive")
+        want = oracle.scalar_mixed_gemm(x_q, w_q, act_scale, w_scales, naive, group_size,
+                                        kwargs["group_flags"])
+        assert np.array_equal(got, want)
