@@ -226,12 +226,15 @@ def do_report_saturation(model_dir, ratio, extraction, scale, dataset, out_name=
 def do_report_l2(model_dir, dataset, extraction, out_name="l2.csv"):
     model = _load(model_dir)
     x, _ = modelio.load_dataset(model_dir, dataset)
-    ref, ref_caps = netsim.run(model, x, mode="int8", capture=True)
+    ref_rec: dict[int, netsim.LayerRecord] = {}
+    ref = netsim.run(model, x, mode="int8", record=ref_rec)
     rows = []
     for ratio in sorted(model.selections):
-        out, caps = netsim.run(model, x, mode="mixed", ratio=ratio, extraction=extraction, capture=True)
-        for idx in sorted(caps):
-            rows.append([_fmt(ratio), idx, netsim.relative_l2(caps[idx], ref_caps[idx])])
+        rec: dict[int, netsim.LayerRecord] = {}
+        out = netsim.run(model, x, mode="mixed", ratio=ratio, extraction=extraction, record=rec)
+        for idx in sorted(rec):
+            drift = netsim.relative_l2(rec[idx].output, ref_rec[idx].output)
+            rows.append([_fmt(ratio), idx, drift])
         rows.append([_fmt(ratio), "logits", netsim.relative_l2(out, ref)])
     _write_csv(Path(model_dir) / out_name, ["ratio", "layer", "rel_l2_to_int8"], rows)
     return rows
@@ -424,6 +427,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mixq", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -441,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--momentum", type=float, default=0.99)
     sp.add_argument("--quantile", type=float, default=None)
     sp.add_argument("--extraction", choices=("static", "dynamic", "naive"), default="static")
-    sp.add_argument("--batch-size", type=int, default=32)
+    sp.add_argument("--batch-size", type=_positive_int, default=32)
 
     sp = add("score", "rank feature groups by quantization error score")
     add_model(sp)
@@ -455,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--generations", type=int, default=8)
     sp.add_argument("--elite", type=int, default=2)
     sp.add_argument("--parents", type=int, default=6)
-    sp.add_argument("--samples", type=int, default=64)
+    sp.add_argument("--samples", type=_positive_int, default=64)
     sp.add_argument("--no-protect-edges", action="store_true",
                     help="allow 4-bit groups in the first/last layer")
     sp.add_argument("--extraction", choices=("static", "dynamic", "naive"), default=None)
@@ -464,10 +474,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(sp)
 
     sp = add("gemm-check", "verify the mixed kernel against a scalar reference")
-    sp.add_argument("--cases", type=int, default=50)
+    sp.add_argument("--cases", type=_positive_int, default=50)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--group-size", type=int, default=4)
-    sp.add_argument("--max-dim", type=int, default=16)
+    sp.add_argument("--group-size", type=_positive_int, default=4)
+    sp.add_argument("--max-dim", type=_positive_int, default=16)
 
     sp = add("infer", "run the stored eval set and print accuracy/drift metrics")
     add_model(sp)
@@ -502,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trace", default=None, help="file with one arrival time per line")
     sp.add_argument("--rate", type=float, default=None, help="constant Poisson rate, req/s")
     sp.add_argument("--min-rate", type=float, default=None, help="fluctuating trace minimum rate")
-    sp.add_argument("--peak-factor", type=float, default=3.0)
+    sp.add_argument("--peak-factor", type=_positive, default=3.0)
     sp.add_argument("--duration", type=_positive, default=None,
                     help="trace length, seconds (with --trace, --rate or --min-rate)")
     sp.add_argument("--threshold", type=_positive, default=None, help="latency threshold, seconds")

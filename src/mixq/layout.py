@@ -23,13 +23,8 @@ class ChannelPermutation:
     """Per-layer feature-channel permutation plus ratio boundary markers."""
 
     perm: np.ndarray  # new order: channel c of the laid-out layer is old channel perm[c]
-    inverse: np.ndarray
     group_order: np.ndarray
     max_4bit_ch: dict[float, int]  # ratio -> count of leading 4-bit channels
-
-    @property
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.perm, np.arange(self.perm.size)))
 
 
 def _validate_nested(model: PreparedModel):
@@ -69,7 +64,6 @@ def plan_layout(model: PreparedModel) -> dict[int, ChannelPermutation]:
             sorted(range(n_groups), key=lambda g: (first_ratio[g], g)), dtype=np.int64
         )
         perm = np.concatenate([np.arange(slices[g].start, slices[g].stop) for g in group_order])
-        inverse = np.argsort(perm)
         boundaries = {}
         for r in ratios:
             flags = model.selections[r].get(idx)
@@ -77,7 +71,7 @@ def plan_layout(model: PreparedModel) -> dict[int, ChannelPermutation]:
             if flags is not None:
                 count = int(sum(slices[g].stop - slices[g].start for g in np.flatnonzero(flags)))
             boundaries[r] = count
-        plans[idx] = ChannelPermutation(perm, inverse, group_order, boundaries)
+        plans[idx] = ChannelPermutation(perm, group_order, boundaries)
     return plans
 
 

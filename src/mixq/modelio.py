@@ -9,6 +9,7 @@ produce identical trees.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,13 @@ def load_array(path: Path, dtype: str, shape) -> np.ndarray:
     if not path.exists():
         raise MissingArtifactError(f"missing binary file {path}")
     native = {"<f4": np.float32, "i1": np.int8, "<i8": np.int64}[dtype]
+    want, size = math.prod(shape), path.stat().st_size
+    itemsize = np.dtype(dtype).itemsize
+    if size != want * itemsize:
+        raise ValueError(
+            f"{path}: shape {list(shape)} needs {want} elements, "
+            f"found {size // itemsize} ({size} bytes)"
+        )
     return np.fromfile(path, dtype=dtype).astype(native).reshape(shape)
 
 
@@ -65,7 +73,6 @@ def save_model(path, model: PreparedModel):
         layers_json.append(rec)
 
     quant = {}
-    bit_lowering = {}
     for idx, state in model.states.items():
         layer = graph.layers[idx]
         quant[str(idx)] = {
@@ -79,11 +86,6 @@ def save_model(path, model: PreparedModel):
             "codes_file": _codes_file(idx, layer),
         }
         save_array(path / _codes_file(idx, layer), state.w_q8)
-        bit_lowering[str(idx)] = {
-            "mode": state.plan.mode,
-            "act_shifts": [int(v) for v in state.plan.act_shifts],
-            "weight_shifts": [[int(v) for v in row] for row in state.plan.weight_shifts],
-        }
 
     manifest = {
         "format": FORMAT,
@@ -91,7 +93,8 @@ def save_model(path, model: PreparedModel):
         "input_shape": list(graph.input_shape),
         "layers": layers_json,
         "quant": quant,
-        "bit_lowering": bit_lowering,
+        # the extraction plan is rebuilt on load; only its mode is stored
+        "bit_lowering": {str(idx): {"mode": st.plan.mode} for idx, st in model.states.items()},
         "selections": {
             f"{r}": {str(i): [int(b) for b in f] for i, f in sel.items()}
             for r, sel in model.selections.items()
@@ -117,6 +120,13 @@ def load_model(path) -> PreparedModel:
         raise ValueError(
             f"{mpath} has format {manifest.get('format')!r}, expected {FORMAT!r}"
         )
+    try:
+        return _parse_manifest(path, manifest)
+    except KeyError as exc:
+        raise ValueError(f"{mpath} is missing key {exc.args[0]!r}") from None
+
+
+def _parse_manifest(path: Path, manifest: dict) -> PreparedModel:
     layers = []
     for idx, rec in enumerate(manifest["layers"]):
         weight = None

@@ -51,9 +51,6 @@ class NetworkGraph:
     def matmul_indices(self) -> list[int]:
         return [i for i, l in enumerate(self.layers) if l.kind in MATMUL_KINDS]
 
-    def residual_indices(self) -> list[int]:
-        return [i for i, l in enumerate(self.layers) if l.kind == "residual_add"]
-
 
 @dataclass
 class QuantState:
@@ -98,16 +95,28 @@ class PreparedModel:
     def n_groups(self, idx: int) -> int:
         return len(group_slices(self.graph.layers[idx].n_in, self.group_size))
 
-    def flags_for(self, idx: int, ratio: float) -> np.ndarray:
-        key = ratio_key(ratio)
-        if key not in self.selections:
-            avail = sorted(self.selections)
-            raise ValueError(f"ratio {ratio} not prepared; available: {avail}")
-        return self.selections[key].get(idx, np.zeros(self.n_groups(idx), dtype=bool))
+
+@dataclass
+class LayerRecord:
+    """What one matmul layer saw and produced in one ``run``."""
+
+    input: np.ndarray
+    output: np.ndarray
+    flags: np.ndarray | None = None  # mixed mode: the 4-bit group flags used
+    stats: kernels.KernelStats | None = None  # mixed mode
 
 
 def ratio_key(ratio: float) -> float:
     return round(float(ratio), 6)
+
+
+def _selection(model: PreparedModel, ratio: float) -> dict[int, np.ndarray]:
+    """The 4-bit group flags prepared for ``ratio``, per matmul layer."""
+    key = ratio_key(ratio)
+    if key not in model.selections:
+        avail = sorted(model.selections)
+        raise ValueError(f"ratio {ratio} not prepared; available: {avail}")
+    return model.selections[key]
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -160,52 +169,49 @@ def run(
     ratio: float | None = None,
     extraction: str | None = None,
     flags_override: dict[int, np.ndarray] | None = None,
-    capture: bool = False,
-    stats_out: dict | None = None,
-):
-    """Execute the network on a batch.
+    record: dict[int, LayerRecord] | None = None,
+) -> np.ndarray:
+    """Execute the network on a batch and return its output.
 
     mode: fp32 | int8 | int4 | mixed.  In mixed mode the 4-bit group flags
     come from ``flags_override`` if given, else from the selection
-    prepared for ``ratio`` (defaulting to the model's active ratio).
-    With ``capture=True`` returns (output, {matmul layer idx: output}).
+    prepared for ``ratio`` (defaulting to the model's active ratio); a
+    layer without flags runs all-8-bit.  If ``record`` is given, it gets a
+    ``LayerRecord`` per matmul layer index: the layer's float input and
+    output, and in mixed mode the flags used and the kernel's stats.
     """
     if mode not in ("fp32", "int8", "int4", "mixed"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode != "fp32" and not model.states:
         raise ValueError("model is not calibrated; run prepare() first")
+    flags_by_layer = flags_override
     if mode == "mixed" and flags_override is None:
         if ratio is None:
             ratio = model.active_ratio
         if ratio is None:
             raise ValueError("mixed mode needs a ratio (or set_ratio() first)")
+        flags_by_layer = _selection(model, ratio)
 
     h = np.asarray(x, dtype=np.float32)
     if model.input_perm is not None:
         h = h[:, model.input_perm]
     x0 = h
     outputs: list[np.ndarray] = []
-    captured: dict[int, np.ndarray] = {}
     for idx, layer in enumerate(model.graph.layers):
         if layer.kind in MATMUL_KINDS:
+            h_in, flags, kstats = h, None, None
             if mode == "fp32":
                 h = _matmul_fp32(layer, h)
             else:
-                flags = None
                 if mode == "mixed":
-                    if flags_override is not None:
-                        flags = flags_override.get(idx)
-                        if flags is None:
-                            flags = np.zeros(model.n_groups(idx), dtype=bool)
-                    else:
-                        flags = model.flags_for(idx, ratio)
+                    flags = flags_by_layer.get(idx)
+                    if flags is None:
+                        flags = np.zeros(model.n_groups(idx), dtype=bool)
                 h, kstats = _matmul_quant(
                     layer, model.states[idx], h, mode, model.group_size, flags, extraction
                 )
-                if stats_out is not None and kstats is not None:
-                    stats_out[idx] = (kstats, flags)
-            if capture:
-                captured[idx] = h
+            if record is not None:
+                record[idx] = LayerRecord(h_in, h, flags, kstats)
             outputs.append(h)
         elif layer.kind == "relu":
             h = np.maximum(h, 0.0)
@@ -228,8 +234,6 @@ def run(
                 outputs.append(src[:, layer.perm])
         else:
             raise ValueError(f"unknown layer kind {layer.kind!r}")
-    if capture:
-        return h, captured
     return h
 
 
@@ -238,15 +242,12 @@ def set_ratio(model: PreparedModel, ratio: float) -> dict[int, int]:
 
     No weight data moves; only the boundary markers change.
     """
-    key = ratio_key(ratio)
-    if key not in model.selections:
-        avail = sorted(model.selections)
-        raise ValueError(f"ratio {ratio} not prepared; available: {avail}")
-    model.active_ratio = key
+    selection = _selection(model, ratio)
+    key = model.active_ratio = ratio_key(ratio)
     if model.boundaries:
         return dict(model.boundaries[key])
     sizes = {}
-    for idx, flags in model.selections[key].items():
+    for idx, flags in selection.items():
         slices = group_slices(model.graph.layers[idx].n_in, model.group_size)
         sizes[idx] = sum(sl.stop - sl.start for sl, f in zip(slices, flags) if f)
     return sizes
@@ -286,40 +287,15 @@ def prepare(
     matmuls = graph.matmul_indices()
     streams: dict[int, list[np.ndarray]] = {i: [] for i in matmuls}
     for batch in batches:
-        streams_batch = _matmul_inputs(graph, np.asarray(batch, dtype=np.float32))
+        rec: dict[int, LayerRecord] = {}
+        run(PreparedModel(graph, {}), batch, record=rec)
         for i in matmuls:
-            streams[i].append(streams_batch[i])
+            streams[i].append(rec[i].input)
     states = {}
     for i in matmuls:
         cr = calibrate_ranges(streams[i], momentum, channel_axis=1, coverage_quantile=coverage_quantile)
         states[i] = _build_state(graph.layers[i], cr, graph.group_size, extraction_mode)
     return PreparedModel(graph, states)
-
-
-def _matmul_inputs(graph: NetworkGraph, x: np.ndarray) -> dict[int, np.ndarray]:
-    """fp32 forward pass capturing the input of every matmul layer."""
-    h = np.asarray(x, dtype=np.float32)
-    x0 = h
-    outputs = []
-    inputs = {}
-    for idx, layer in enumerate(graph.layers):
-        if layer.kind in MATMUL_KINDS:
-            inputs[idx] = h
-            h = _matmul_fp32(layer, h)
-        elif layer.kind == "relu":
-            h = np.maximum(h, 0.0)
-        elif layer.kind == "gelu":
-            h = gelu(h)
-        elif layer.kind == "residual_add":
-            h = h + (x0 if layer.source == -1 else outputs[layer.source])
-        elif layer.kind == "reorder":
-            if layer.source is None:
-                h = h[:, layer.perm]
-            else:
-                outputs.append((x0 if layer.source == -1 else outputs[layer.source])[:, layer.perm])
-                continue
-        outputs.append(h)
-    return inputs
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +391,14 @@ def saturation_report(
     extraction: str | None = None,
 ) -> dict[int, float]:
     """Per-layer percentage of 4-bit channels whose codes clipped."""
-    stats: dict = {}
-    run(model, eval_inputs, mode="mixed", ratio=ratio, extraction=extraction, stats_out=stats)
+    rec: dict[int, LayerRecord] = {}
+    run(model, eval_inputs, mode="mixed", ratio=ratio, extraction=extraction, record=rec)
     report = {}
-    for idx, (kstats, flags) in stats.items():
+    for idx, r in rec.items():
         slices = group_slices(model.graph.layers[idx].n_in, model.group_size)
-        covered = sum(sl.stop - sl.start for sl, f in zip(slices, flags) if f)
+        covered = sum(sl.stop - sl.start for sl, f in zip(slices, r.flags) if f)
         if covered == 0:
             report[idx] = 0.0
         else:
-            report[idx] = 100.0 * float(kstats.saturated_channels.sum()) / covered
+            report[idx] = 100.0 * float(r.stats.saturated_channels.sum()) / covered
     return report

@@ -42,24 +42,6 @@ class CostModel:
         return matmul + self.float_cost + float(np.sum(self.reorder_costs))
 
 
-def cost_model_from_model(model, unit: float = 1.0, **kwargs) -> CostModel:
-    """Derive matmul costs (MACs) and reorder costs (3% of producer) from a net."""
-    from .netsim import MATMUL_KINDS
-
-    graph = model.graph
-    costs = []
-    per_layer = {}
-    for idx, layer in enumerate(graph.layers):
-        if layer.kind in MATMUL_KINDS:
-            macs = float(np.prod(layer.weight.shape))
-            per_layer[idx] = macs * unit
-            costs.append(macs * unit)
-    reorder = [0.03 * per_layer[max(i for i in per_layer if i < idx)]
-               for idx, l in enumerate(graph.layers)
-               if l.kind == "reorder" and any(i < idx for i in per_layer)]
-    return CostModel(np.array(costs), reorder_costs=np.array(reorder or [0.0]), **kwargs)
-
-
 @dataclass
 class ServingTrace:
     """Request arrival times (seconds, non-decreasing) plus rate metadata."""

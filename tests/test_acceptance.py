@@ -258,10 +258,15 @@ def test_criterion_7_l2_trend(tmp_path):
                             fitness_samples=32, seed=seed)
             sel = evoselect.chained_selection(model, scores, [0.25, 0.5], cfg, x_cal[:32])
             evoselect.install_selections(model, sel)
-            _, ref_caps = run(model, x_ev, mode="int8", capture=True)
-            _, int4_caps = run(model, x_ev, mode="int4", capture=True)
+            ref_rec, int4_rec = {}, {}
+            run(model, x_ev, mode="int8", record=ref_rec)
+            run(model, x_ev, mode="int4", record=int4_rec)
+            ref_caps = {i: rec.output for i, rec in ref_rec.items()}
+            int4_caps = {i: rec.output for i, rec in int4_rec.items()}
             for r in (0.25, 0.5):
-                _, mixed_caps = run(model, x_ev, mode="mixed", ratio=r, capture=True)
+                mixed_rec = {}
+                run(model, x_ev, mode="mixed", ratio=r, record=mixed_rec)
+                mixed_caps = {i: rec.output for i, rec in mixed_rec.items()}
                 for idx in sorted(ref_caps):
                     m = netsim.relative_l2(mixed_caps[idx], ref_caps[idx])
                     u = netsim.relative_l2(int4_caps[idx], ref_caps[idx])
@@ -293,7 +298,9 @@ def test_criterion_8_dynamic_extraction():
             static_hot = netsim.saturation_report(model, hot, 1.0, extraction="static")
             assert any(v > 0.0 for v in static_hot.values())
             # per-group truncation error, dynamic <= static, on in-range data
-            caps = netsim._matmul_inputs(model.graph, x_cal)
+            cal_rec = {}
+            run(model, x_cal, record=cal_rec)  # fp32: the calibration forward
+            caps = {i: rec.input for i, rec in cal_rec.items()}
             for idx, h in caps.items():
                 st = model.states[idx]
                 q8 = np.clip(np.rint(h.astype(np.float64) / st.act_scale),

@@ -217,3 +217,36 @@ def test_reports_run_one_reference_forward(demo_dir, forward_count):
     forward_count.clear()
     cli.do_infer(demo_dir, "mixed", 0.5, None, "eval")
     assert forward_count == ["mixed", "int8"]
+
+
+@pytest.mark.parametrize("path", [("quant", "0", "act_min"), ("bit_lowering",)])
+def test_manifest_missing_key_exit_4(demo_dir, tmp_path, capsys, path):
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    for src in demo_dir.iterdir():
+        if src.suffix in (".json", ".f32bin", ".i8bin", ".i64bin"):
+            (model_dir / src.name).write_bytes(src.read_bytes())
+    manifest = json.loads((model_dir / "manifest.json").read_text())
+    node = manifest
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    (model_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli("infer", "--model", str(model_dir), "--mode", "int8") == 4
+    err = capsys.readouterr().err
+    assert str(model_dir / "manifest.json") in err and repr(path[-1]) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gemm-check", "--group-size", "0"),
+    ("gemm-check", "--cases", "-1"),
+    ("gemm-check", "--max-dim", "0"),
+    ("select", "--samples", "-5"),
+    ("calibrate", "--batch-size", "0"),
+    ("serve-sim", "--min-rate", "100", "--peak-factor", "-2"),
+])
+def test_non_positive_counts_exit_2(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # the default model and output directory
+    with pytest.raises(SystemExit) as e:
+        run_cli(*argv)
+    assert e.value.code == 2

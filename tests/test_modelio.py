@@ -106,3 +106,39 @@ def test_load_model_checks_format(tmp_path, found):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=f"format {found!r}, expected 'mixq-model-v1'"):
         modelio.load_model(tmp_path)
+
+
+@pytest.mark.parametrize("extra", [None, 1])  # truncated to 25 elements, or one too many
+def test_binary_size_mismatch_names_file_and_counts(tmp_path, extra):
+    model, _ = full_pipeline_model()
+    modelio.save_model(tmp_path, model)
+    meta = json.loads((tmp_path / "manifest.json").read_text())
+    rec = next(l for l in meta["layers"] if "weight_file" in l)
+    path = tmp_path / rec["weight_file"]
+    data = path.read_bytes()
+    path.write_bytes(data[:100] if extra is None else data + b"\0" * 4 * extra)
+    want = int(np.prod(rec["shape"]))
+    found = 25 if extra is None else want + extra
+    with pytest.raises(ValueError, match=f"{rec['weight_file']}.*needs {want} elements, found {found}"):
+        modelio.load_model(tmp_path)
+
+
+def test_manifest_stores_only_the_extraction_mode(tmp_path):
+    """Extraction shifts are rebuilt on load, so a manifest carries only the
+    plan's mode; one that still lists the shifts loads the same model."""
+    model, x_ev = full_pipeline_model()
+    modelio.save_model(tmp_path, model)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert all(v == {"mode": "static"} for v in manifest["bit_lowering"].values())
+    for key, entry in manifest["bit_lowering"].items():
+        plan = model.states[int(key)].plan
+        entry["act_shifts"] = plan.act_shifts.tolist()
+        entry["weight_shifts"] = plan.weight_shifts.tolist()
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    loaded = modelio.load_model(tmp_path)
+    for idx, state in model.states.items():
+        assert np.array_equal(loaded.states[idx].plan.act_shifts, state.plan.act_shifts)
+        assert np.array_equal(loaded.states[idx].plan.weight_shifts, state.plan.weight_shifts)
+    for ratio in model.selections:
+        assert np.array_equal(netsim.run(model, x_ev, mode="mixed", ratio=ratio),
+                              netsim.run(loaded, x_ev, mode="mixed", ratio=ratio))

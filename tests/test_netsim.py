@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mixq import evoselect, kernels, netsim, oracle, scoring, synth
+from mixq import evoselect, kernels, layout, netsim, oracle, scoring, synth
 from mixq.bitlower import MAX_SHIFT, ExtractionPlan
 from mixq.kernels import int_gemm
 from mixq.netsim import (
@@ -17,7 +17,7 @@ from mixq.netsim import (
     top1_accuracy,
     total_loss,
 )
-from mixq.qtensor import quantize
+from mixq.qtensor import calibrate_ranges, quantize
 from conftest import small_conv_model, small_model
 
 
@@ -305,3 +305,43 @@ def test_mixed_forward_reuses_the_lowered_weights(monkeypatch):
         want = oracle.scalar_mixed_gemm(x_q, w_q, act_scale, w_scales, naive, group_size,
                                         kwargs["group_flags"])
         assert np.array_equal(got, want)
+
+
+def test_record_holds_one_entry_per_matmul_layer():
+    model, (x_cal, _), (x_ev, _) = small_model(seed=36, residual=True)
+    sel = evoselect.chained_selection(
+        model, scoring.score_groups(model), [0.25, 0.5],
+        evoselect.EvoConfig(seed=4), x_cal[:16], algo="random", protect_edges=True,
+    )
+    evoselect.install_selections(model, sel)
+    laid = layout.apply_layout(model, layout.plan_layout(model))
+    assert "reorder" in [l.kind for l in laid.graph.layers]
+    matmuls = laid.graph.matmul_indices()
+    for extraction in ("static", "dynamic"):
+        rec = {}
+        out = run(laid, x_ev, mode="mixed", ratio=0.5, extraction=extraction, record=rec)
+        assert sorted(rec) == matmuls
+        assert np.array_equal(rec[matmuls[-1]].output, out)
+        for idx in matmuls:
+            want = laid.selections[0.5].get(idx, np.zeros(laid.n_groups(idx), dtype=bool))
+            assert np.array_equal(rec[idx].flags, want)
+            if extraction == "static":
+                assert np.array_equal(rec[idx].stats.act_shifts_used,
+                                      laid.states[idx].plan.act_shifts)
+    assert all(not rec[i].flags.any() for i in (matmuls[0], matmuls[-1]))
+    rec = {}
+    out = run(laid, x_ev, mode="int8", record=rec)
+    assert sorted(rec) == matmuls and np.array_equal(rec[matmuls[-1]].output, out)
+    assert all(r.flags is None and r.stats is None for r in rec.values())
+
+
+def test_fp32_record_inputs_reproduce_calibration():
+    model, (x_cal, _), _ = small_model(seed=12, residual=True)
+    recs = []
+    for i in range(0, len(x_cal), 32):  # the batches small_model calibrates on
+        recs.append({})
+        run(model, x_cal[i : i + 32], record=recs[-1])
+    for idx, state in model.states.items():
+        cr = calibrate_ranges([r[idx].input for r in recs], 0.99, channel_axis=1)
+        assert np.array_equal(cr.min, state.act_range.min)
+        assert np.array_equal(cr.max, state.act_range.max)
