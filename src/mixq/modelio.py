@@ -143,9 +143,15 @@ def _parse_manifest(path: Path, manifest: dict) -> PreparedModel:
         )
     graph = NetworkGraph(layers, tuple(manifest["input_shape"]), manifest["group_size"])
 
+    matmuls = {str(i): i for i in graph.matmul_indices()}
     states = {}
     for key, q in manifest.get("quant", {}).items():
-        idx = int(key)
+        if key not in matmuls:
+            raise ValueError(
+                f"{path / MANIFEST}: quant key {key!r} names no matmul layer "
+                f"(matmul layers: {sorted(matmuls.values())})"
+            )
+        idx = matmuls[key]
         cr = ChannelRange(np.asarray(q["act_min"]), np.asarray(q["act_max"]), q["coverage_quantile"])
         mode = manifest["bit_lowering"][key]["mode"]
         states[idx] = _build_state(graph.layers[idx], cr, graph.group_size, mode)

@@ -102,13 +102,20 @@ class ChannelRange:
 
 
 def quantize(x: np.ndarray, params: QuantParams) -> QuantizedTensor:
-    """Map float values to integer codes: clip(round_half_even(x / S), qmin, qmax)."""
-    x = np.asarray(x, dtype=np.float64)
+    """Map float values to integer codes: clip(round_half_even(x / S), qmin, qmax).
+
+    float32/float64 arrays are divided straight into one float64 buffer,
+    which is rounded and clipped in place (float32 widens exactly).
+    """
+    if not (isinstance(x, np.ndarray) and x.dtype in (np.float32, np.float64)):
+        x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         bad = np.argwhere(~np.isfinite(x))[0]
         raise ValueError(f"non-finite input value at index {tuple(bad)}")
     scale = params.broadcast_scale(x.ndim)
-    codes = np.clip(np.rint(x / scale), params.q_min, params.q_max)
+    codes = np.asarray(np.divide(x, scale, dtype=np.float64))  # 0-d input gives a scalar
+    np.rint(codes, out=codes)
+    np.clip(codes, params.q_min, params.q_max, out=codes)
     return QuantizedTensor(codes.astype(np.int8), params)
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .netsim import ratio_key
+
 DEFAULT_SPEEDUP = 1.43  # 100% 4-bit vs 8-bit matmul time
 RATIO_STEP = 0.25
 DECREASE_MARGIN = 0.7  # step down when profiled latency < margin * threshold
@@ -52,6 +54,8 @@ class ServingTrace:
 
     def __post_init__(self):
         self.arrivals = np.asarray(self.arrivals, dtype=np.float64)
+        if self.arrivals.size and not (np.all(np.isfinite(self.arrivals)) and self.arrivals.min() >= 0):
+            raise ValueError("arrival times must be finite and non-negative")
         if self.arrivals.size and np.any(np.diff(self.arrivals) < 0):
             raise ValueError("arrival times must be non-decreasing")
 
@@ -106,8 +110,10 @@ class LatencyProfile:
     latency: np.ndarray  # [n_rates, n_ratios]
 
     def lookup(self, rate: float, ratio: float) -> float:
-        j = self.ratios.index(ratio)
-        col = self.latency[:, j]
+        key, keys = ratio_key(ratio), [ratio_key(r) for r in self.ratios]
+        if key not in keys:
+            raise ValueError(f"ratio {ratio} not profiled; profiled ratios: {list(self.ratios)}")
+        col = self.latency[:, keys.index(key)]
         return float(np.interp(rate, self.rates, col))
 
 
@@ -180,36 +186,41 @@ def simulate(
         window = window or max(trace.duration / 20.0, 1e-9)
     switch_times = [t for t, _ in timeline]
 
-    def ratio_at(t: float) -> float:
-        return timeline[bisect.bisect_right(switch_times, t) - 1][1]
-
+    # FIFO start times never decrease, so the ratio in force is found by
+    # advancing one timeline index; each ratio's service time is computed once.
     free = 0.0
     requests = []
-    last_ratio = timeline[0][1]
-    for a in trace.arrivals:
-        start = max(float(a), free)
-        ratio = ratio_at(start)
-        service = cost_model.service_time(ratio)
+    service_of: dict[float, float] = {}
+    k, last_ratio = 0, timeline[0][1]
+    for a in trace.arrivals.tolist():
+        start = max(a, free)
+        while k + 1 < len(timeline) and switch_times[k + 1] <= start:
+            k += 1
+        ratio = timeline[k][1]
+        if ratio not in service_of:
+            service_of[ratio] = cost_model.service_time(ratio)
+        service = service_of[ratio]
         if ratio != last_ratio:
             service += cost_model.switch_cost
             last_ratio = ratio
-        finish = start + service
-        free = finish
-        requests.append((float(a), start, finish, ratio))
+        free = start + service
+        requests.append((a, start, free, ratio))
 
     latencies = np.array([f - a for a, _, f, _ in requests])
     windows = []
     n_windows = max(1, int(np.ceil(trace.duration / window)))
+    # window wi holds the arrivals a with wi*window <= a < (wi+1)*window
+    edges = np.searchsorted(trace.arrivals, [wi * window for wi in range(n_windows + 1)])
     for wi in range(n_windows):
-        t0, t1 = wi * window, (wi + 1) * window
-        sel = [lat for (a, _, f, _), lat in zip(requests, latencies) if t0 <= a < t1]
+        t0 = wi * window
+        sel = latencies[edges[wi] : edges[wi + 1]]
         row = {
             "t": t0,
-            "rate": len(sel) / window,
-            "ratio": ratio_at(t0),
-            "median": float(np.median(sel)) if sel else 0.0,
-            "p90": float(np.percentile(sel, 90)) if sel else 0.0,
-            "n": len(sel),
+            "rate": sel.size / window,
+            "ratio": timeline[bisect.bisect_right(switch_times, t0) - 1][1],
+            "median": float(np.median(sel)) if sel.size else 0.0,
+            "p90": float(np.percentile(sel, 90)) if sel.size else 0.0,
+            "n": sel.size,
         }
         windows.append(row)
     service_min = cost_model.service_time(1.0)
@@ -266,5 +277,7 @@ def effective_accuracy(
         t1 = ratio_timeline[i + 1][0] if i + 1 < len(ratio_timeline) else duration
         t0, t1 = max(t0, 0.0), min(t1, duration)
         if t1 > t0:
+            if ratio not in quality:
+                raise ValueError(f"no quality entry for ratio {ratio}; have {sorted(quality)}")
             total += (t1 - t0) * quality[ratio]
     return total / duration

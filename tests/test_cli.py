@@ -250,3 +250,25 @@ def test_non_positive_counts_exit_2(tmp_path, monkeypatch, argv):
     with pytest.raises(SystemExit) as e:
         run_cli(*argv)
     assert e.value.code == 2
+
+
+def test_manifest_quant_key_out_of_range_exit_4(demo_dir, tmp_path, capsys):
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    for src in demo_dir.iterdir():
+        if src.suffix in (".json", ".f32bin", ".i8bin", ".i64bin"):
+            (model_dir / src.name).write_bytes(src.read_bytes())
+    manifest = json.loads((model_dir / "manifest.json").read_text())
+    manifest["quant"]["99"] = manifest["quant"]["0"]
+    manifest["bit_lowering"]["99"] = manifest["bit_lowering"]["0"]
+    (model_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli("infer", "--model", str(model_dir), "--mode", "int8") == 4
+    err = capsys.readouterr().err
+    assert str(model_dir / "manifest.json") in err and "'99'" in err
+
+
+def test_serve_sim_negative_arrival_exit_4(tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    trace.write_text("-0.5\n1.0\n")
+    assert run_cli("serve-sim", "--out", str(tmp_path), "--trace", str(trace)) == 4
+    assert "finite and non-negative" in capsys.readouterr().err

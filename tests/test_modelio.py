@@ -142,3 +142,20 @@ def test_manifest_stores_only_the_extraction_mode(tmp_path):
     for ratio in model.selections:
         assert np.array_equal(netsim.run(model, x_ev, mode="mixed", ratio=ratio),
                               netsim.run(loaded, x_ev, mode="mixed", ratio=ratio))
+
+
+@pytest.mark.parametrize("bad", ["99", "-1", "relu", "01"])
+def test_quant_key_must_name_a_matmul_layer(tmp_path, bad):
+    """A quant entry under a key that is out of range, negative, on a relu
+    layer or not in canonical form is rejected, naming key and manifest."""
+    model, _ = full_pipeline_model()
+    modelio.save_model(tmp_path, model)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    if bad == "relu":
+        bad = str(next(i for i, l in enumerate(manifest["layers"]) if l["kind"] == "relu"))
+    first = min(manifest["quant"], key=int)
+    manifest["quant"][bad] = manifest["quant"][first]
+    manifest["bit_lowering"][bad] = manifest["bit_lowering"][first]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=f"manifest.json: quant key {bad!r} names no matmul layer"):
+        modelio.load_model(tmp_path)

@@ -138,3 +138,50 @@ def test_derive_scales_degenerate_channel():
 def test_channel_range_validation():
     with pytest.raises(ValueError):
         ChannelRange(np.array([1.0]), np.array([0.0]))
+
+
+@st.composite
+def quantize_cases(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    bitwidth = draw(st.sampled_from([4, 8]))
+    scale_of = st.one_of(st.sampled_from([0.5, 0.25, 0.033, 1.0, 3.0]), st.floats(1e-3, 10.0))
+    if draw(st.booleans()):
+        p = QuantParams(scale=[draw(scale_of) for _ in range(rows)], bitwidth=bitwidth, channel_axis=0)
+    else:
+        p = QuantParams(scale=draw(scale_of), bitwidth=bitwidth)
+    row_scale = np.broadcast_to(p.broadcast_scale(2), (rows, 1))[:, 0]
+    # exact (k + 0.5)·scale ties, anything inside or beyond the range, and zeros
+    values = [
+        [draw(st.one_of(
+            st.integers(-140, 140).map(lambda k, s=row_scale[r]: (k + 0.5) * s),
+            st.floats(-200.0, 200.0, allow_nan=False),
+            st.just(0.0),
+        )) for _ in range(cols)]
+        for r in range(rows)
+    ]
+    kind = draw(st.sampled_from(["float32", "float64", "int", "list"]))
+    x = {
+        "float32": lambda: np.array(values, dtype=np.float32),
+        "float64": lambda: np.array(values, dtype=np.float64),
+        "int": lambda: np.rint(np.array(values)).astype(np.int64),
+        "list": lambda: values,
+    }[kind]()
+    return x, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(quantize_cases())
+def test_quantize_equals_float64_reference(case):
+    x, p = case
+    want = np.clip(np.rint(np.asarray(x, np.float64) / p.broadcast_scale(2)),
+                   p.q_min, p.q_max).astype(np.int8)
+    got = quantize(x, p).data
+    assert got.dtype == np.int8 and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_quantize_leaves_its_input_unchanged():
+    x = np.array([[0.26, -1.3], [2.0, 0.75]], dtype=np.float32)
+    before = x.copy()
+    assert quantize(x, QuantParams(scale=0.5, bitwidth=4)).data.tolist() == [[1, -3], [4, 2]]
+    assert np.array_equal(x, before) and x.dtype == np.float32

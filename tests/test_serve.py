@@ -1,5 +1,9 @@
+import bisect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixq import serve
 from mixq.serve import (
@@ -144,3 +148,122 @@ def test_simulation_deterministic_given_seed():
     r1 = simulate(trace1, cost, 0.5)
     r2 = simulate(trace2, cost, 0.5)
     assert np.array_equal(r1.latencies, r2.latencies)
+
+
+# ---------------------------------------------------------------------------
+# simulate against the former O(windows x requests) implementation
+
+
+def reference_simulate(trace, cost_model, policy, window=None):
+    """simulate as first written: a bisect and a service_time per request,
+    and a scan of every request for every window."""
+    if isinstance(policy, ControllerPolicy):
+        timeline = serve._ratio_timeline(trace, policy)
+        window = window or policy.window
+    else:
+        timeline = [(0.0, float(policy))]
+        window = window or max(trace.duration / 20.0, 1e-9)
+    switch_times = [t for t, _ in timeline]
+
+    def ratio_at(t):
+        return timeline[bisect.bisect_right(switch_times, t) - 1][1]
+
+    free = 0.0
+    requests = []
+    last_ratio = timeline[0][1]
+    for a in trace.arrivals:
+        start = max(float(a), free)
+        ratio = ratio_at(start)
+        service = cost_model.service_time(ratio)
+        if ratio != last_ratio:
+            service += cost_model.switch_cost
+            last_ratio = ratio
+        finish = start + service
+        free = finish
+        requests.append((float(a), start, finish, ratio))
+
+    latencies = np.array([f - a for a, _, f, _ in requests])
+    windows = []
+    n_windows = max(1, int(np.ceil(trace.duration / window)))
+    for wi in range(n_windows):
+        t0, t1 = wi * window, (wi + 1) * window
+        sel = [lat for (a, _, f, _), lat in zip(requests, latencies) if t0 <= a < t1]
+        windows.append({
+            "t": t0,
+            "rate": len(sel) / window,
+            "ratio": ratio_at(t0),
+            "median": float(np.median(sel)) if sel else 0.0,
+            "p90": float(np.percentile(sel, 90)) if sel else 0.0,
+            "n": len(sel),
+        })
+    return windows, timeline, latencies, requests
+
+
+@st.composite
+def serving_cases(draw):
+    window = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0, 1.5]))
+    n_windows = draw(st.integers(1, 8))
+    duration = window * n_windows - draw(st.sampled_from([0.0, window / 3]))
+    # arrivals on window edges, anywhere in the trace, or in bursts; some
+    # windows stay empty and the trace may hold no arrival at all
+    on_edge = st.integers(0, n_windows).map(lambda k: k * window)
+    anywhere = st.floats(0.0, duration, allow_nan=False)
+    arrivals = sorted(draw(st.lists(st.one_of(on_edge, anywhere), max_size=60)))
+    trace = ServingTrace(np.array(arrivals, dtype=np.float64), duration)
+    cost = CostModel(
+        matmul_costs=np.array([draw(st.sampled_from([0.01, 0.05, 0.2, 1.0 / 3.0]))]),
+        switch_cost=draw(st.sampled_from([0.0, 0.0125, 0.1])),
+    )
+    if draw(st.booleans()):
+        return trace, cost, draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])), \
+            draw(st.sampled_from([None, window]))
+    ratios = (0.0, 0.25, 0.5, 0.75, 1.0)
+    rates = np.array([0.0, 5.0, 20.0])
+    table = np.array(draw(st.lists(st.lists(st.sampled_from([0.001, 0.01, 0.05, 0.5]),
+                                            min_size=5, max_size=5), min_size=3, max_size=3)))
+    profile = LatencyProfile(rates, ratios, table)
+    policy = ControllerPolicy(window=window, threshold=draw(st.sampled_from([0.005, 0.02, 0.1])),
+                              profile=profile, initial_ratio=draw(st.sampled_from(ratios)))
+    return trace, cost, policy, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(serving_cases())
+def test_simulate_equals_reference(case):
+    trace, cost, policy, window = case
+    res = simulate(trace, cost, policy, window=window)
+    windows, timeline, latencies, requests = reference_simulate(trace, cost, policy, window)
+    assert res.windows == windows
+    assert [type(v) for w in res.windows for v in w.values()] == \
+        [type(v) for w in windows for v in w.values()]
+    assert res.ratio_timeline == timeline
+    assert res.latencies.dtype == latencies.dtype
+    assert res.latencies.tolist() == latencies.tolist()
+    assert res.requests == requests
+
+
+def test_simulate_counts_edge_arrivals_in_the_later_window():
+    trace = ServingTrace(np.array([0.0, 1.0, 1.0, 2.5]), 3.0)
+    res = simulate(trace, CostModel(matmul_costs=np.array([0.01])), 0.0, window=1.0)
+    assert [w["n"] for w in res.windows] == [1, 2, 1]
+
+
+@pytest.mark.parametrize("arrivals", [[-0.5, 1.0], [0.5, np.nan], [0.5, np.inf]])
+def test_trace_rejects_negative_or_non_finite_arrivals(arrivals):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        ServingTrace(np.array(arrivals), 2.0)
+
+
+def test_profile_lookup_matches_ratio_by_key():
+    prof = LatencyProfile(np.array([0.0, 100.0]), (0.0, 0.1 + 0.2), np.array([[1.0, 2.0], [3.0, 4.0]]))
+    assert prof.lookup(50.0, 0.3) == pytest.approx(3.0)
+    with pytest.raises(ValueError, match=r"ratio 0\.6 not profiled.*\[0\.0, 0\.30"):
+        prof.lookup(50.0, 0.6)
+
+
+def test_effective_accuracy_names_a_ratio_without_quality():
+    with pytest.raises(ValueError, match=r"no quality entry for ratio 0\.75") as e:
+        effective_accuracy([(0.0, 0.0), (5.0, 0.75)], 10.0, {0.0: 1.0, 0.5: 0.8})
+    assert not isinstance(e.value, KeyError)
+    # a ratio that is never in force inside [0, duration) needs no entry
+    assert effective_accuracy([(0.0, 0.0), (12.0, 0.75)], 10.0, {0.0: 1.0}) == 1.0
