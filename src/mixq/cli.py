@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -86,7 +87,6 @@ def do_calibrate(model_dir, momentum, quantile, extraction, batch_size) -> netsi
     )
     # carry forward artifacts from earlier runs of later stages, if any
     new.selections = model.selections
-    new.boundaries = model.boundaries
     new.input_perm = model.input_perm
     new.laid_out = model.laid_out
     modelio.save_model(model_dir, new)
@@ -112,9 +112,8 @@ def do_select(model_dir, ratios, algo, seed, cfg_kwargs, protect_edges, extracti
         algo=algo, protect_edges=protect_edges, extraction=extraction,
         histories=histories,
     )
-    # fresh selections invalidate any earlier layout boundaries
+    # fresh selections invalidate any earlier layout
     model.selections = {}
-    model.boundaries = {}
     model.laid_out = False
     evoselect.install_selections(model, selections)
     modelio.save_model(model_dir, model)
@@ -240,32 +239,51 @@ def do_report_l2(model_dir, dataset, extraction, out_name="l2.csv"):
     return rows
 
 
+def _read_arrivals(trace_file) -> np.ndarray:
+    """Sorted arrival times, one per line of ``trace_file``."""
+    if not Path(trace_file).is_file():
+        raise MissingArtifactError(f"trace file {trace_file} not found")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy's "input contained no data"
+        arrivals = np.loadtxt(trace_file, dtype=np.float64, ndmin=1)
+    if arrivals.size == 0:
+        raise ValueError(f"trace file {trace_file} holds no arrival times")
+    return np.sort(arrivals)
+
+
 def do_serve_sim(seed, out_dir, policy_name, fixed_ratio, quality=None, out_name="serve.csv",
                  rate=None, min_rate=None, peak_factor=3.0, duration=None,
                  threshold=None, window=None, trace_file=None):
-    trace, cost, policy = serve.shipped_scenario(seed=stage_seed(seed, "serve"))
-    if trace_file is not None:
-        if not Path(trace_file).is_file():
-            raise MissingArtifactError(f"trace file {trace_file} not found")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # numpy's "input contained no data"
-            arrivals = np.loadtxt(trace_file, dtype=np.float64, ndmin=1)
-        if arrivals.size == 0:
-            raise ValueError(f"trace file {trace_file} holds no arrival times")
-        trace = serve.ServingTrace(np.sort(arrivals),
-                                   float(arrivals.max() if duration is None else duration))
-    elif rate is not None:
-        trace = serve.gen_poisson(rate, trace.duration if duration is None else duration,
-                                  stage_seed(seed, "serve"))
-    elif min_rate is not None:
-        trace = serve.gen_fluctuating(min_rate, trace.duration if duration is None else duration,
-                                      stage_seed(seed, "serve"), peak_factor=peak_factor)
+    arrivals = None if trace_file is None else _read_arrivals(trace_file)
+    seed = stage_seed(seed, "serve")
+    if arrivals is None and rate is None and min_rate is None:
+        trace, cost, policy = serve.shipped_scenario(seed=seed)
+    else:
+        cost, policy = serve.shipped_server(seed=seed)
     if threshold is not None or window is not None:
         policy = serve.ControllerPolicy(
             window=policy.window if window is None else window,
             threshold=policy.threshold if threshold is None else threshold,
             profile=policy.profile,
         )
+    if arrivals is not None:
+        if duration is None:
+            # windows hold t0 <= a < t1, so a last arrival on the closing edge
+            # of the last window would fall in none: run half a window on
+            duration = float(arrivals[-1])
+            if max(1, math.ceil(duration / policy.window)) * policy.window <= duration:
+                duration += policy.window / 2
+        elif arrivals[-1] >= duration:
+            raise ValueError(f"trace file {trace_file} has an arrival at {arrivals[-1]} s, "
+                             f"not before --duration {duration}")
+        trace = serve.ServingTrace(arrivals, duration)
+    elif rate is not None:
+        trace = serve.gen_poisson(
+            rate, serve.SHIPPED_DURATION if duration is None else duration, seed)
+    elif min_rate is not None:
+        trace = serve.gen_fluctuating(
+            min_rate, serve.SHIPPED_DURATION if duration is None else duration, seed,
+            peak_factor=peak_factor)
     if policy_name == "fixed":
         result = serve.simulate(trace, cost, fixed_ratio, window=policy.window)
     else:

@@ -11,8 +11,8 @@ plain GEMM or a same-padded conv.
 Weights are constant, so their lowered codes are built once per layer
 (``lower_weights``; ``netsim`` keeps them next to the 8-bit codes) and a
 call only splices the flagged channel runs of the lowered copy into the
-8-bit codes: on a laid-out model that is one prefix up to
-``max_4bit_ch``.  Activations are lowered per call in one vectorized pass.
+8-bit codes: on a laid-out model that is one leading run of groups.
+Activations are lowered per call in one vectorized pass.
 
 The contraction is a float BLAS product of the integer codes, and it is
 exact: every product and partial sum is an integer no larger than
@@ -88,22 +88,14 @@ def lower_weights(
     return lowered
 
 
-def _resolve_flags(n_in: int, group_size: int, group_flags, max_4bit_ch) -> np.ndarray:
+def _resolve_flags(n_in: int, group_size: int, group_flags) -> np.ndarray:
     if group_size <= 0:
         raise ValueError("group size must be positive")
     n_groups = -(-n_in // group_size)
-    if group_flags is not None:
-        flags = np.asarray(group_flags, dtype=bool)
-        if flags.size != n_groups:
-            raise ValueError(f"expected {n_groups} group flags, got {flags.size}")
-        return flags
-    if max_4bit_ch is None:
-        raise ValueError("either group_flags or max_4bit_ch is required")
-    if not 0 <= max_4bit_ch <= n_in:
-        raise ValueError(f"max_4bit_ch {max_4bit_ch} outside [0, {n_in}]")
-    if max_4bit_ch % group_size and max_4bit_ch != n_in:
-        raise ValueError(f"max_4bit_ch {max_4bit_ch} is not group-aligned")
-    return np.arange(n_groups) * group_size < max_4bit_ch
+    flags = np.asarray(group_flags, dtype=bool)
+    if flags.size != n_groups:
+        raise ValueError(f"expected {n_groups} group flags, got {flags.size}")
+    return flags
 
 
 def _lower(x, w, w_lo, w_axis, plan, group_size, flags, mode):
@@ -227,8 +219,7 @@ def mixed_gemm(
     w_scales: np.ndarray,
     plan: ExtractionPlan,
     group_size: int,
-    max_4bit_ch: int | None = None,
-    group_flags=None,
+    group_flags,
     extraction: str | None = None,
     w_lo: np.ndarray | None = None,
 ) -> tuple[np.ndarray, KernelStats]:
@@ -246,7 +237,7 @@ def mixed_gemm(
     K = x_q.shape[1]
     if w_q.shape[0] != K:
         raise ValueError(f"shape mismatch: x has {K} channels, w has {w_q.shape[0]}")
-    flags = _resolve_flags(K, group_size, group_flags, max_4bit_ch)
+    flags = _resolve_flags(K, group_size, group_flags)
     mode = extraction or plan.mode
     x_lo, w_mixed, stats = _lower(x_q, w_q, w_lo, 0, plan, group_size, flags, mode)
     return _scale(_contract(x_lo, w_mixed, conv=False), act_scale, w_scales), stats
@@ -259,8 +250,7 @@ def mixed_conv2d(
     w_scales: np.ndarray,
     plan: ExtractionPlan,
     group_size: int,
-    max_4bit_ch: int | None = None,
-    group_flags=None,
+    group_flags,
     extraction: str | None = None,
     w_lo: np.ndarray | None = None,
 ) -> tuple[np.ndarray, KernelStats]:
@@ -276,7 +266,7 @@ def mixed_conv2d(
     C, Cw = x_q.shape[1], w_q.shape[1]
     if Cw != C:
         raise ValueError(f"shape mismatch: x has {C} channels, w has {Cw}")
-    flags = _resolve_flags(C, group_size, group_flags, max_4bit_ch)
+    flags = _resolve_flags(C, group_size, group_flags)
     mode = extraction or plan.mode
     x_lo, w_mixed, stats = _lower(x_q, w_q, w_lo, 1, plan, group_size, flags, mode)
     return _scale(_contract(x_lo, w_mixed, conv=True), act_scale, w_scales), stats

@@ -1,8 +1,8 @@
 """Post-processing layout: reorder channels so 4-bit groups are contiguous.
 
 Groups are placed in order of the ratio at which they first become 4-bit,
-so every prepared ratio sees its 4-bit channels at indices
-[0, max_4bit_ch).  Steps 1-2 are static weight permutations; step 3
+so every prepared ratio's 4-bit group flags form a prefix of each layer's
+groups.  Steps 1-2 are static weight permutations; step 3
 inserts runtime reorder operators on residual edges whose two sides end
 up in different orders.  The laid-out network is functionally equivalent:
 quantized outputs are bit-identical at every ratio.
@@ -20,11 +20,10 @@ from .netsim import MATMUL_KINDS, Layer, NetworkGraph, PreparedModel, _build_sta
 
 @dataclass
 class ChannelPermutation:
-    """Per-layer feature-channel permutation plus ratio boundary markers."""
+    """Per-layer feature-channel permutation and the group order it follows."""
 
     perm: np.ndarray  # new order: channel c of the laid-out layer is old channel perm[c]
-    group_order: np.ndarray
-    max_4bit_ch: dict[float, int]  # ratio -> count of leading 4-bit channels
+    group_order: np.ndarray  # new group g is old group group_order[g]
 
 
 def _validate_nested(model: PreparedModel):
@@ -64,20 +63,13 @@ def plan_layout(model: PreparedModel) -> dict[int, ChannelPermutation]:
             sorted(range(n_groups), key=lambda g: (first_ratio[g], g)), dtype=np.int64
         )
         perm = np.concatenate([np.arange(slices[g].start, slices[g].stop) for g in group_order])
-        boundaries = {}
-        for r in ratios:
-            flags = model.selections[r].get(idx)
-            count = 0
-            if flags is not None:
-                count = int(sum(slices[g].stop - slices[g].start for g in np.flatnonzero(flags)))
-            boundaries[r] = count
-        plans[idx] = ChannelPermutation(perm, group_order, boundaries)
+        plans[idx] = ChannelPermutation(perm, group_order)
     return plans
 
 
 def apply_layout(model: PreparedModel, plans: dict[int, ChannelPermutation]) -> PreparedModel:
-    """Produce the laid-out model: permuted weights, contiguous selections,
-    reorder operators on residual edges, and ratio boundary markers."""
+    """Produce the laid-out model: permuted weights, prefix selections and
+    reorder operators on residual edges."""
     graph = model.graph
     matmuls = graph.matmul_indices()
     n_layers = len(graph.layers)
@@ -139,12 +131,11 @@ def apply_layout(model: PreparedModel, plans: dict[int, ChannelPermutation]) -> 
     # reproduces the original codes and shifts in permuted order exactly
     states = {}
     selections: dict[float, dict[int, np.ndarray]] = {r: {} for r in model.selections}
-    boundaries: dict[float, dict[int, int]] = {r: {} for r in model.selections}
     for old_idx, new_idx in zip(matmuls, new_matmuls):
         plan = plans[old_idx]
         old_state = model.states[old_idx]
         cr = old_state.act_range
-        permuted_range = type(cr)(cr.min[plan.perm], cr.max[plan.perm], cr.coverage_quantile)
+        permuted_range = type(cr)(cr.min[plan.perm], cr.max[plan.perm])
         states[new_idx] = _build_state(
             new_graph.layers[new_idx], permuted_range, new_graph.group_size,
             old_state.plan.mode,
@@ -153,13 +144,11 @@ def apply_layout(model: PreparedModel, plans: dict[int, ChannelPermutation]) -> 
             flags = model.selections[r].get(old_idx)
             if flags is not None:
                 selections[r][new_idx] = flags[plan.group_order]
-            boundaries[r][new_idx] = plan.max_4bit_ch.get(r, 0)
 
     return PreparedModel(
         graph=new_graph,
         states=states,
         selections=selections,
-        boundaries=boundaries,
         input_perm=input_perm,
         laid_out=True,
         active_ratio=model.active_ratio,

@@ -80,7 +80,6 @@ def save_model(path, model: PreparedModel):
             "act_scale4": state.act_scale4,
             "act_min": [float(v) for v in state.act_range.min],
             "act_max": [float(v) for v in state.act_range.max],
-            "coverage_quantile": state.act_range.coverage_quantile,
             "weight_scales8": [float(v) for v in state.w_params8.scale],
             "weight_scales4": [float(v) for v in state.w_params4.scale],
             "codes_file": _codes_file(idx, layer),
@@ -98,9 +97,6 @@ def save_model(path, model: PreparedModel):
         "selections": {
             f"{r}": {str(i): [int(b) for b in f] for i, f in sel.items()}
             for r, sel in model.selections.items()
-        },
-        "ratio_boundaries": {
-            f"{r}": {str(i): int(c) for i, c in b.items()} for r, b in model.boundaries.items()
         },
         "input_perm": None if model.input_perm is None else [int(v) for v in model.input_perm],
         "laid_out": model.laid_out,
@@ -152,7 +148,7 @@ def _parse_manifest(path: Path, manifest: dict) -> PreparedModel:
                 f"(matmul layers: {sorted(matmuls.values())})"
             )
         idx = matmuls[key]
-        cr = ChannelRange(np.asarray(q["act_min"]), np.asarray(q["act_max"]), q["coverage_quantile"])
+        cr = ChannelRange(np.asarray(q["act_min"]), np.asarray(q["act_max"]))
         mode = manifest["bit_lowering"][key]["mode"]
         states[idx] = _build_state(graph.layers[idx], cr, graph.group_size, mode)
 
@@ -160,16 +156,11 @@ def _parse_manifest(path: Path, manifest: dict) -> PreparedModel:
         float(r): {int(i): np.asarray(f, dtype=bool) for i, f in sel.items()}
         for r, sel in manifest.get("selections", {}).items()
     }
-    boundaries = {
-        float(r): {int(i): int(c) for i, c in b.items()}
-        for r, b in manifest.get("ratio_boundaries", {}).items()
-    }
     input_perm = manifest.get("input_perm")
     return PreparedModel(
         graph=graph,
         states=states,
         selections=selections,
-        boundaries=boundaries,
         input_perm=None if input_perm is None else np.asarray(input_perm, dtype=np.int64),
         laid_out=manifest.get("laid_out", False),
     )

@@ -83,7 +83,6 @@ class PreparedModel:
     graph: NetworkGraph
     states: dict[int, QuantState]
     selections: dict[float, dict[int, np.ndarray]] = field(default_factory=dict)
-    boundaries: dict[float, dict[int, int]] = field(default_factory=dict)
     input_perm: np.ndarray | None = None
     laid_out: bool = False
     active_ratio: float | None = None
@@ -94,6 +93,14 @@ class PreparedModel:
 
     def n_groups(self, idx: int) -> int:
         return len(group_slices(self.graph.layers[idx].n_in, self.group_size))
+
+    def n_4bit_channels(self, idx: int, flags: np.ndarray | None) -> int:
+        """Input channels of matmul layer ``idx`` in the groups ``flags`` mark
+        4-bit (none without flags); a ragged last group counts its own width."""
+        if flags is None:
+            return 0
+        ragged = -self.graph.layers[idx].n_in % self.group_size if flags[-1] else 0
+        return int(np.count_nonzero(flags)) * self.group_size - ragged
 
 
 @dataclass
@@ -238,19 +245,17 @@ def run(
 
 
 def set_ratio(model: PreparedModel, ratio: float) -> dict[int, int]:
-    """Switch the active 4-bit ratio; returns per-layer max_4bit_ch markers.
+    """Switch the active 4-bit ratio; returns each matmul layer's count of
+    4-bit input channels at that ratio (0 for a layer without flags).
 
-    No weight data moves; only the boundary markers change.
+    No weight data moves; only the active selection changes.
     """
     selection = _selection(model, ratio)
-    key = model.active_ratio = ratio_key(ratio)
-    if model.boundaries:
-        return dict(model.boundaries[key])
-    sizes = {}
-    for idx, flags in selection.items():
-        slices = group_slices(model.graph.layers[idx].n_in, model.group_size)
-        sizes[idx] = sum(sl.stop - sl.start for sl, f in zip(slices, flags) if f)
-    return sizes
+    model.active_ratio = ratio_key(ratio)
+    return {
+        idx: model.n_4bit_channels(idx, selection.get(idx))
+        for idx in model.graph.matmul_indices()
+    }
 
 
 def _build_state(
@@ -395,8 +400,7 @@ def saturation_report(
     run(model, eval_inputs, mode="mixed", ratio=ratio, extraction=extraction, record=rec)
     report = {}
     for idx, r in rec.items():
-        slices = group_slices(model.graph.layers[idx].n_in, model.group_size)
-        covered = sum(sl.stop - sl.start for sl, f in zip(slices, r.flags) if f)
+        covered = model.n_4bit_channels(idx, r.flags)
         if covered == 0:
             report[idx] = 0.0
         else:

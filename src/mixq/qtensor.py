@@ -71,10 +71,6 @@ class QuantizedTensor:
         data = np.asarray(self.data, dtype=np.int8)
         object.__setattr__(self, "data", data)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
 
 @dataclass
 class ChannelRange:
@@ -82,20 +78,12 @@ class ChannelRange:
 
     min: np.ndarray
     max: np.ndarray
-    coverage_quantile: float = 0.99
 
     def __post_init__(self):
         self.min = np.asarray(self.min, dtype=np.float64)
         self.max = np.asarray(self.max, dtype=np.float64)
         if np.any(self.min > self.max):
             raise ValueError("channel range min exceeds max")
-
-    @property
-    def n_channels(self) -> int:
-        return self.min.size
-
-    def span(self) -> np.ndarray:
-        return self.max - self.min
 
     def abs_max(self) -> np.ndarray:
         return np.maximum(np.abs(self.min), np.abs(self.max))
@@ -156,7 +144,7 @@ def calibrate_ranges(
             ema_max = momentum * ema_max + (1.0 - momentum) * hi
     if ema_min is None:
         raise ValueError("calibration stream is empty")
-    return ChannelRange(ema_min, ema_max, coverage_quantile or 0.99)
+    return ChannelRange(ema_min, ema_max)
 
 
 def derive_scales(

@@ -2,9 +2,10 @@
 
 Single-server FIFO queue fed by Poisson or trace-driven arrivals.
 Service time comes from a parametric cost model tied to the 4-bit ratio;
-the adaptive controller steps the ratio by 25% at monitoring-window
-boundaries whenever the profiled latency for the observed request rate
-crosses a threshold.  Simulated time only; fully deterministic per seed.
+at the end of each monitoring window the adaptive controller steps the
+ratio to the adjacent entry of its ratio list whenever the profiled
+latency for the observed request rate crosses a threshold.  Simulated
+time only; fully deterministic per seed.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 from .netsim import ratio_key
 
 DEFAULT_SPEEDUP = 1.43  # 100% 4-bit vs 8-bit matmul time
-RATIO_STEP = 0.25
 DECREASE_MARGIN = 0.7  # step down when profiled latency < margin * threshold
+SHIPPED_DURATION = 120.0  # seconds of the reference scenario's trace
 
 
 @dataclass
@@ -122,7 +123,6 @@ class ControllerPolicy:
     window: float  # monitoring window, seconds
     threshold: float  # latency threshold, seconds
     profile: LatencyProfile
-    step: float = RATIO_STEP
     ratios: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
     initial_ratio: float = 0.0
 
@@ -143,7 +143,8 @@ def _ratio_timeline(trace: ServingTrace, policy: ControllerPolicy) -> list[tuple
     """Controller decisions from observed per-window arrival rates.
 
     The controller consults the profiled latency for the current rate at
-    each window boundary and steps the ratio by at most one step.
+    each window boundary and moves the ratio at most one entry along
+    ``policy.ratios``.
     """
     timeline = [(0.0, policy.initial_ratio)]
     ratio = policy.initial_ratio
@@ -249,19 +250,24 @@ def build_profile(
     return LatencyProfile(rates, tuple(ratios), table)
 
 
+def shipped_server(seed: int = 7) -> tuple[CostModel, ControllerPolicy]:
+    """The reference scenario's server: 8-bit capacity 1200 req/s, and a
+    controller on a latency profile swept up to 1700 req/s."""
+    cost = CostModel(matmul_costs=np.array([1.0 / 1200.0]))
+    profile = build_profile(cost, rates=np.arange(0.0, 1701.0, 200.0), duration=8.0, seed=seed + 1)
+    return cost, ControllerPolicy(window=2.0, threshold=0.005, profile=profile)
+
+
 def shipped_scenario(seed: int = 7):
     """Reference fluctuating-workload scenario used by the demo and tests.
 
-    A 3x-peak trace (500 -> 1500 req/s) against a server whose 8-bit
-    capacity is 1200 req/s: fixed 8-bit overloads around the peak while
-    the adaptive controller rides it out by raising the 4-bit ratio.
-    Returns (trace, cost_model, policy).
+    A 3x-peak trace (500 -> 1500 req/s) against ``shipped_server``: fixed
+    8-bit overloads around the peak while the adaptive controller rides it
+    out by raising the 4-bit ratio.  Returns (trace, cost_model, policy).
     """
-    cost = CostModel(matmul_costs=np.array([1.0 / 1200.0]))
-    trace = gen_fluctuating(min_rate=500.0, duration=120.0, seed=seed, peak_factor=3.0, period=120.0)
-    profile = build_profile(cost, rates=np.arange(0.0, 1701.0, 200.0), duration=8.0, seed=seed + 1)
-    policy = ControllerPolicy(window=2.0, threshold=0.005, profile=profile)
-    return trace, cost, policy
+    trace = gen_fluctuating(min_rate=500.0, duration=SHIPPED_DURATION, seed=seed,
+                            peak_factor=3.0, period=SHIPPED_DURATION)
+    return (trace, *shipped_server(seed))
 
 
 def effective_accuracy(

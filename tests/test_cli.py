@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixq import cli, modelio, netsim, synth
+from mixq import cli, modelio, netsim, serve, synth
 
 
 def run_cli(*argv):
@@ -272,3 +272,44 @@ def test_serve_sim_negative_arrival_exit_4(tmp_path, capsys):
     trace.write_text("-0.5\n1.0\n")
     assert run_cli("serve-sim", "--out", str(tmp_path), "--trace", str(trace)) == 4
     assert "finite and non-negative" in capsys.readouterr().err
+
+
+def test_serve_sim_trace_puts_every_arrival_in_a_window(tmp_path):
+    # the last arrival lies on the closing edge of the 2-s windows
+    trace = tmp_path / "trace.txt"
+    trace.write_text("0.5\n3\n7\n10\n")
+    assert run_cli("serve-sim", "--out", str(tmp_path), "--trace", str(trace),
+                   "--policy", "fixed") == 0
+    lines = (tmp_path / "serve.csv").read_text().splitlines()
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    assert sum(int(row[header.index("n")]) for row in rows) == 4
+
+
+def test_serve_sim_trace_past_duration_exit_4(tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    trace.write_text("0.5\n3\n7\n10\n")
+    assert run_cli("serve-sim", "--out", str(tmp_path), "--trace", str(trace),
+                   "--duration", "10") == 4
+    assert str(trace) in capsys.readouterr().err
+
+
+def test_serve_sim_reads_the_trace_before_building_anything(tmp_path, monkeypatch):
+    calls = {"build_profile": 0, "gen_fluctuating": 0}
+    for name in calls:
+        original = getattr(serve, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(serve, name, counted)
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    assert run_cli("serve-sim", "--out", str(tmp_path), "--trace", str(tmp_path / "no")) == 3
+    assert run_cli("serve-sim", "--out", str(tmp_path), "--trace", str(empty)) == 4
+    assert calls == {"build_profile": 0, "gen_fluctuating": 0}
+    # a given trace still needs the latency profile, but no generated trace
+    trace = tmp_path / "trace.txt"
+    trace.write_text("0.5\n3\n")
+    assert run_cli("serve-sim", "--out", str(tmp_path), "--trace", str(trace)) == 0
+    assert calls == {"build_profile": 1, "gen_fluctuating": 0}

@@ -72,27 +72,6 @@ def test_ratio_zero_is_pure_int8():
         assert np.array_equal(got, want)
 
 
-def test_max_4bit_ch_equivalent_to_prefix_flags():
-    rng = np.random.default_rng(2)
-    x_q, w_q, act_scale, w_scales, bounds, _ = random_case(rng, group_size=4, max_dim=16)
-    plan = plan_extraction(bounds, w_q.T.copy(), 4)
-    n_groups = plan.n_groups
-    k = (n_groups // 2) * 4
-    flags = np.zeros(n_groups, dtype=bool)
-    flags[: n_groups // 2] = True
-    a, _ = mixed_gemm(x_q, w_q, act_scale, w_scales, plan, 4, max_4bit_ch=k)
-    b, _ = mixed_gemm(x_q, w_q, act_scale, w_scales, plan, 4, group_flags=flags)
-    assert np.array_equal(a, b)
-
-
-def test_max_4bit_ch_must_align_to_groups():
-    rng = np.random.default_rng(3)
-    x_q, w_q, act_scale, w_scales, bounds, _ = random_case(rng, group_size=4, max_dim=16)
-    plan = plan_extraction(bounds, w_q.T.copy(), 4)
-    with pytest.raises(ValueError):
-        mixed_gemm(x_q, w_q, act_scale, w_scales, plan, 4, max_4bit_ch=3)
-
-
 def test_mixed_conv2d_matches_scalar_oracle():
     rng = np.random.default_rng(4)
     for _ in range(6):
@@ -215,7 +194,7 @@ def kernel_cases(draw, conv):
     else:
         n4 = draw(st.integers(0, len(slices)))
         flags = np.arange(len(slices)) < n4
-        select = {"max_4bit_ch": slices[n4 - 1].stop if n4 else 0}
+        select = {"group_flags": flags}
     mode = draw(st.sampled_from(["static", "dynamic", "naive"]))
     extraction = draw(st.sampled_from([None, mode, "naive"]))
     return x_q, w_q, bounds, group_size, flags, select, mode, extraction, draw(st.booleans())

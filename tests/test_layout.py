@@ -39,11 +39,12 @@ def test_layout_makes_selections_prefix_contiguous():
     prepare_with_selections(model, x_cal)
     model = layout.apply_layout(model, layout.plan_layout(model))
     for r in sorted(model.selections):
+        counts = netsim.set_ratio(model, r)
         for idx, flags in model.selections[r].items():
             k = int(flags.sum())
             assert flags[:k].all() and not flags[k:].any()
-            # boundary marker equals the count of 4-bit channels
-            assert model.boundaries[r][idx] == sum(
+            # set_ratio reports the count of 4-bit channels
+            assert counts[idx] == sum(
                 sl.stop - sl.start
                 for sl, f in zip(
                     netsim.group_slices(model.graph.layers[idx].n_in, model.group_size), flags
@@ -120,3 +121,20 @@ def test_set_ratio_switches_by_boundary_only():
     netsim.set_ratio(laid, first)
     out_after = netsim.run(laid, x_ev, mode="mixed")
     assert np.array_equal(out_before, out_after)
+
+
+@pytest.mark.parametrize("make", [small_model, small_conv_model])
+def test_set_ratio_reports_the_same_counts_before_and_after_layout(make):
+    model, (x_cal, _), _ = make(seed=39)
+    scores = scoring.score_groups(model)
+    cfg = EvoConfig(population=8, generations=3, elite=2, parents=4,
+                    fitness_samples=32, seed=0)
+    sel = evoselect.chained_selection(model, scores, RATIOS, cfg, x_cal[:32], algo="greedy",
+                                      protect_edges=True)
+    evoselect.install_selections(model, sel)
+    laid = layout.apply_layout(model, layout.plan_layout(model))
+    for r in sorted(model.selections):
+        before, after = netsim.set_ratio(model, r), netsim.set_ratio(laid, r)
+        # one entry per matmul layer, 0 for the protected edge layers
+        assert before == after
+        assert sorted(after) == laid.graph.matmul_indices()

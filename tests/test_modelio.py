@@ -40,7 +40,6 @@ def test_round_trip_preserves_metadata(tmp_path):
     for r in model.selections:
         for idx, flags in model.selections[r].items():
             assert np.array_equal(loaded.selections[r][idx], flags)
-        assert loaded.boundaries[r] == model.boundaries[r]
     for idx, state in model.states.items():
         got = loaded.states[idx]
         assert got.act_scale == state.act_scale
@@ -159,3 +158,28 @@ def test_quant_key_must_name_a_matmul_layer(tmp_path, bad):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=f"manifest.json: quant key {bad!r} names no matmul layer"):
         modelio.load_model(tmp_path)
+
+
+def test_manifest_with_dropped_keys_loads_like_a_fresh_save(tmp_path):
+    """Older manifests carry per-ratio boundary markers and a per-layer
+    coverage quantile; both are ignored on load."""
+    model, x_ev = full_pipeline_model()
+    modelio.save_model(tmp_path / "fresh", model)
+    modelio.save_model(tmp_path / "old", model)
+    path = tmp_path / "old" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["ratio_boundaries"] = {
+        f"{r}": {str(i): c for i, c in netsim.set_ratio(model, r).items()}
+        for r in model.selections
+    }
+    for q in manifest["quant"].values():
+        q["coverage_quantile"] = 0.99
+    path.write_text(json.dumps(manifest))
+    old, fresh = modelio.load_model(tmp_path / "old"), modelio.load_model(tmp_path / "fresh")
+    for mode, ratio in [("int8", None), ("int4", None)] + [("mixed", r) for r in model.selections]:
+        a = netsim.run(old, x_ev, mode=mode, ratio=ratio)
+        b = netsim.run(fresh, x_ev, mode=mode, ratio=ratio)
+        assert a.tobytes() == b.tobytes() and a.strides == b.strides, (mode, ratio)
+    modelio.save_model(tmp_path / "resaved", old)
+    assert (tmp_path / "resaved" / "manifest.json").read_bytes() == \
+        (tmp_path / "fresh" / "manifest.json").read_bytes()
