@@ -8,21 +8,25 @@ group's codes are replaced by clip(q >> p, -8, 7) << p.  So every kernel
 is one lowering step (mixed kernels only) followed by one contraction, a
 plain GEMM or a same-padded conv.
 
-Weights are constant, so their lowered codes are built once per layer
-(``lower_weights``; ``netsim`` keeps them next to the 8-bit codes) and a
-call only splices the flagged channel runs of the lowered copy into the
-8-bit codes: on a laid-out model that is one leading run of groups.
-Activations are lowered per call in one vectorized pass.
+What no call of a layer changes is built once by the caller and passed
+in (and built per call when omitted): the lowered weight codes
+(``lower_weights``), the contraction's bound and fused output scales
+(``plan_contraction``) and, per set of group flags, the per-channel shift
+and clip vectors and the flagged channel runs (``plan_lowering``);
+``netsim`` keeps them in its per-layer steps.  A call then only lowers the
+activation codes in one vectorized pass, splices the flagged runs of the
+lowered weights into the 8-bit codes (on a laid-out model, one leading run
+of groups), contracts and scales.
 
 The contraction is a float BLAS product of the integer codes, and it is
 exact: every product and partial sum is an integer no larger than
 K * max|x| * max|w| (K products per output).  float32 holds every integer
 up to 2^24 and float64 every integer up to 2^53, so ``_contract`` runs in
 float32 while that bound is at most 2^24 (K <= 1024 for 8-bit codes) and
-in float64 up to 2^53, and raises ``OverflowError`` beyond; BLAS's order
-of summation cannot change an accumulator.  A lowered code still lies in
-[-128, 127], so 8-bit products stay below K * 2^14, and the 32-bit
-accumulator check (also ``OverflowError``) trips long before 2^53.
+in float64 up to 2^53; beyond that a kernel raises ``OverflowError``.
+BLAS's order of summation cannot change an accumulator.  A lowered code
+still lies in [-128, 127], so 8-bit products stay below K * 2^14, and the
+32-bit accumulator check (also ``OverflowError``) trips long before 2^53.
 """
 
 from __future__ import annotations
@@ -98,25 +102,101 @@ def _resolve_flags(n_in: int, group_size: int, group_flags) -> np.ndarray:
     return flags
 
 
-def _lower(x, w, w_lo, w_axis, plan, group_size, flags, mode):
+@dataclass(frozen=True)
+class Lowering:
+    """The per-call constants of lowering one layer's activations and splicing
+    its weights, for one set of group flags, extraction mode and code dtype
+    (built by ``plan_lowering``).
+
+    ``shifts`` is the activation shift in force per group, ``px`` the
+    per-channel shift (0 on 8-bit channels) and ``mul`` = 2^px, which undoes
+    it (x4 * mul == x4 << px, and about 3x faster); in dynamic mode all three
+    come from each batch (``px`` and ``mul`` are None).  ``lo``/``hi`` are
+    the per-channel clip bounds: [-8, 7] on 4-bit channels, the dtype's
+    range (a no-op) on 8-bit ones.  ``channel_group`` maps each channel to its group, or to
+    ``n_groups`` on 8-bit channels.  ``runs`` are the maximal [start, stop)
+    runs of flagged channels.
+    """
+
+    flags: np.ndarray
+    mode: str
+    shifts: np.ndarray
+    channel_group: np.ndarray
+    px: np.ndarray | None
+    mul: np.ndarray | None
+    lo: np.ndarray
+    hi: np.ndarray
+    runs: tuple[tuple[int, int], ...]
+
+
+def _channel_shifts(shifts: np.ndarray, channel_group: np.ndarray, dtype) -> np.ndarray:
+    """Per-channel shift: the group's shift on 4-bit channels, 0 elsewhere."""
+    return np.append(shifts, 0)[channel_group].astype(dtype)
+
+
+def plan_lowering(
+    plan: ExtractionPlan,
+    group_size: int,
+    group_flags,
+    n_in: int,
+    mode: str | None = None,
+    dtype=np.int8,
+    ndim: int = 2,
+) -> Lowering:
+    """The ``Lowering`` of ``n_in`` activation channels of ``dtype`` codes
+    (channels on axis 1 of ``ndim`` axes) under ``group_flags`` and extraction
+    ``mode`` (default: the plan's)."""
+    flags = _resolve_flags(n_in, group_size, group_flags)
+    mode = mode or plan.mode
+    shifts = plan.act_shifts.copy()
+    if mode == "naive":
+        shifts[flags] = MAX_SHIFT
+    group = np.arange(n_in) // group_size
+    on = flags[group]
+    per_channel = (1, n_in) + (1,) * (ndim - 2)
+    channel_group = np.where(on, group, flags.size).reshape(per_channel)
+    info = np.iinfo(dtype)
+    lo = np.where(on, Q4_MIN, info.min).astype(dtype).reshape(per_channel)
+    hi = np.where(on, Q4_MAX, info.max).astype(dtype).reshape(per_channel)
+    padded = np.concatenate(([False], flags, [False]))
+    edges = np.minimum(np.flatnonzero(padded[1:] != padded[:-1]) * group_size, n_in)
+    runs = tuple((int(a), int(b)) for a, b in edges.reshape(-1, 2))
+    px = mul = None
+    if mode != "dynamic":
+        px = _channel_shifts(shifts, channel_group, dtype)
+        mul = np.left_shift(1, px)
+    return Lowering(flags, mode, shifts, channel_group, px, mul, lo, hi, runs)
+
+
+def _resolve_lowering(lowering, x, plan, group_size, group_flags, mode) -> Lowering:
+    """``lowering`` checked against the call, or planned for it when None."""
+    n_in = x.shape[1]
+    if lowering is None:
+        return plan_lowering(plan, group_size, group_flags, n_in, mode, x.dtype, x.ndim)
+    flags = lowering.flags
+    if (lowering.mode != mode or lowering.lo.dtype != x.dtype or lowering.lo.shape[1:2] != (n_in,)
+            or (flags is not group_flags and not np.array_equal(flags, group_flags))):
+        raise ValueError("lowering was planned for other group flags, extraction mode or codes")
+    return lowering
+
+
+def _lower(x, w, w_lo, w_axis, plan, group_size, lowering):
     """Activation codes ``x`` (channels on axis 1) and weight codes ``w``
     (channels on ``w_axis``) with every flagged group lowered, plus the
     saturated channels and shifts used.
 
     The activations are lowered in one pass in their own integer dtype,
-    with a per-channel shift and clip range (the dtype's range on 8-bit
-    channels, which leaves them unchanged).  The weights are ``w`` with
-    each maximal run of flagged channels copied from its lowered codes
+    with the per-channel shift and clip bounds of ``lowering``.  The weights
+    are ``w`` with each run of flagged channels copied from its lowered codes
     ``w_lo``; ``w_lo`` is built here when omitted, and rebuilt with
     ``MAX_SHIFT`` when naive extraction overrides a plan of another mode.
     """
-    shifts_used = plan.act_shifts.copy()
-    if not flags.any():
-        return x, w, KernelStats(np.zeros(x.shape[1], dtype=bool), shifts_used)
-    if mode == "dynamic":
+    shifts_used = lowering.shifts.copy()
+    mode, flags, px, mul = lowering.mode, lowering.flags, lowering.px, lowering.mul
+    if px is None:  # dynamic: this batch's shifts
         shifts_used[flags] = group_shifts(x, group_size, axis=1)[flags]
-    elif mode == "naive":
-        shifts_used[flags] = MAX_SHIFT
+        px = _channel_shifts(shifts_used, lowering.channel_group, x.dtype)
+        mul = np.left_shift(1, px)
     if w_lo is None or (mode == "naive" and plan.mode != "naive"):
         w_shifts = plan.weight_shifts
         if mode == "naive":
@@ -125,49 +205,50 @@ def _lower(x, w, w_lo, w_axis, plan, group_size, flags, mode):
     elif w_lo.shape != w.shape:
         raise ValueError(f"w_lo shape {w_lo.shape} differs from w_q shape {w.shape}")
 
-    C = x.shape[1]
-    group = np.arange(C) // group_size
-    on = flags[group]
-    info = np.iinfo(x.dtype)
-    per_channel = (1, C) + (1,) * (x.ndim - 2)
-    px = np.where(on, shifts_used[group], 0).astype(x.dtype).reshape(per_channel)
-    lo = np.where(on, Q4_MIN, info.min).astype(x.dtype).reshape(per_channel)
-    hi = np.where(on, Q4_MAX, info.max).astype(x.dtype).reshape(per_channel)
     shifted = x >> px
-    x4 = np.minimum(np.maximum(shifted, lo), hi)  # np.clip with array bounds is ~5x slower
+    # np.clip with array bounds is ~5x slower
+    x4 = np.minimum(np.maximum(shifted, lowering.lo), lowering.hi)
     sat = (shifted != x4).any(axis=tuple(a for a in range(x.ndim) if a != 1))
 
-    if not flags.all():
-        padded = np.concatenate(([False], flags, [False]))
-        runs = np.flatnonzero(padded[1:] != padded[:-1]) * group_size
+    if lowering.runs != ((0, x.shape[1]),):
         w_mixed, w_index = np.copy(w), [slice(None)] * w.ndim
-        for start, stop in runs.reshape(-1, 2):
+        for start, stop in lowering.runs:
             w_index[w_axis] = slice(start, stop)
             w_mixed[tuple(w_index)] = w_lo[tuple(w_index)]
         w_lo = w_mixed
-    return x4 << px, w_lo, KernelStats(sat, shifts_used)
+    return x4 * mul, w_lo, KernelStats(sat, shifts_used)
+
+
+@dataclass(frozen=True)
+class Contraction:
+    """The per-call constants of contracting codes with one layer's weights
+    (built by ``plan_contraction``).
+
+    ``terms`` is the count of products per output, and ``bound`` =
+    terms * max|x| * max|w| bounds every partial sum; it picks the float
+    dtype.  ``scales`` is act_scale * w_scales in float64, shaped for the
+    output (outputs on axis 1).
+    """
+
+    terms: int
+    bound: int
+    scales: np.ndarray
 
 
 def _magnitude(q: np.ndarray) -> int:
     """Bound on |code| over ``q``: the dtype's range for 8-bit codes (a
     lowered code stays in its dtype), the widest code otherwise."""
     if q.dtype.kind in "iu" and q.dtype.itemsize == 1:
-        info = np.iinfo(q.dtype)
-        return max(-int(info.min), int(info.max))
+        return 128 if q.dtype.kind == "i" else 255
     return max(-int(q.min(initial=0)), int(q.max(initial=0)))
 
 
-def _contract(x: np.ndarray, w: np.ndarray, conv: bool) -> np.ndarray:
-    """Integer accumulators of codes ``x`` and ``w`` as one float BLAS GEMM
-    or same-padded conv, checked against the 32-bit accumulator range.
+def _terms(w: np.ndarray, conv: bool) -> int:
+    return math.prod(w.shape[1:]) if conv else w.shape[0]
 
-    No partial sum exceeds bound = (products per output) * max|x| * max|w|,
-    so the result is exact in float32 while bound <= 2^24 and in float64
-    while bound <= 2^53; beyond that it raises.  The GEMM runs as
-    (w.T @ x.T).T, which lets BLAS read [N, K] C-ordered weight codes (the
-    layout ``netsim`` holds) without a copy.
-    """
-    terms = math.prod(w.shape[1:]) if conv else x.shape[1]
+
+def _plan_contraction(x, w, act_scale, w_scales, conv: bool) -> Contraction:
+    terms = _terms(w, conv)
     mx, mw = _magnitude(x), _magnitude(w)
     bound = terms * mx * mw
     if bound > EXACT_LIMIT:
@@ -175,6 +256,44 @@ def _contract(x: np.ndarray, w: np.ndarray, conv: bool) -> np.ndarray:
             f"float64 accumulation is exact only up to 2^53: {terms} products of codes "
             f"up to {mx} x {mw} could exceed it"
         )
+    scales = float(act_scale) * np.asarray(w_scales, dtype=np.float64)
+    return Contraction(terms, bound, scales.reshape((-1,) + (1,) * (w.ndim - 2)))
+
+
+def plan_contraction(
+    w_q: np.ndarray, act_scale: float, w_scales: np.ndarray, conv: bool
+) -> Contraction:
+    """The ``Contraction`` of int8 activation codes with the int8 weight codes
+    ``w_q`` ([K, N], or [O, C, kh, kw] when ``conv``), whose bound follows
+    from the dtype alone."""
+    w_q = np.asarray(w_q)
+    if w_q.dtype != np.int8:
+        raise ValueError(f"a planned contraction takes int8 weight codes, not {w_q.dtype}")
+    # any int8 array stands for int8 activation codes: _magnitude reads the dtype
+    return _plan_contraction(w_q, w_q, act_scale, w_scales, conv)
+
+
+def _resolve_contraction(contraction, x, w, act_scale, w_scales, conv) -> Contraction:
+    """``contraction`` checked against the operands, or planned for them when None."""
+    if contraction is None:
+        return _plan_contraction(x, w, act_scale, w_scales, conv)
+    if x.dtype != np.int8 or w.dtype != np.int8 or contraction.terms != _terms(w, conv):
+        raise ValueError(
+            f"contraction was planned for int8 codes and {contraction.terms} products per "
+            f"output, got {x.dtype} x {w.dtype} codes and {_terms(w, conv)}"
+        )
+    return contraction
+
+
+def _contract(x: np.ndarray, w: np.ndarray, conv: bool, bound: int) -> np.ndarray:
+    """Integer accumulators of codes ``x`` and ``w`` as one float BLAS GEMM
+    or same-padded conv, checked against the 32-bit accumulator range.
+
+    No partial sum exceeds ``bound`` (see ``Contraction``), so the result is
+    exact in float32 while bound <= 2^24 and in float64 while bound <= 2^53.
+    The GEMM runs as (w.T @ x.T).T, which lets BLAS read [N, K] C-ordered
+    weight codes (the layout ``netsim`` holds) without a copy.
+    """
     dtype = np.float32 if bound <= F32_EXACT_LIMIT else np.float64
     x, w = x.astype(dtype), w.astype(dtype)
     acc = conv2d_same(x, w) if conv else (w.T @ x.T).T
@@ -202,14 +321,26 @@ def conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out.reshape(B, H, W, O).transpose(0, 3, 1, 2)
 
 
-def _scale(acc: np.ndarray, act_scale: float, w_scales: np.ndarray) -> np.ndarray:
-    """Apply the per-output scales (outputs on axis 1) in float64 and round
-    once to float32.  A GEMM output is C-ordered; a conv output keeps the
+def _scale(acc: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Apply the per-output ``Contraction.scales`` in float64 and round once
+    to float32.  A GEMM output is C-ordered; a conv output keeps the
     channels-last memory order of ``conv2d_same``."""
-    scales = float(act_scale) * np.asarray(w_scales, dtype=np.float64)
-    scales = scales.reshape((-1,) + (1,) * (acc.ndim - 2))
     out = np.empty_like(acc, dtype=np.float32, order="C" if acc.ndim == 2 else "K")
     return np.multiply(acc, scales, out=out, casting="unsafe")
+
+
+def _mixed(x_q, w_q, w_axis, act_scale, w_scales, plan, group_size, group_flags, extraction,
+           w_lo, contraction, lowering) -> tuple[np.ndarray, KernelStats]:
+    flags = _resolve_flags(x_q.shape[1], group_size, group_flags)
+    if flags.any():
+        mode = extraction or plan.mode
+        lowering = _resolve_lowering(lowering, x_q, plan, group_size, flags, mode)
+        x_q, w_q, stats = _lower(x_q, w_q, w_lo, w_axis, plan, group_size, lowering)
+    else:  # all 8-bit: nothing to lower, and no lowering is needed
+        stats = KernelStats(np.zeros(x_q.shape[1], dtype=bool), plan.act_shifts.copy())
+    conv = w_axis == 1
+    c = _resolve_contraction(contraction, x_q, w_q, act_scale, w_scales, conv)
+    return _scale(_contract(x_q, w_q, conv, c.bound), c.scales), stats
 
 
 def mixed_gemm(
@@ -222,25 +353,31 @@ def mixed_gemm(
     group_flags,
     extraction: str | None = None,
     w_lo: np.ndarray | None = None,
+    contraction: Contraction | None = None,
+    lowering: Lowering | None = None,
 ) -> tuple[np.ndarray, KernelStats]:
     """Mixed-precision integer GEMM.
 
     x_q: [B, K] int8 activation codes; w_q: [K, N] int8 weight codes with
     per-output-channel scales ``w_scales`` [N].  Groups flagged 4-bit are
     lowered per the plan (or per runtime scan when extraction is
-    "dynamic"); the rest are multiplied as plain 8-bit.  ``w_lo`` is
-    ``lower_weights(w_q, plan.weight_shifts, group_size, axis=0)``, built
-    once by the caller for constant weights; it is computed when omitted.
+    "dynamic"); the rest are multiplied as plain 8-bit.  A caller that runs
+    the same layer again passes what it built once; each is computed when
+    omitted:
+
+    - ``w_lo``: ``lower_weights(w_q, plan.weight_shifts, group_size, axis=0)``;
+    - ``contraction``: ``plan_contraction(w_q, act_scale, w_scales, conv=False)``;
+    - ``lowering``: ``plan_lowering(plan, group_size, group_flags, K, extraction)``,
+      read only when some group is flagged.
+
     Returns the float32 output [B, N] and extraction stats.
     """
     x_q, w_q = np.asarray(x_q), np.asarray(w_q)
     K = x_q.shape[1]
     if w_q.shape[0] != K:
         raise ValueError(f"shape mismatch: x has {K} channels, w has {w_q.shape[0]}")
-    flags = _resolve_flags(K, group_size, group_flags)
-    mode = extraction or plan.mode
-    x_lo, w_mixed, stats = _lower(x_q, w_q, w_lo, 0, plan, group_size, flags, mode)
-    return _scale(_contract(x_lo, w_mixed, conv=False), act_scale, w_scales), stats
+    return _mixed(x_q, w_q, 0, act_scale, w_scales, plan, group_size, group_flags, extraction,
+                  w_lo, contraction, lowering)
 
 
 def mixed_conv2d(
@@ -253,33 +390,43 @@ def mixed_conv2d(
     group_flags,
     extraction: str | None = None,
     w_lo: np.ndarray | None = None,
+    contraction: Contraction | None = None,
+    lowering: Lowering | None = None,
 ) -> tuple[np.ndarray, KernelStats]:
     """Mixed-precision 2-D convolution (stride 1, same padding).
 
     x_q: [B, C, H, W] int8 codes; w_q: [O, C, kh, kw] int8 codes.
     Feature channels are input channels; semantics match an im2col GEMM
     where every spatial tap of a channel shares that channel's group
-    shift.  ``w_lo`` is ``lower_weights(w_q, plan.weight_shifts,
-    group_size, axis=1)``, computed when omitted.
+    shift.  ``w_lo``, ``contraction`` and ``lowering`` are as for
+    ``mixed_gemm``, with ``axis=1``, ``conv=True`` and ``ndim=4``.
     """
     x_q, w_q = np.asarray(x_q), np.asarray(w_q)
     C, Cw = x_q.shape[1], w_q.shape[1]
     if Cw != C:
         raise ValueError(f"shape mismatch: x has {C} channels, w has {Cw}")
-    flags = _resolve_flags(C, group_size, group_flags)
-    mode = extraction or plan.mode
-    x_lo, w_mixed, stats = _lower(x_q, w_q, w_lo, 1, plan, group_size, flags, mode)
-    return _scale(_contract(x_lo, w_mixed, conv=True), act_scale, w_scales), stats
+    return _mixed(x_q, w_q, 1, act_scale, w_scales, plan, group_size, group_flags, extraction,
+                  w_lo, contraction, lowering)
 
 
-def int_gemm(x_q: np.ndarray, w_q: np.ndarray, act_scale: float, w_scales: np.ndarray) -> np.ndarray:
-    """Plain uniform integer GEMM (8-bit or 4-bit codes)."""
-    return _scale(_contract(np.asarray(x_q), np.asarray(w_q), conv=False), act_scale, w_scales)
+def _uniform(x_q, w_q, act_scale, w_scales, contraction, conv: bool) -> np.ndarray:
+    x_q, w_q = np.asarray(x_q), np.asarray(w_q)
+    c = _resolve_contraction(contraction, x_q, w_q, act_scale, w_scales, conv)
+    return _scale(_contract(x_q, w_q, conv, c.bound), c.scales)
 
 
-def int_conv2d(x_q: np.ndarray, w_q: np.ndarray, act_scale: float, w_scales: np.ndarray) -> np.ndarray:
-    """Plain uniform integer conv2d (stride 1, same padding)."""
-    return _scale(_contract(np.asarray(x_q), np.asarray(w_q), conv=True), act_scale, w_scales)
+def int_gemm(x_q: np.ndarray, w_q: np.ndarray, act_scale: float, w_scales: np.ndarray,
+             contraction: Contraction | None = None) -> np.ndarray:
+    """Plain uniform integer GEMM (8-bit or 4-bit codes); ``contraction`` as
+    for ``mixed_gemm``."""
+    return _uniform(x_q, w_q, act_scale, w_scales, contraction, conv=False)
+
+
+def int_conv2d(x_q: np.ndarray, w_q: np.ndarray, act_scale: float, w_scales: np.ndarray,
+               contraction: Contraction | None = None) -> np.ndarray:
+    """Plain uniform integer conv2d (stride 1, same padding); ``contraction``
+    as for ``mixed_conv2d``."""
+    return _uniform(x_q, w_q, act_scale, w_scales, contraction, conv=True)
 
 
 def accumulator_error_bound(

@@ -1,8 +1,10 @@
 """Post-processing layout: reorder channels so 4-bit groups are contiguous.
 
 Groups are placed in order of the ratio at which they first become 4-bit,
-so every prepared ratio's 4-bit group flags form a prefix of each layer's
-groups.  Steps 1-2 are static weight permutations; step 3
+so every prepared ratio's 4-bit flags on each layer's full groups form a
+prefix.  A ragged last group (narrower than the group size) stays last:
+the kernels group channels by position, so moving it would regroup them.
+Steps 1-2 are static weight permutations; step 3
 inserts runtime reorder operators on residual edges whose two sides end
 up in different orders.  The laid-out network is functionally equivalent:
 quantized outputs are bit-identical at every ratio.
@@ -59,9 +61,9 @@ def plan_layout(model: PreparedModel) -> dict[int, ChannelPermutation]:
                 continue
             newly = (first_ratio == np.inf) & flags
             first_ratio[newly] = r
-        group_order = np.array(
-            sorted(range(n_groups), key=lambda g: (first_ratio[g], g)), dtype=np.int64
-        )
+        movable = n_groups - 1 if layer.n_in % model.group_size else n_groups
+        order = sorted(range(movable), key=lambda g: (first_ratio[g], g))
+        group_order = np.array(order + list(range(movable, n_groups)), dtype=np.int64)
         perm = np.concatenate([np.arange(slices[g].start, slices[g].stop) for g in group_order])
         plans[idx] = ChannelPermutation(perm, group_order)
     return plans

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bitlower import group_slices
 from .netsim import Layer, NetworkGraph, PreparedModel, _build_state
 from .qtensor import ChannelRange
 
@@ -152,10 +153,24 @@ def _parse_manifest(path: Path, manifest: dict) -> PreparedModel:
         mode = manifest["bit_lowering"][key]["mode"]
         states[idx] = _build_state(graph.layers[idx], cr, graph.group_size, mode)
 
-    selections = {
-        float(r): {int(i): np.asarray(f, dtype=bool) for i, f in sel.items()}
-        for r, sel in manifest.get("selections", {}).items()
-    }
+    n_groups = {key: len(group_slices(graph.layers[i].n_in, graph.group_size))
+                for key, i in matmuls.items()}
+    selections = {}
+    for r, sel in manifest.get("selections", {}).items():
+        selections[float(r)] = {}
+        for key, f in sel.items():
+            if key not in matmuls:
+                raise ValueError(
+                    f"{path / MANIFEST}: selection for ratio {r} names layer {key!r}, "
+                    f"no matmul layer (matmul layers: {sorted(matmuls.values())})"
+                )
+            flags = np.asarray(f, dtype=bool)
+            if flags.shape != (n_groups[key],):
+                raise ValueError(
+                    f"{path / MANIFEST}: selection for ratio {r} has {flags.size} group "
+                    f"flags for layer {key}, which has {n_groups[key]} groups"
+                )
+            selections[float(r)][matmuls[key]] = flags
     input_perm = manifest.get("input_perm")
     return PreparedModel(
         graph=graph,

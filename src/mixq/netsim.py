@@ -4,13 +4,15 @@ Supported operators: linear, conv2d (stride 1, same padding), relu, gelu,
 residual_add, and reorder.  Matmul operators run in fp32, uniform int8,
 uniform int4, or mixed 4/8-bit precision; everything else runs in 32-bit
 float.  The engine is pure: a prepared model is immutable during a call
-and outputs are deterministic.
+and outputs are deterministic.  A quantized run walks a plan of per-layer
+``Step``s holding what no call changes, built once per model and
+precision, and in mixed mode once per prepared ratio.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -86,6 +88,8 @@ class PreparedModel:
     input_perm: np.ndarray | None = None
     laid_out: bool = False
     active_ratio: float | None = None
+    # the step plans ``run`` reuses, per precision and per (ratio, extraction)
+    steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def group_size(self) -> int:
@@ -139,33 +143,113 @@ def _matmul_fp32(layer: Layer, h: np.ndarray) -> np.ndarray:
     return kernels.conv2d_same(h.astype(np.float64), w).astype(np.float32)
 
 
-def _matmul_quant(
-    layer: Layer,
-    state: QuantState,
-    h: np.ndarray,
-    mode: str,
-    group_size: int,
-    flags: np.ndarray | None,
-    extraction: str | None,
-) -> tuple[np.ndarray, kernels.KernelStats | None]:
-    if mode == "int4":
-        act_scale, bits, w_q, scales = state.act_scale4, 4, state.w_q4, state.w_params4.scale
+@dataclass(frozen=True)
+class Step:
+    """One matmul layer as each call in one precision runs it.
+
+    It holds what no call changes: the activation quantizer, the kernel's
+    weight operands and its ``kernels.Contraction``; in mixed mode also the
+    4-bit group flags in force, the lowered weight codes and the flags'
+    ``kernels.Lowering``.  ``state`` is the ``QuantState`` it was built from.
+    """
+
+    state: QuantState
+    act_scale: float
+    act: QuantParams
+    w_q: np.ndarray  # as the kernel takes it: [K, N] (a view of [N, K]) or [O, C, kh, kw]
+    w_scales: np.ndarray
+    contraction: kernels.Contraction
+    w_lo: np.ndarray | None = None  # mixed: ``state.w_lo8`` laid out as ``w_q``
+    flags: np.ndarray | None = None  # mixed
+    lowering: kernels.Lowering | None = None  # mixed, on a layer with a 4-bit group
+
+
+def _uniform_step(layer: Layer, state: QuantState, bits: int) -> Step:
+    conv = layer.kind == "conv2d"
+    if bits == 4:
+        act_scale, w_q, w_scales, w_lo = state.act_scale4, state.w_q4, state.w_params4.scale, None
     else:
-        act_scale, bits, w_q, scales = state.act_scale, 8, state.w_q8, state.w_params8.scale
-    codes = quantize(h, QuantParams(act_scale, bits)).data
-    if mode in ("int8", "int4"):
-        if layer.kind == "linear":
-            return kernels.int_gemm(codes, w_q.T, act_scale, scales), None
-        return kernels.int_conv2d(codes, w_q, act_scale, scales), None
-    # mixed
-    if layer.kind == "linear":
-        return kernels.mixed_gemm(
-            codes, w_q.T, act_scale, scales, state.plan, group_size,
-            group_flags=flags, extraction=extraction, w_lo=state.w_lo8.T,
+        act_scale, w_q, w_scales = state.act_scale, state.w_q8, state.w_params8.scale
+        w_lo = state.w_lo8
+    if not conv:
+        w_q, w_lo = w_q.T, None if w_lo is None else w_lo.T
+    contraction = kernels.plan_contraction(w_q, act_scale, w_scales, conv)
+    return Step(state, act_scale, QuantParams(act_scale, bits), w_q, w_scales, contraction, w_lo)
+
+
+def _mixed_step(base: Step, layer: Layer, flags, group_size: int, extraction: str | None) -> Step:
+    flags = np.array(flags, dtype=bool)
+    flags.flags.writeable = False  # shared by every call and LayerRecord that uses the step
+    lowering = None  # a layer with no 4-bit group lowers nothing
+    if flags.any():
+        lowering = kernels.plan_lowering(
+            base.state.plan, group_size, flags, layer.n_in, extraction,
+            ndim=4 if layer.kind == "conv2d" else 2,
         )
-    return kernels.mixed_conv2d(
-        codes, w_q, act_scale, scales, state.plan, group_size,
-        group_flags=flags, extraction=extraction, w_lo=state.w_lo8,
+    return replace(base, flags=flags, lowering=lowering)
+
+
+def _steps(
+    model: PreparedModel,
+    mode: str,
+    ratio: float | None,
+    extraction: str | None,
+    flags_override: dict[int, np.ndarray] | None,
+) -> dict[int, Step]:
+    """Each matmul layer's step for one quantized ``run``.
+
+    The steps of a precision, and in mixed mode those of a prepared ratio
+    and extraction, are built once and kept in ``model.steps``.  A kept
+    step is reused only while its layer's state and flags are the ones in
+    force (the flags are compared on every call); steps for
+    ``flags_override`` are built for the call and not kept.
+    """
+    bits = 4 if mode == "int4" else 8
+    uniform = model.steps.setdefault(bits, {})
+    mixed: dict[int, tuple] = {}
+    if mode == "mixed":
+        flags_by_layer = flags_override
+        if flags_override is None:
+            if ratio is None:
+                ratio = model.active_ratio
+            if ratio is None:
+                raise ValueError("mixed mode needs a ratio (or set_ratio() first)")
+            flags_by_layer = _selection(model, ratio)
+            mixed = model.steps.setdefault(("mixed", ratio_key(ratio), extraction), {})
+    steps = {}
+    for idx in model.graph.matmul_indices():
+        layer, state = model.graph.layers[idx], model.states[idx]
+        step = uniform.get(idx)
+        if step is None or step.state is not state:
+            step = uniform[idx] = _uniform_step(layer, state, bits)
+        if mode == "mixed":
+            flags = flags_by_layer.get(idx)
+            key = None if flags is None else np.asarray(flags, dtype=bool).tobytes()
+            kept = mixed.get(idx)
+            if kept is None or kept[0] != key or kept[1].state is not state:
+                if flags is None:
+                    flags = np.zeros(model.n_groups(idx), dtype=bool)
+                kept = (key, _mixed_step(step, layer, flags, model.group_size, extraction))
+                if flags_override is None:
+                    mixed[idx] = kept
+            step = kept[1]
+        steps[idx] = step
+    return steps
+
+
+def _matmul_quant(
+    kind: str, step: Step, h: np.ndarray, group_size: int, extraction: str | None
+) -> tuple[np.ndarray, kernels.KernelStats | None]:
+    codes = quantize(h, step.act).data
+    if step.flags is None:
+        kernel = kernels.int_gemm if kind == "linear" else kernels.int_conv2d
+        return kernel(codes, step.w_q, step.act_scale, step.w_scales,
+                      contraction=step.contraction), None
+    kernel = kernels.mixed_gemm if kind == "linear" else kernels.mixed_conv2d
+    return kernel(
+        codes, step.w_q, step.act_scale, step.w_scales, step.state.plan, group_size,
+        group_flags=step.flags, extraction=extraction, w_lo=step.w_lo,
+        contraction=step.contraction, lowering=step.lowering,
     )
 
 
@@ -183,21 +267,18 @@ def run(
     mode: fp32 | int8 | int4 | mixed.  In mixed mode the 4-bit group flags
     come from ``flags_override`` if given, else from the selection
     prepared for ``ratio`` (defaulting to the model's active ratio); a
-    layer without flags runs all-8-bit.  If ``record`` is given, it gets a
-    ``LayerRecord`` per matmul layer index: the layer's float input and
-    output, and in mixed mode the flags used and the kernel's stats.
+    layer without flags runs all-8-bit.  A quantized run walks the step
+    plan of ``_steps``.  If ``record`` is given, it gets a ``LayerRecord``
+    per matmul layer index: the layer's float input and output, and in
+    mixed mode the flags used and the kernel's stats.
     """
     if mode not in ("fp32", "int8", "int4", "mixed"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode != "fp32" and not model.states:
-        raise ValueError("model is not calibrated; run prepare() first")
-    flags_by_layer = flags_override
-    if mode == "mixed" and flags_override is None:
-        if ratio is None:
-            ratio = model.active_ratio
-        if ratio is None:
-            raise ValueError("mixed mode needs a ratio (or set_ratio() first)")
-        flags_by_layer = _selection(model, ratio)
+    steps = None
+    if mode != "fp32":
+        if not model.states:
+            raise ValueError("model is not calibrated; run prepare() first")
+        steps = _steps(model, mode, ratio, extraction, flags_override)
 
     h = np.asarray(x, dtype=np.float32)
     if model.input_perm is not None:
@@ -206,19 +287,14 @@ def run(
     outputs: list[np.ndarray] = []
     for idx, layer in enumerate(model.graph.layers):
         if layer.kind in MATMUL_KINDS:
-            h_in, flags, kstats = h, None, None
-            if mode == "fp32":
+            h_in, step, kstats = h, None, None
+            if steps is None:
                 h = _matmul_fp32(layer, h)
             else:
-                if mode == "mixed":
-                    flags = flags_by_layer.get(idx)
-                    if flags is None:
-                        flags = np.zeros(model.n_groups(idx), dtype=bool)
-                h, kstats = _matmul_quant(
-                    layer, model.states[idx], h, mode, model.group_size, flags, extraction
-                )
+                step = steps[idx]
+                h, kstats = _matmul_quant(layer.kind, step, h, model.group_size, extraction)
             if record is not None:
-                record[idx] = LayerRecord(h_in, h, flags, kstats)
+                record[idx] = LayerRecord(h_in, h, None if step is None else step.flags, kstats)
             outputs.append(h)
         elif layer.kind == "relu":
             h = np.maximum(h, 0.0)

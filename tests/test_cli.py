@@ -313,3 +313,22 @@ def test_serve_sim_reads_the_trace_before_building_anything(tmp_path, monkeypatc
     trace.write_text("0.5\n3\n")
     assert run_cli("serve-sim", "--out", str(tmp_path), "--trace", str(trace)) == 0
     assert calls == {"build_profile": 1, "gen_fluctuating": 0}
+
+
+def test_manifest_selection_with_wrong_flag_count_exit_4(demo_dir, tmp_path, capsys):
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    for src in demo_dir.iterdir():
+        if src.suffix in (".json", ".f32bin", ".i8bin", ".i64bin"):
+            (model_dir / src.name).write_bytes(src.read_bytes())
+    manifest = json.loads((model_dir / "manifest.json").read_text())
+    sel = manifest["selections"]["0.5"]
+    key = min(sel, key=int)
+    n_groups = len(sel[key])
+    sel[key] = sel[key][:-1]
+    (model_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli("infer", "--model", str(model_dir)) == 4
+    err = capsys.readouterr().err
+    assert str(model_dir / "manifest.json") in err
+    assert (f"selection for ratio 0.5 has {n_groups - 1} group flags for layer {key}, "
+            f"which has {n_groups} groups") in err

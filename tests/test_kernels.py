@@ -13,6 +13,8 @@ from mixq.kernels import (
     lower_weights,
     mixed_conv2d,
     mixed_gemm,
+    plan_contraction,
+    plan_lowering,
 )
 
 
@@ -329,3 +331,31 @@ def test_conv2d_same_property_matches_direct_reference(shape, kernel, seed):
     assert got.shape == want.shape and np.array_equal(got, want)
     x, w = rng.standard_normal((B, C, H, W)), rng.standard_normal((O, C, kh, kw))
     assert np.allclose(conv2d_same(x, w), conv_reference(x, w).astype(np.float64))
+
+
+@pytest.mark.parametrize("mode", ["static", "dynamic", "naive"])
+def test_planned_constants_give_the_same_results_and_must_fit_the_call(mode):
+    """A kernel given the lowering and contraction a caller planned once
+    returns the bytes and stats it computes without them; constants planned
+    for other flags, another extraction mode or other codes are rejected (a
+    lowering only when the call flags some group, as only then is it read)."""
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        x_q, w_q, act_scale, w_scales, bounds, flags = random_case(rng)
+        x8, w8 = x_q.astype(np.int8), w_q.astype(np.int8)
+        plan = plan_extraction(bounds, w_q.T.copy(), 4, mode=mode)
+        planned = {"lowering": plan_lowering(plan, 4, flags, x8.shape[1]),
+                   "contraction": plan_contraction(w8, act_scale, w_scales, conv=False)}
+        want, want_stats = mixed_gemm(x8, w8, act_scale, w_scales, plan, 4, group_flags=flags)
+        got, stats = mixed_gemm(x8, w8, act_scale, w_scales, plan, 4, group_flags=flags, **planned)
+        assert got.tobytes() == want.tobytes() and got.strides == want.strides
+        for field in ("saturated_channels", "act_shifts_used"):
+            assert getattr(stats, field).tobytes() == getattr(want_stats, field).tobytes()
+        other = "dynamic" if mode != "dynamic" else "static"
+        bad_calls = [{"group_flags": f, "extraction": e}
+                     for f, e in ((~flags, None), (flags, other)) if f.any()]
+        for bad in bad_calls:
+            with pytest.raises(ValueError, match="lowering was planned"):
+                mixed_gemm(x8, w8, act_scale, w_scales, plan, 4, **bad, **planned)
+        with pytest.raises(ValueError, match="contraction was planned"):
+            int_gemm(x_q, w_q, act_scale, w_scales, contraction=planned["contraction"])

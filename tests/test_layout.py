@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixq import evoselect, layout, netsim, scoring
+from mixq import evoselect, layout, netsim, scoring, synth
 from mixq.evoselect import EvoConfig
 from conftest import small_conv_model, small_model
 
@@ -138,3 +138,24 @@ def test_set_ratio_reports_the_same_counts_before_and_after_layout(make):
         # one entry per matmul layer, 0 for the protected edge layers
         assert before == after
         assert sorted(after) == laid.graph.matmul_indices()
+
+
+def test_layout_keeps_a_ragged_last_group_last():
+    """A ragged last group flagged before the full groups stays last: moved
+    ahead of them, the laid-out layer would regroup its channels by position
+    (here a 10-wide net with group size 4, groups of 4, 4 and 2 channels)."""
+    graph = synth.make_linear_net(61, 3, 10, 4, 4)
+    x, _ = synth.make_dataset(62, 10, 4, 64)
+    model = netsim.prepare(graph, [x])
+    matmuls = model.graph.matmul_indices()
+    model.selections = {
+        0.5: {i: np.array([False, False, True]) for i in matmuls},
+        1.0: {i: np.ones(3, dtype=bool) for i in matmuls},
+    }
+    laid = layout.apply_layout(model, layout.plan_layout(model))
+    for r in sorted(model.selections):
+        counts = netsim.set_ratio(model, r)
+        assert netsim.set_ratio(laid, r) == counts
+        before = netsim.run(model, x, mode="mixed", ratio=r)
+        assert np.array_equal(netsim.run(laid, x, mode="mixed", ratio=r), before), r
+    assert netsim.set_ratio(laid, 0.5) == {i: 2 for i in matmuls}

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -183,3 +184,28 @@ def test_manifest_with_dropped_keys_loads_like_a_fresh_save(tmp_path):
     modelio.save_model(tmp_path / "resaved", old)
     assert (tmp_path / "resaved" / "manifest.json").read_bytes() == \
         (tmp_path / "fresh" / "manifest.json").read_bytes()
+
+
+@pytest.mark.parametrize("bad", ["short", "relu"])
+def test_selection_must_fit_a_matmul_layer(tmp_path, bad):
+    """A selection with a flag count other than its layer's group count, or
+    keyed to a layer that is no matmul layer, is rejected on load, naming
+    the manifest, ratio, layer and counts."""
+    model, _ = full_pipeline_model()
+    modelio.save_model(tmp_path, model)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    ratio = min(manifest["selections"], key=float)
+    sel = manifest["selections"][ratio]
+    key = min(sel, key=int)
+    n_groups = model.n_groups(int(key))
+    if bad == "short":
+        sel[key] = sel[key][:-1]
+        want = (f"manifest.json: selection for ratio {ratio} has {n_groups - 1} group flags "
+                f"for layer {key}, which has {n_groups} groups")
+    else:
+        relu = str(next(i for i, l in enumerate(manifest["layers"]) if l["kind"] == "relu"))
+        sel[relu] = sel[key]
+        want = f"manifest.json: selection for ratio {ratio} names layer {relu!r}, no matmul layer"
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=re.escape(want)):
+        modelio.load_model(tmp_path)

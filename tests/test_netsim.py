@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mixq import evoselect, kernels, layout, netsim, oracle, scoring, synth
+from mixq import evoselect, kernels, layout, modelio, netsim, oracle, scoring, synth
 from mixq.bitlower import MAX_SHIFT, ExtractionPlan
 from mixq.kernels import int_gemm
 from mixq.netsim import (
@@ -345,3 +345,83 @@ def test_fp32_record_inputs_reproduce_calibration():
         cr = calibrate_ranges([r[idx].input for r in recs], 0.99, channel_axis=1)
         assert np.array_equal(cr.min, state.act_range.min)
         assert np.array_equal(cr.max, state.act_range.max)
+
+
+def assert_same_records(got, want):
+    assert sorted(got) == sorted(want)
+    for idx in got:
+        a, b = got[idx], want[idx]
+        assert a.flags.tobytes() == b.flags.tobytes()
+        for field in ("saturated_channels", "act_shifts_used"):
+            x, y = getattr(a.stats, field), getattr(b.stats, field)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("extraction", ["static", "dynamic", "naive"])
+def test_replaced_flags_are_never_served_stale(tmp_path, extraction):
+    """Once set_ratio cycles have built a ratio's steps, flags replaced with
+    install_selections, by a new array or in place run byte-identically to
+    the same flags as flags_override and to a freshly loaded model."""
+    model, _, (x, _) = small_model(seed=47)
+    matmuls = model.graph.matmul_indices()
+    rng = np.random.default_rng(3)
+
+    def random_flags():
+        return {i: rng.random(model.n_groups(i)) < 0.5 for i in matmuls}
+
+    model.selections = {0.25: random_flags(), 0.5: random_flags()}
+    for r in (0.25, 0.5, 0.25, 0.5):
+        netsim.set_ratio(model, r)
+        run(model, x, mode="mixed", extraction=extraction)
+
+    def replace_by_chromosome():
+        new = random_flags()
+        chrom = evoselect.Chromosome(tuple(matmuls), tuple(new[i] for i in matmuls), 0.5)
+        evoselect.install_selections(model, {0.5: chrom})
+
+    def replace_one_array():
+        model.selections[0.5][matmuls[1]] = ~model.selections[0.5][matmuls[1]]
+
+    def flip_in_place():
+        model.selections[0.5][matmuls[2]][0] ^= True
+
+    for replace in (replace_by_chromosome, replace_one_array, flip_in_place):
+        replace()
+        netsim.set_ratio(model, 0.25)
+        run(model, x, mode="mixed", extraction=extraction)
+        netsim.set_ratio(model, 0.5)
+        got_rec, want_rec, fresh_rec = {}, {}, {}
+        got = run(model, x, mode="mixed", extraction=extraction, record=got_rec)
+        flags = {i: f.copy() for i, f in model.selections[0.5].items()}
+        want = run(model, x, mode="mixed", flags_override=flags, extraction=extraction,
+                   record=want_rec)
+        modelio.save_model(tmp_path, model)
+        fresh = run(modelio.load_model(tmp_path), x, mode="mixed", ratio=0.5,
+                    extraction=extraction, record=fresh_rec)
+        for out, rec in ((want, want_rec), (fresh, fresh_rec)):
+            assert out.tobytes() == got.tobytes() and out.strides == got.strides, replace
+            assert_same_records(rec, got_rec)
+
+
+def test_kernels_patched_after_a_forward_are_called(monkeypatch):
+    """A quantized forward looks its kernels up when it calls them, so a
+    kernel patched after the first forward (as the benchmark's tracer does)
+    gets one call per matmul layer in the next one."""
+    linear, _, (x_lin, _) = small_model(seed=49)
+    conv, _, (x_conv, _) = small_conv_model(seed=50)
+    for model, x, kind in ((linear, x_lin, "gemm"), (conv, x_conv, "conv2d")):
+        matmuls = model.graph.matmul_indices()
+        model.selections = {0.5: {i: np.arange(model.n_groups(i)) % 2 == 0 for i in matmuls}}
+        for mode, name in (("int8", "int"), ("int4", "int"), ("mixed", "mixed")):
+            run(model, x, mode=mode, ratio=0.5)
+            calls = []
+            kernel = getattr(kernels, f"{name}_{kind}")
+
+            def patched(*args, kernel=kernel, **kwargs):
+                calls.append(args)
+                return kernel(*args, **kwargs)
+
+            with monkeypatch.context() as m:
+                m.setattr(kernels, f"{name}_{kind}", patched)
+                run(model, x, mode=mode, ratio=0.5)
+            assert len(calls) == len(matmuls), (kind, mode)
