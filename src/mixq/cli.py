@@ -445,6 +445,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _unit(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
@@ -526,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=_default_dir())
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--policy", choices=("adaptive", "fixed"), default="adaptive")
-    sp.add_argument("--ratio", type=float, default=0.0, help="ratio for the fixed policy")
+    sp.add_argument("--ratio", type=_unit, default=0.0, help="ratio for the fixed policy")
     sp.add_argument("--trace", default=None, help="file with one arrival time per line")
     sp.add_argument("--rate", type=float, default=None, help="constant Poisson rate, req/s")
     sp.add_argument("--min-rate", type=float, default=None, help="fluctuating trace minimum rate")

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .bitlower import group_slices
-from .netsim import Layer, NetworkGraph, PreparedModel, _build_state
+from .netsim import Layer, NetworkGraph, PreparedModel, _build_state, ratio_key
 from .qtensor import ChannelRange
 
 MANIFEST = "manifest.json"
@@ -157,7 +157,8 @@ def _parse_manifest(path: Path, manifest: dict) -> PreparedModel:
                 for key, i in matmuls.items()}
     selections = {}
     for r, sel in manifest.get("selections", {}).items():
-        selections[float(r)] = {}
+        ratio = _selection_ratio(path, r)
+        selections[ratio] = {}
         for key, f in sel.items():
             if key not in matmuls:
                 raise ValueError(
@@ -170,7 +171,7 @@ def _parse_manifest(path: Path, manifest: dict) -> PreparedModel:
                     f"{path / MANIFEST}: selection for ratio {r} has {flags.size} group "
                     f"flags for layer {key}, which has {n_groups[key]} groups"
                 )
-            selections[float(r)][matmuls[key]] = flags
+            selections[ratio][matmuls[key]] = flags
     input_perm = manifest.get("input_perm")
     return PreparedModel(
         graph=graph,
@@ -179,6 +180,17 @@ def _parse_manifest(path: Path, manifest: dict) -> PreparedModel:
         input_perm=None if input_perm is None else np.asarray(input_perm, dtype=np.int64),
         laid_out=manifest.get("laid_out", False),
     )
+
+
+def _selection_ratio(path: Path, text: str) -> float:
+    """A selection key of the manifest as a ratio key in [0, 1]."""
+    try:
+        ratio = float(text)
+    except ValueError:
+        ratio = math.nan
+    if not 0.0 <= ratio <= 1.0:
+        raise ValueError(f"{path / MANIFEST}: selection key {text!r} is not a ratio in [0, 1]")
+    return ratio_key(ratio)
 
 
 def save_dataset(path, name: str, x: np.ndarray, y: np.ndarray | None = None):

@@ -398,7 +398,14 @@ def relative_l2(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def top1_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    return float((np.argmax(logits, axis=1) == labels).mean())
+    """Share of samples whose largest logit is their label.
+
+    Conv logits [B, classes, H, W] are averaged over the spatial axes first.
+    """
+    scores = logits.mean(axis=tuple(range(2, logits.ndim)))
+    if labels.shape != scores.shape[:1]:
+        raise ValueError(f"labels of shape {labels.shape} do not match logits of shape {logits.shape}")
+    return float((np.argmax(scores, axis=1) == labels).mean())
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ time only; fully deterministic per seed.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,11 +133,28 @@ class SimResult:
     windows: list[dict]  # per window: t, rate, ratio, median, p90, n
     ratio_timeline: list[tuple[float, float]]  # (t_start, ratio)
     latencies: np.ndarray
-    requests: list[tuple[float, float, float, float]]  # arrival, start, finish, ratio
     saturated: bool
+    arrivals: np.ndarray
+    finishes: np.ndarray
+
+    @property
+    def requests(self) -> list[tuple[float, float, float, float]]:
+        """(arrival, start, finish, ratio) per request, built on each read.
+
+        A request starts at the later of its arrival and the previous
+        finish, as ``max(arrival, free)`` does in ``_fifo``, and is served
+        at the ratio in force at its start.
+        """
+        free = np.concatenate(([0.0], self.finishes[:-1]))
+        starts = np.where(free > self.arrivals, free, self.arrivals)
+        switch_times = [t for t, _ in self.ratio_timeline]
+        k = np.searchsorted(switch_times, starts, side="right") - 1
+        ratios = [r for _, r in self.ratio_timeline]
+        return [(a, s, f, ratios[i]) for a, s, f, i in zip(
+            self.arrivals.tolist(), starts.tolist(), self.finishes.tolist(), k.tolist())]
 
     def completed(self) -> int:
-        return len(self.requests)
+        return self.latencies.size
 
 
 def _ratio_timeline(trace: ServingTrace, policy: ControllerPolicy) -> list[tuple[float, float]]:
@@ -167,6 +185,41 @@ def _ratio_timeline(trace: ServingTrace, policy: ControllerPolicy) -> list[tuple
     return timeline
 
 
+def _fifo(arrivals: list[float], cost_model: CostModel,
+          timeline: list[tuple[float, float]]) -> list[float]:
+    """Finish time of each request of a single-server FIFO queue.
+
+    A request starts at the later of its arrival and the previous finish
+    and is served at the ratio in force at its start; the first request
+    served at a new ratio also pays ``switch_cost``.  Start times never
+    decrease, so the timeline is only consulted when a start reaches the
+    next switch; each ratio's service time is computed once.
+    """
+    finishes: list[float] = []
+    service_of: dict[float, float] = {}
+    k, last_ratio = 0, timeline[0][1]
+    next_switch = timeline[0][0]  # 0.0: the first start looks its ratio up
+    free = service = 0.0
+    for a in arrivals:
+        start = free if free > a else a
+        if start >= next_switch:
+            while k + 1 < len(timeline) and timeline[k + 1][0] <= start:
+                k += 1
+            next_switch = timeline[k + 1][0] if k + 1 < len(timeline) else math.inf
+            ratio = timeline[k][1]
+            if ratio not in service_of:
+                service_of[ratio] = cost_model.service_time(ratio)
+            service = service_of[ratio]
+            if ratio != last_ratio:
+                last_ratio = ratio
+                free = start + (service + cost_model.switch_cost)
+                finishes.append(free)
+                continue
+        free = start + service
+        finishes.append(free)
+    return finishes
+
+
 def simulate(
     trace: ServingTrace,
     cost_model: CostModel,
@@ -185,29 +238,9 @@ def simulate(
     else:
         timeline = [(0.0, float(policy))]
         window = window or max(trace.duration / 20.0, 1e-9)
+    finishes = np.array(_fifo(trace.arrivals.tolist(), cost_model, timeline))
+    latencies = finishes - trace.arrivals
     switch_times = [t for t, _ in timeline]
-
-    # FIFO start times never decrease, so the ratio in force is found by
-    # advancing one timeline index; each ratio's service time is computed once.
-    free = 0.0
-    requests = []
-    service_of: dict[float, float] = {}
-    k, last_ratio = 0, timeline[0][1]
-    for a in trace.arrivals.tolist():
-        start = max(a, free)
-        while k + 1 < len(timeline) and switch_times[k + 1] <= start:
-            k += 1
-        ratio = timeline[k][1]
-        if ratio not in service_of:
-            service_of[ratio] = cost_model.service_time(ratio)
-        service = service_of[ratio]
-        if ratio != last_ratio:
-            service += cost_model.switch_cost
-            last_ratio = ratio
-        free = start + service
-        requests.append((a, start, free, ratio))
-
-    latencies = np.array([f - a for a, _, f, _ in requests])
     windows = []
     n_windows = max(1, int(np.ceil(trace.duration / window)))
     # window wi holds the arrivals a with wi*window <= a < (wi+1)*window
@@ -229,7 +262,7 @@ def simulate(
         trace.arrivals.size
         and trace.arrivals.size / max(trace.duration, 1e-12) * service_min > 1.0
     )
-    return SimResult(windows, timeline, latencies, requests, saturated)
+    return SimResult(windows, timeline, latencies, saturated, trace.arrivals, finishes)
 
 
 def build_profile(
@@ -239,14 +272,21 @@ def build_profile(
     duration: float = 20.0,
     seed: int = 1234,
 ) -> LatencyProfile:
-    """Profiled (rate, ratio) -> median latency table via pre-simulation sweeps."""
+    """Profiled (rate, ratio) -> median latency table via pre-simulation sweeps.
+
+    Each cell is the median latency of a fixed-ratio FIFO run over a Poisson
+    trace; no per-window statistics are computed.
+    """
     rates = np.asarray(sorted(rates), dtype=np.float64)
     table = np.zeros((rates.size, len(ratios)))
     for i, rate in enumerate(rates):
-        trace = gen_poisson(float(rate), duration, seed + i)
+        arrivals = gen_poisson(float(rate), duration, seed + i).arrivals
+        if not arrivals.size:
+            continue  # no request, no latency: the row stays 0
+        times = arrivals.tolist()
         for j, ratio in enumerate(ratios):
-            res = simulate(trace, cost_model, float(ratio))
-            table[i, j] = float(np.median(res.latencies)) if res.latencies.size else 0.0
+            finishes = np.array(_fifo(times, cost_model, [(0.0, float(ratio))]))
+            table[i, j] = float(np.median(finishes - arrivals))
     return LatencyProfile(rates, tuple(ratios), table)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mixq import cli, modelio, netsim, serve, synth
+from conftest import small_conv_model
 
 
 def run_cli(*argv):
@@ -332,3 +333,55 @@ def test_manifest_selection_with_wrong_flag_count_exit_4(demo_dir, tmp_path, cap
     assert str(model_dir / "manifest.json") in err
     assert (f"selection for ratio 0.5 has {n_groups - 1} group flags for layer {key}, "
             f"which has {n_groups} groups") in err
+
+
+@pytest.mark.parametrize("rate", ["0", "100"])
+@pytest.mark.parametrize("ratio", ["1.5", "-0.25", "nan"])
+def test_serve_sim_fixed_ratio_outside_unit_interval_exit_2(tmp_path, rate, ratio):
+    # with no arrivals the ratio once reached serve.csv unchecked; with
+    # arrivals it failed later, in CostModel, with exit 4
+    with pytest.raises(SystemExit) as e:
+        run_cli("serve-sim", "--out", str(tmp_path), "--policy", "fixed",
+                "--ratio", ratio, "--rate", rate)
+    assert e.value.code == 2
+    assert not (tmp_path / "serve.csv").exists()
+
+
+def _copy_model(demo_dir, model_dir):
+    model_dir.mkdir()
+    for src in demo_dir.iterdir():
+        if src.suffix in (".json", ".f32bin", ".i8bin", ".i64bin"):
+            (model_dir / src.name).write_bytes(src.read_bytes())
+    return json.loads((model_dir / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("key", ["7.5", "abc", "nan"])
+def test_manifest_selection_key_not_a_ratio_exit_4(demo_dir, tmp_path, capsys, key):
+    model_dir = tmp_path / "model"
+    manifest = _copy_model(demo_dir, model_dir)
+    manifest["selections"][key] = manifest["selections"]["0.5"]
+    (model_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli("infer", "--model", str(model_dir), "--ratio", "0.5") == 4
+    err = capsys.readouterr().err
+    assert str(model_dir / "manifest.json") in err and repr(key) in err
+
+
+def test_manifest_selection_key_loads_as_ratio_key(demo_dir, tmp_path):
+    model_dir = tmp_path / "model"
+    manifest = _copy_model(demo_dir, model_dir)
+    manifest["selections"]["0.5000000001"] = manifest["selections"].pop("0.5")
+    (model_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert sorted(modelio.load_model(model_dir).selections) == [0.25, 0.5, 0.75, 1.0]
+    assert run_cli("infer", "--model", str(model_dir), "--ratio", "0.5") == 0
+
+
+@pytest.mark.parametrize("mode", ["fp32", "int8", "int4"])
+def test_infer_conv_model_top1(tmp_path, mode):
+    model, _, (x_ev, y_ev) = small_conv_model(seed=3)
+    modelio.save_model(tmp_path, model)
+    modelio.save_dataset(tmp_path, "eval", x_ev, y_ev)
+    metrics = cli.do_infer(tmp_path, mode, None, None, "eval")
+    logits = netsim.run(model, x_ev, mode=mode)
+    assert logits.ndim == 4
+    want = np.mean(np.argmax(logits.mean(axis=(2, 3)), axis=1) == y_ev)
+    assert metrics["top1"] == want

@@ -126,6 +126,16 @@ def test_metrics_helpers():
     assert top1_accuracy(logits, np.array([0, 0])) == 0.5
 
 
+def test_top1_accuracy_averages_conv_logits_and_checks_labels():
+    logits = np.zeros((2, 3, 2, 2))
+    logits[0, 2, 0, 0] = 4.0  # one pixel outvotes the other three
+    logits[0, 1, 1:, :] = 1.0
+    logits[1, 0] = 1.0
+    assert top1_accuracy(logits, np.array([2, 0])) == 1.0
+    with pytest.raises(ValueError, match=r"labels of shape \(3,\) do not match logits of shape \(2, 3, 2, 2\)"):
+        top1_accuracy(logits, np.array([2, 0, 1]))
+
+
 def test_softmax_matches_direct_formula():
     z = np.array([[1.0, 2.0, 3.0]])
     want = np.exp(z) / np.exp(z).sum()

@@ -1,4 +1,5 @@
 import bisect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,68 @@ def test_simulate_equals_reference(case):
     assert res.latencies.dtype == latencies.dtype
     assert res.latencies.tolist() == latencies.tolist()
     assert res.requests == requests
+
+
+def test_simulate_equals_reference_on_a_long_switching_trace():
+    # 2,000 arrivals whose rate swings across the profile, so the
+    # controller switches often and each switch costs service time
+    rng = np.random.default_rng(11)
+    gaps = rng.exponential(1.0 / np.repeat([20.0, 300.0, 40.0, 300.0, 20.0], [200, 600, 200, 800, 200]))
+    arrivals = np.cumsum(gaps)
+    trace = ServingTrace(arrivals, float(np.ceil(arrivals[-1])) + 0.5)
+    cost = CostModel(matmul_costs=np.array([0.004]), switch_cost=0.0015)
+    profile = build_profile(cost, rates=[0.0, 100.0, 200.0, 300.0], duration=5.0, seed=12)
+    policy = ControllerPolicy(window=0.5, threshold=0.008, profile=profile)
+    res = simulate(trace, cost, policy)
+    windows, timeline, latencies, requests = reference_simulate(trace, cost, policy)
+    assert len(timeline) > 15
+    assert len({r for *_, r in requests}) == 5
+    assert res.windows == windows
+    assert res.ratio_timeline == timeline
+    assert res.latencies.tolist() == latencies.tolist()
+    assert res.requests == requests
+    assert res.completed() == 2000
+
+
+def reference_build_profile(cost_model, rates, ratios=(0.0, 0.25, 0.5, 0.75, 1.0),
+                            duration=20.0, seed=1234):
+    """build_profile as the median of each fixed-ratio simulate run."""
+    rates = np.asarray(sorted(rates), dtype=np.float64)
+    table = np.zeros((rates.size, len(ratios)))
+    for i, rate in enumerate(rates):
+        trace = gen_poisson(float(rate), duration, seed + i)
+        for j, ratio in enumerate(ratios):
+            res = simulate(trace, cost_model, float(ratio))
+            table[i, j] = float(np.median(res.latencies)) if res.latencies.size else 0.0
+    return LatencyProfile(rates, tuple(ratios), table)
+
+
+@pytest.mark.parametrize("switch_cost", [0.0, 0.0005])
+def test_build_profile_equals_median_of_simulate(switch_cost):
+    # 0 req/s has no arrival; 1,500 req/s is above capacity at every ratio
+    cost = CostModel(matmul_costs=np.array([0.001]), switch_cost=switch_cost)
+    rates = [900.0, 0.0, 300.0, 1500.0]
+    got = build_profile(cost, rates, duration=4.0, seed=21)
+    want = reference_build_profile(cost, rates, duration=4.0, seed=21)
+    assert got.rates.tolist() == want.rates.tolist()
+    assert got.ratios == want.ratios
+    assert got.latency.tolist() == want.latency.tolist()
+    assert got.latency[0].tolist() == [0.0] * 5
+    assert got.latency[-1, -1] > 10 * got.latency[1, -1]  # the queue grows
+
+
+def test_simulate_peak_memory_on_the_shipped_scenario():
+    # the simulation once kept an (arrival, start, finish, ratio) tuple per
+    # request: a 20.1-MB peak over these 120K requests
+    trace, cost, policy = serve.shipped_scenario(7)
+    tracemalloc.start()
+    try:
+        res = simulate(trace, cost, policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.completed() == trace.arrivals.size > 100_000
+    assert peak < 10e6
 
 
 def test_simulate_counts_edge_arrivals_in_the_later_window():
