@@ -14,11 +14,12 @@ import numpy as np
 
 Q4_MIN, Q4_MAX = -8, 7
 MAX_SHIFT = 4
+EXTRACTION_MODES = ("static", "dynamic", "naive")
 _POW2 = np.left_shift(1, np.arange(63, dtype=np.int64))  # 2^0 .. 2^62
 
 
 def group_bitwidths(codes, group_size: int, axis: int = 0, keep: int | None = None) -> np.ndarray:
-    """Effective signed bitwidth of each feature group of ``codes``.
+    """Effective signed bitwidth of each feature group of signed integer ``codes``.
 
     Signs fold with ~q (a negative code needs the bits of its one's
     complement), the widest folded code decides, and b = bit_length + 1.
@@ -28,7 +29,8 @@ def group_bitwidths(codes, group_size: int, axis: int = 0, keep: int | None = No
     q = np.asarray(codes)
     axis %= q.ndim
     reduced = tuple(a for a in range(q.ndim) if a not in (axis, keep))
-    mags = np.where(q >= 0, q, ~q).max(axis=reduced, keepdims=True)
+    # q >> (bits - 1) is -1 where q < 0 and 0 elsewhere: the xor gives ~q or q
+    mags = (q ^ (q >> (8 * q.dtype.itemsize - 1))).max(axis=reduced, keepdims=True)
     starts = [sl.start for sl in group_slices(q.shape[axis], group_size)]
     widest = np.maximum.reduceat(mags, starts, axis=axis)
     return np.searchsorted(_POW2, widest.squeeze(axis=reduced), side="right") + 1
@@ -113,7 +115,7 @@ class ExtractionPlan:
             raise ValueError("activation shift out of [0, 4]")
         if wgt.min(initial=0) < 0 or wgt.max(initial=0) > MAX_SHIFT:
             raise ValueError("weight shift out of [0, 4]")
-        if self.mode not in ("static", "dynamic", "naive"):
+        if self.mode not in EXTRACTION_MODES:
             raise ValueError(f"unknown extraction mode {self.mode!r}")
         object.__setattr__(self, "act_shifts", act)
         object.__setattr__(self, "weight_shifts", wgt)

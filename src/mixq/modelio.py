@@ -4,6 +4,20 @@ Float tensors are stored as ``<name>.f32bin``, quantized codes as
 ``<name>.i8bin``; binary files carry no header, all shapes live in the
 manifest.  Serialization is byte-deterministic: identical inputs always
 produce identical trees.
+
+The manifest stores the graph (layer kinds, names, weight files, shapes,
+sources, permutations), the group size and input shape, each quantized
+layer's calibrated ``act_min``/``act_max`` and ``codes_file``, each
+layer's extraction mode, the per-ratio group flags, the input permutation
+and the laid-out flag.  Everything else (activation and weight scales,
+the 8- and 4-bit weight codes, the extraction shifts and lowered weights)
+is rebuilt on load from the float weights and ranges; keys that older
+manifests carry for them are ignored.  ``codes_file`` is written for
+readers of the tree and never read back.  Before any state is built,
+``load_model`` checks that each range lists one finite number per input
+channel with min <= max, that each extraction mode is a known one and
+that ``input_perm`` permutes the input channels; a failed check raises a
+``ValueError`` naming the manifest and the key.
 """
 
 from __future__ import annotations
@@ -14,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitlower import group_slices
+from .bitlower import EXTRACTION_MODES, group_slices
 from .netsim import Layer, NetworkGraph, PreparedModel, _build_state, ratio_key
 from .qtensor import ChannelRange
 
@@ -50,7 +64,7 @@ def load_array(path: Path, dtype: str, shape) -> np.ndarray:
             f"{path}: shape {list(shape)} needs {want} elements, "
             f"found {size // itemsize} ({size} bytes)"
         )
-    return np.fromfile(path, dtype=dtype).astype(native).reshape(shape)
+    return np.fromfile(path, dtype=dtype).astype(native, copy=False).reshape(shape)
 
 
 def save_model(path, model: PreparedModel):
@@ -77,12 +91,8 @@ def save_model(path, model: PreparedModel):
     for idx, state in model.states.items():
         layer = graph.layers[idx]
         quant[str(idx)] = {
-            "act_scale": state.act_scale,
-            "act_scale4": state.act_scale4,
             "act_min": [float(v) for v in state.act_range.min],
             "act_max": [float(v) for v in state.act_range.max],
-            "weight_scales8": [float(v) for v in state.w_params8.scale],
-            "weight_scales4": [float(v) for v in state.w_params4.scale],
             "codes_file": _codes_file(idx, layer),
         }
         save_array(path / _codes_file(idx, layer), state.w_q8)
@@ -123,7 +133,26 @@ def load_model(path) -> PreparedModel:
         raise ValueError(f"{mpath} is missing key {exc.args[0]!r}") from None
 
 
+def _vector(mpath: Path, what: str, value, n: int, kinds: str = "iuf") -> np.ndarray:
+    """A manifest list of ``n`` finite numbers, one per input channel, whose
+    dtype kind is one of ``kinds``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in kinds or arr.shape != (n,):
+        noun = "integers" if kinds == "i" else "numbers"
+        raise ValueError(
+            f"{mpath}: {what} must list {n} {noun}, one per input channel "
+            f"(found {arr.dtype} of shape {list(arr.shape)})"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{mpath}: {what} is not finite at channel {np.argmin(np.isfinite(arr))}")
+    return arr
+
+
 def _parse_manifest(path: Path, manifest: dict) -> PreparedModel:
+    mpath = path / MANIFEST
     layers = []
     for idx, rec in enumerate(manifest["layers"]):
         weight = None
@@ -139,18 +168,32 @@ def _parse_manifest(path: Path, manifest: dict) -> PreparedModel:
             )
         )
     graph = NetworkGraph(layers, tuple(manifest["input_shape"]), manifest["group_size"])
+    input_perm = manifest.get("input_perm")
+    if input_perm is not None:
+        width = graph.input_shape[0]
+        input_perm = _vector(mpath, "input_perm", input_perm, width, kinds="i").astype(np.int64)
+        if not np.array_equal(np.sort(input_perm), np.arange(width)):
+            raise ValueError(f"{mpath}: input_perm is not a permutation of the {width} input channels")
 
     matmuls = {str(i): i for i in graph.matmul_indices()}
     states = {}
     for key, q in manifest.get("quant", {}).items():
         if key not in matmuls:
             raise ValueError(
-                f"{path / MANIFEST}: quant key {key!r} names no matmul layer "
+                f"{mpath}: quant key {key!r} names no matmul layer "
                 f"(matmul layers: {sorted(matmuls.values())})"
             )
         idx = matmuls[key]
-        cr = ChannelRange(np.asarray(q["act_min"]), np.asarray(q["act_max"]))
+        lo, hi = (_vector(mpath, f"quant key {key!r} {name}", q[name], graph.layers[idx].n_in)
+                  for name in ("act_min", "act_max"))
+        if np.any(lo > hi):
+            raise ValueError(f"{mpath}: quant key {key!r} act_min exceeds act_max "
+                             f"at channel {np.argmax(lo > hi)}")
+        cr = ChannelRange(lo, hi)
         mode = manifest["bit_lowering"][key]["mode"]
+        if mode not in EXTRACTION_MODES:
+            raise ValueError(f"{mpath}: bit_lowering key {key!r} has unknown extraction mode "
+                             f"{mode!r} (known: {', '.join(EXTRACTION_MODES)})")
         states[idx] = _build_state(graph.layers[idx], cr, graph.group_size, mode)
 
     n_groups = {key: len(group_slices(graph.layers[i].n_in, graph.group_size))
@@ -162,22 +205,21 @@ def _parse_manifest(path: Path, manifest: dict) -> PreparedModel:
         for key, f in sel.items():
             if key not in matmuls:
                 raise ValueError(
-                    f"{path / MANIFEST}: selection for ratio {r} names layer {key!r}, "
+                    f"{mpath}: selection for ratio {r} names layer {key!r}, "
                     f"no matmul layer (matmul layers: {sorted(matmuls.values())})"
                 )
             flags = np.asarray(f, dtype=bool)
             if flags.shape != (n_groups[key],):
                 raise ValueError(
-                    f"{path / MANIFEST}: selection for ratio {r} has {flags.size} group "
+                    f"{mpath}: selection for ratio {r} has {flags.size} group "
                     f"flags for layer {key}, which has {n_groups[key]} groups"
                 )
             selections[ratio][matmuls[key]] = flags
-    input_perm = manifest.get("input_perm")
     return PreparedModel(
         graph=graph,
         states=states,
         selections=selections,
-        input_perm=None if input_perm is None else np.asarray(input_perm, dtype=np.int64),
+        input_perm=input_perm,
         laid_out=manifest.get("laid_out", False),
     )
 

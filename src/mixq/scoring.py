@@ -41,13 +41,16 @@ def score_groups(model: PreparedModel, eligible: list[int] | None = None) -> lis
     scores = []
     for idx in eligible:
         layer = model.graph.layers[idx]
-        state = model.states[idx]
-        w = layer.weight.reshape(layer.n_out, layer.n_in, -1).astype(np.float64)
-        for g, sl in enumerate(group_slices(layer.n_in, model.group_size)):
-            act_range = float(state.act_range.max[sl].max() - state.act_range.min[sl].min())
-            slab = w[:, sl, :].reshape(layer.n_out, -1)
-            w_range = float((slab.max(axis=1) - slab.min(axis=1)).max())
-            scores.append(ErrorScore(idx, g, act_range, w_range))
+        rng = model.states[idx].act_range
+        starts = [sl.start for sl in group_slices(layer.n_in, model.group_size)]
+        act_ranges = np.maximum.reduceat(rng.max, starts) - np.minimum.reduceat(rng.min, starts)
+        # max/min are exact in the weights' float32; each range subtracts in float64
+        w = layer.weight.reshape(layer.n_out, layer.n_in, -1)
+        w_hi = np.maximum.reduceat(w.max(axis=2), starts, axis=1).astype(np.float64)
+        w_lo = np.minimum.reduceat(w.min(axis=2), starts, axis=1)
+        w_ranges = (w_hi - w_lo).max(axis=0)
+        scores.extend(ErrorScore(idx, g, a, r)
+                      for g, (a, r) in enumerate(zip(act_ranges.tolist(), w_ranges.tolist())))
     scores.sort(key=lambda s: (s.score, s.layer, s.group))
     return scores
 

@@ -13,6 +13,7 @@ from mixq.bitlower import (
     dynamic_shift,
     effective_bitwidth,
     extract4,
+    group_bitwidths,
     group_slices,
     plan_extraction,
     signed_bitwidth,
@@ -73,6 +74,48 @@ def test_extract4_saturates():
 
 def oracle_dynamic_shift(values) -> int:
     return max(0, max(oracle_bitwidth(int(v)) for v in np.asarray(values).ravel()) - 4)
+
+
+def reference_group_bitwidths(q, group_size, axis, keep):
+    """Group bitwidths with the sign fold np.where(q >= 0, q, ~q) and a
+    Python bit_length per group (and per ``keep`` index)."""
+    folded = np.where(q >= 0, q, ~q)
+    out = []
+    for sl in group_slices(q.shape[axis], group_size):
+        block = folded[(slice(None),) * (axis % q.ndim) + (sl,)]
+        if keep is None:
+            out.append(int(block.max()).bit_length() + 1)
+        else:
+            per_keep = np.moveaxis(block, keep, 0).reshape(block.shape[keep], -1).max(axis=1)
+            out.append([int(m).bit_length() + 1 for m in per_keep])
+    got = np.array(out)
+    return got if keep is None or axis % q.ndim < keep else got.T
+
+
+@st.composite
+def fold_cases(draw):
+    dtype = np.dtype(draw(st.sampled_from([np.int8, np.int16, np.int64])))
+    info = np.iinfo(dtype)
+    extremes = [v for v in (info.min, info.min + 1, -129, -128, -1, 0, 127, 128, info.max)
+                if info.min <= v <= info.max]
+    elements = st.one_of(st.sampled_from(extremes), st.integers(info.min, info.max))
+    q = draw(hnp.arrays(dtype, hnp.array_shapes(min_dims=1, max_dims=3, max_side=7),
+                        elements=elements))
+    axis = draw(st.integers(-q.ndim, q.ndim - 1))
+    others = [a for a in range(q.ndim) if a != axis % q.ndim]
+    keep = draw(st.sampled_from([None] + others))
+    return q, draw(st.integers(1, 8)), axis, keep
+
+
+@settings(max_examples=300, deadline=None)
+@given(fold_cases())
+def test_group_bitwidths_matches_where_fold(case):
+    """The shift-and-xor sign fold equals np.where(q >= 0, q, ~q) on every
+    signed dtype, extremes included, along either axis, with or without a
+    kept axis and with ragged last groups."""
+    q, group_size, axis, keep = case
+    got = group_bitwidths(q, group_size, axis=axis, keep=keep)
+    assert np.array_equal(got, reference_group_bitwidths(q, group_size, axis, keep))
 
 
 @settings(max_examples=300, deadline=None)

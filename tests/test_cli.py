@@ -268,6 +268,27 @@ def test_manifest_quant_key_out_of_range_exit_4(demo_dir, tmp_path, capsys):
     assert str(model_dir / "manifest.json") in err and "'99'" in err
 
 
+@pytest.mark.parametrize("field", ["act_min", "input_perm"])
+def test_manifest_wrong_width_exit_4(demo_dir, tmp_path, capsys, field):
+    """A range or input permutation one entry short exits 4 on load, naming
+    manifest and key, instead of failing inside the first forward."""
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    for src in demo_dir.iterdir():
+        if src.suffix in (".json", ".f32bin", ".i8bin", ".i64bin"):
+            (model_dir / src.name).write_bytes(src.read_bytes())
+    manifest = json.loads((model_dir / "manifest.json").read_text())
+    if field == "input_perm":
+        width = manifest["input_shape"][0]
+        manifest["input_perm"] = (manifest["input_perm"] or list(range(width)))[:-1]
+    else:
+        manifest["quant"]["0"]["act_min"] = manifest["quant"]["0"]["act_min"][:-1]
+    (model_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli("infer", "--model", str(model_dir), "--mode", "int8") == 4
+    err = capsys.readouterr().err
+    assert str(model_dir / "manifest.json") in err and field in err
+
+
 def test_serve_sim_negative_arrival_exit_4(tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     trace.write_text("-0.5\n1.0\n")

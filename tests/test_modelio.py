@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -208,4 +209,105 @@ def test_selection_must_fit_a_matmul_layer(tmp_path, bad):
         want = f"manifest.json: selection for ratio {ratio} names layer {relu!r}, no matmul layer"
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=re.escape(want)):
+        modelio.load_model(tmp_path)
+
+
+def assert_same(a, b, where="state"):
+    """Equal dataclass trees: arrays equal in dtype, shape and bytes, other
+    leaves equal."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), where
+        for f in dataclasses.fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), where
+    else:
+        assert a == b and type(a) is type(b), where
+
+
+def test_manifest_with_stored_scales_loads_like_a_fresh_save(tmp_path):
+    """Older manifests also store each layer's activation and weight scales;
+    they are rebuilt on load, so such a manifest loads to the same states
+    and the same outputs and kernel stats in every mode and extraction."""
+    model, x_ev = full_pipeline_model()
+    modelio.save_model(tmp_path / "fresh", model)
+    modelio.save_model(tmp_path / "old", model)
+    path = tmp_path / "old" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    for key, q in manifest["quant"].items():
+        st = model.states[int(key)]
+        q["act_scale"], q["act_scale4"] = st.act_scale, st.act_scale4
+        q["weight_scales8"] = [float(v) for v in st.w_params8.scale]
+        q["weight_scales4"] = [float(v) for v in st.w_params4.scale]
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    old, fresh = modelio.load_model(tmp_path / "old"), modelio.load_model(tmp_path / "fresh")
+    assert sorted(old.states) == sorted(fresh.states) == sorted(model.states)
+    for idx in model.states:
+        assert_same(old.states[idx], fresh.states[idx], f"state {idx}")
+        assert_same(old.states[idx], model.states[idx], f"state {idx}")
+    runs = [("int8", None, None), ("int4", None, None)] + [
+        ("mixed", r, e) for r in model.selections for e in ("static", "dynamic", "naive")]
+    for mode, ratio, extraction in runs:
+        rec_old, rec_fresh = {}, {}
+        a = netsim.run(old, x_ev, mode=mode, ratio=ratio, extraction=extraction, record=rec_old)
+        b = netsim.run(fresh, x_ev, mode=mode, ratio=ratio, extraction=extraction, record=rec_fresh)
+        assert a.tobytes() == b.tobytes(), (mode, ratio, extraction)
+        for idx in rec_old:
+            assert_same(rec_old[idx].stats, rec_fresh[idx].stats, f"{mode} {ratio} {extraction}")
+
+
+def test_quant_entries_hold_only_keys_that_are_read(tmp_path):
+    """A quant entry stores the calibrated range, which load_model reads,
+    and the codes file name, which the benchmark's size count reads."""
+    model, _ = full_pipeline_model()
+    modelio.save_model(tmp_path, model)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["quant"]
+    for q in manifest["quant"].values():
+        assert set(q) == {"act_min", "act_max", "codes_file"}
+        assert (tmp_path / q["codes_file"]).is_file()
+
+
+def _corrupt(manifest, case):
+    """Break one field of a saved manifest; returns the text the error must hold."""
+    key = min(manifest["quant"], key=int)
+    q = manifest["quant"][key]
+    if case == "short_act_min":
+        q["act_min"] = q["act_min"][:3]
+        return f"quant key '{key}' act_min must list"
+    if case == "min_above_max":
+        q["act_min"][1] = q["act_max"][1] + 1.0
+        return f"quant key '{key}' act_min exceeds act_max at channel 1"
+    if case == "nan_act_max":
+        q["act_max"][2] = float("nan")
+        return f"quant key '{key}' act_max is not finite at channel 2"
+    if case == "text_act_max":
+        q["act_max"] = ["0.5"] * len(q["act_max"])
+        return f"quant key '{key}' act_max must list"
+    if case == "ragged_act_min":
+        q["act_min"] = [[0.0]] + q["act_min"][1:]
+        return f"quant key '{key}' act_min must list"
+    if case == "bad_mode":
+        manifest["bit_lowering"][key]["mode"] = "bogus"
+        return f"bit_lowering key '{key}' has unknown extraction mode 'bogus'"
+    perm = manifest["input_perm"] or list(range(manifest["input_shape"][0]))
+    manifest["input_perm"] = {"short_perm": perm[:-1], "repeated_perm": [perm[0]] * len(perm),
+                              "float_perm": [float(v) for v in perm]}[case]
+    return "input_perm"
+
+
+@pytest.mark.parametrize("case", [
+    "short_act_min", "min_above_max", "nan_act_max", "text_act_max", "ragged_act_min",
+    "bad_mode", "short_perm", "repeated_perm", "float_perm",
+])
+def test_malformed_quant_entry_rejected_naming_key(tmp_path, case):
+    """Each quant entry and the input permutation are checked against the
+    graph before any state is built; the error names manifest and key."""
+    model, _ = full_pipeline_model()
+    modelio.save_model(tmp_path, model)
+    mpath = tmp_path / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    want = _corrupt(manifest, case)
+    mpath.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=re.escape(f"{mpath}: {want}")):
         modelio.load_model(tmp_path)

@@ -3,7 +3,7 @@ import pytest
 
 from mixq import scoring
 from mixq.bitlower import group_slices
-from conftest import small_model
+from conftest import small_conv_model, small_model
 
 
 def brute_force_scores(model):
@@ -60,3 +60,18 @@ def test_csv_round_trips_floats():
     assert lines[0] == "layer,group,activation_range,max_weight_range,score"
     first = lines[1].split(",")
     assert float(first[4]) == scores[0].score
+
+
+@pytest.mark.parametrize("build", [
+    lambda: small_model(seed=13, features=18, group_size=4)[0],  # ragged last group
+    lambda: small_conv_model(seed=3, channels=8, group_size=3)[0],
+], ids=["linear", "conv"])
+def test_scores_bit_identical_to_brute_force(build):
+    """Each range is a float64 difference of exact float32 extremes, so the
+    grouped reduction gives the scalar loop's floats to the last bit."""
+    model = build()
+    got = {(s.layer, s.group): s.score for s in scoring.score_groups(model)}
+    want = brute_force_scores(model)
+    assert len(got) == len(want)
+    for idx, g, score in want:
+        assert got[(idx, g)] == score, (idx, g)
