@@ -101,10 +101,10 @@ def do_score(model_dir, out_name="score.csv") -> list[scoring.ErrorScore]:
 
 
 def do_select(model_dir, ratios, algo, seed, cfg_kwargs, protect_edges, extraction):
+    cfg = evoselect.EvoConfig(seed=stage_seed(seed, "select"), **cfg_kwargs)
     model = _load(model_dir)
     scores = scoring.score_groups(model)
     x, _ = modelio.load_dataset(model_dir, "calib")
-    cfg = evoselect.EvoConfig(seed=stage_seed(seed, "select"), **cfg_kwargs)
     samples = x[: cfg.fitness_samples]
     histories: dict = {}
     selections = evoselect.chained_selection(

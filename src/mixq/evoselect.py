@@ -56,8 +56,17 @@ class EvoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.elite < self.parents <= self.population:
-            raise ValueError("need elite < parents <= population")
+        # crossover draws two distinct parents, and the elite are kept among them
+        if self.parents < 2:
+            raise ValueError(f"parents must be at least 2, got {self.parents}")
+        if self.parents > self.population:
+            raise ValueError(f"parents ({self.parents}) must not exceed population "
+                             f"({self.population})")
+        if not 0 <= self.elite < self.parents:
+            raise ValueError(f"elite must lie in [0, parents) = [0, {self.parents}), "
+                             f"got {self.elite}")
+        if self.generations < 0:
+            raise ValueError(f"generations must be non-negative, got {self.generations}")
         if not 0.0 < self.mutation_prob < 1.0:
             raise ValueError("mutation probability must be in (0, 1)")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitlower import group_slices
-from .netsim import MATMUL_KINDS, Layer, NetworkGraph, PreparedModel, _build_state
+from .netsim import MATMUL_KINDS, Layer, NetworkGraph, PreparedModel, QuantState
 
 
 @dataclass
@@ -129,8 +129,8 @@ def apply_layout(model: PreparedModel, plans: dict[int, ChannelPermutation]) -> 
     new_graph = NetworkGraph(new_layers, graph.input_shape, graph.group_size)
     new_matmuls = new_graph.matmul_indices()
 
-    # rebuild quantized states from the permuted weights and ranges; this
-    # reproduces the original codes and shifts in permuted order exactly
+    # quantized states of the permuted weights and ranges; they build the
+    # original codes and shifts in permuted order exactly
     states = {}
     selections: dict[float, dict[int, np.ndarray]] = {r: {} for r in model.selections}
     for old_idx, new_idx in zip(matmuls, new_matmuls):
@@ -138,9 +138,8 @@ def apply_layout(model: PreparedModel, plans: dict[int, ChannelPermutation]) -> 
         old_state = model.states[old_idx]
         cr = old_state.act_range
         permuted_range = type(cr)(cr.min[plan.perm], cr.max[plan.perm])
-        states[new_idx] = _build_state(
-            new_graph.layers[new_idx], permuted_range, new_graph.group_size,
-            old_state.plan.mode,
+        states[new_idx] = QuantState(
+            new_graph.layers[new_idx].weight, permuted_range, new_graph.group_size, old_state.mode
         )
         for r in model.selections:
             flags = model.selections[r].get(old_idx)

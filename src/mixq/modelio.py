@@ -11,9 +11,11 @@ layer's calibrated ``act_min``/``act_max`` and ``codes_file``, each
 layer's extraction mode, the per-ratio group flags, the input permutation
 and the laid-out flag.  Everything else (activation and weight scales,
 the 8- and 4-bit weight codes, the extraction shifts and lowered weights)
-is rebuilt on load from the float weights and ranges; keys that older
-manifests carry for them are ignored.  ``codes_file`` is written for
-readers of the tree and never read back.  Before any state is built,
+is rebuilt from the float weights and ranges, not on load but on its first
+read (``netsim.QuantState``), so a stage that reads only the ranges
+quantizes no weights; keys that older manifests carry for them are
+ignored.  ``codes_file`` is written for readers of the tree and never
+read back; writing it builds each layer's 8- and 4-bit codes.
 ``load_model`` checks that each range lists one finite number per input
 channel with min <= max, that each extraction mode is a known one and
 that ``input_perm`` permutes the input channels; a failed check raises a
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .bitlower import EXTRACTION_MODES, group_slices
-from .netsim import Layer, NetworkGraph, PreparedModel, _build_state, ratio_key
+from .netsim import Layer, NetworkGraph, PreparedModel, QuantState, ratio_key
 from .qtensor import ChannelRange
 
 MANIFEST = "manifest.json"
@@ -50,7 +52,7 @@ def _codes_file(idx: int, layer: Layer) -> str:
 
 def save_array(path: Path, arr: np.ndarray):
     dtype = {"float32": "<f4", "int8": "i1", "int64": "<i8"}[str(arr.dtype)]
-    arr.astype(dtype).tofile(path)
+    arr.astype(dtype, copy=False).tofile(path)
 
 
 def load_array(path: Path, dtype: str, shape) -> np.ndarray:
@@ -103,8 +105,8 @@ def save_model(path, model: PreparedModel):
         "input_shape": list(graph.input_shape),
         "layers": layers_json,
         "quant": quant,
-        # the extraction plan is rebuilt on load; only its mode is stored
-        "bit_lowering": {str(idx): {"mode": st.plan.mode} for idx, st in model.states.items()},
+        # the extraction plan is rebuilt after load; only its mode is stored
+        "bit_lowering": {str(idx): {"mode": st.mode} for idx, st in model.states.items()},
         "selections": {
             f"{r}": {str(i): [int(b) for b in f] for i, f in sel.items()}
             for r, sel in model.selections.items()
@@ -116,8 +118,9 @@ def save_model(path, model: PreparedModel):
 
 
 def load_model(path) -> PreparedModel:
-    """Load a model directory; quantized state is rebuilt deterministically
-    from the stored float weights and calibrated ranges."""
+    """Load a model directory.  Each layer's quantized state is rebuilt
+    deterministically from the stored float weights and calibrated ranges,
+    on its first read (see ``netsim.QuantState``)."""
     path = Path(path)
     mpath = path / MANIFEST
     if not mpath.exists():
@@ -194,7 +197,7 @@ def _parse_manifest(path: Path, manifest: dict) -> PreparedModel:
         if mode not in EXTRACTION_MODES:
             raise ValueError(f"{mpath}: bit_lowering key {key!r} has unknown extraction mode "
                              f"{mode!r} (known: {', '.join(EXTRACTION_MODES)})")
-        states[idx] = _build_state(graph.layers[idx], cr, graph.group_size, mode)
+        states[idx] = QuantState(graph.layers[idx].weight, cr, graph.group_size, mode)
 
     n_groups = {key: len(group_slices(graph.layers[i].n_in, graph.group_size))
                 for key, i in matmuls.items()}

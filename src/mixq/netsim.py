@@ -4,9 +4,12 @@ Supported operators: linear, conv2d (stride 1, same padding), relu, gelu,
 residual_add, and reorder.  Matmul operators run in fp32, uniform int8,
 uniform int4, or mixed 4/8-bit precision; everything else runs in 32-bit
 float.  The engine is pure: a prepared model is immutable during a call
-and outputs are deterministic.  A quantized run walks a plan of per-layer
-``Step``s holding what no call changes, built once per model and
-precision, and in mixed mode once per prepared ratio.
+and outputs are deterministic.  Each matmul layer's ``QuantState`` keeps
+its float weight and calibrated ranges and builds its codes, scales and
+extraction plan on first read, so only what a call reads is ever built.  A
+quantized run walks a plan of per-layer ``Step``s holding what no call
+changes, built once per model and precision, and in mixed mode once per
+prepared ratio.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kernels
-from .bitlower import ExtractionPlan, group_bitwidths, group_slices, plan_extraction
+from .bitlower import EXTRACTION_MODES, group_bitwidths, group_slices, plan_extraction
 from .qtensor import ChannelRange, QuantParams, calibrate_ranges, derive_scales, quantize
 
 MATMUL_KINDS = ("linear", "conv2d")
@@ -54,30 +57,69 @@ class NetworkGraph:
         return [i for i, l in enumerate(self.layers) if l.kind in MATMUL_KINDS]
 
 
-@dataclass
-class QuantState:
-    """Calibrated quantization data for one matmul layer."""
+# the derived attributes of a ``QuantState``, per part built on first read
+_UNIFORM_PART = ("act_scale", "act_scale4", "w_params8", "w_q8", "w_params4", "w_q4")
+_MIXED_PART = ("plan", "w_lo8")
 
+
+@dataclass(eq=False)
+class QuantState:
+    """Calibrated quantization data for one matmul layer.
+
+    It keeps only its inputs.  Everything else is built once, on the first
+    read of any of its attributes, in two parts:
+
+    - uniform: the per-tensor activation scales ``act_scale`` (8-bit) and
+      ``act_scale4`` (4-bit, the uniform-int4 baseline), and the
+      per-output-channel ``w_params8``/``w_params4`` with the weight codes
+      ``w_q8``/``w_q4``, all from one per-channel weight range;
+    - mixed: the extraction ``plan`` and ``w_lo8``, ``w_q8`` with every
+      group lowered per the plan (``kernels.lower_weights``).
+
+    So a stage that reads only the ranges quantizes no weights, and int8 or
+    int4 inference plans no extraction.
+    """
+
+    weight: np.ndarray  # the layer's float32 weight
     act_range: ChannelRange  # per input channel, float units
-    act_scale: float  # per-tensor, 8-bit
-    act_scale4: float  # per-tensor, 4-bit (uniform-int4 baseline)
-    w_params8: QuantParams
-    w_q8: np.ndarray
-    w_params4: QuantParams
-    w_q4: np.ndarray
-    plan: ExtractionPlan
-    w_lo8: np.ndarray  # w_q8 with every group lowered per the plan (kernels.lower_weights)
+    group_size: int
+    mode: str  # extraction mode
+
+    def __post_init__(self):
+        if self.mode not in EXTRACTION_MODES:
+            raise ValueError(f"unknown extraction mode {self.mode!r}")
+
+    def __getattr__(self, name):
+        # reached only while ``name`` is unset: build its whole part
+        if name in _UNIFORM_PART:
+            self.__dict__.update(zip(_UNIFORM_PART, self._uniform_part()))
+        elif name in _MIXED_PART:
+            self.__dict__.update(zip(_MIXED_PART, self._mixed_part()))
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return self.__dict__[name]
+
+    def _uniform_part(self) -> tuple:
+        w = self.weight
+        flat = w.reshape(w.shape[0], -1)
+        w_ranges = ChannelRange(flat.min(axis=1), flat.max(axis=1))
+        p8 = derive_scales(w_ranges, 8, per_channel=True, channel_axis=0)
+        p4 = derive_scales(w_ranges, 4, per_channel=True, channel_axis=0)
+        abs_max = float(self.act_range.abs_max().max())
+        act_scale = abs_max / 127.0 if abs_max > 0 else 1e-8
+        act_scale4 = abs_max / 7.0 if abs_max > 0 else 1e-8
+        return act_scale, act_scale4, p8, quantize(w, p8).data, p4, quantize(w, p4).data
+
+    def _mixed_part(self) -> tuple:
+        plan = plan_extraction(self.act_q8_bounds(), self.w_q8, self.group_size, mode=self.mode)
+        return plan, kernels.lower_weights(self.w_q8, plan.weight_shifts, self.group_size, axis=1)
 
     def act_q8_bounds(self) -> np.ndarray:
-        return _act_code_bounds(self.act_range, self.act_scale)
-
-
-def _act_code_bounds(act_range: ChannelRange, act_scale: float) -> np.ndarray:
-    """[n_channels, 2] int64 (lo, hi) 8-bit activation code bounds of the
-    calibrated per-channel ranges."""
-    lo = np.clip(np.rint(act_range.min / act_scale), -128, 127)
-    hi = np.clip(np.rint(act_range.max / act_scale), -128, 127)
-    return np.stack([lo, hi], axis=1).astype(np.int64)
+        """[n_channels, 2] int64 (lo, hi) 8-bit activation code bounds of the
+        calibrated per-channel ranges."""
+        lo = np.clip(np.rint(self.act_range.min / self.act_scale), -128, 127)
+        hi = np.clip(np.rint(self.act_range.max / self.act_scale), -128, 127)
+        return np.stack([lo, hi], axis=1).astype(np.int64)
 
 
 @dataclass
@@ -167,26 +209,26 @@ class Step:
 def _uniform_step(layer: Layer, state: QuantState, bits: int) -> Step:
     conv = layer.kind == "conv2d"
     if bits == 4:
-        act_scale, w_q, w_scales, w_lo = state.act_scale4, state.w_q4, state.w_params4.scale, None
+        act_scale, w_q, w_scales = state.act_scale4, state.w_q4, state.w_params4.scale
     else:
         act_scale, w_q, w_scales = state.act_scale, state.w_q8, state.w_params8.scale
-        w_lo = state.w_lo8
     if not conv:
-        w_q, w_lo = w_q.T, None if w_lo is None else w_lo.T
+        w_q = w_q.T
     contraction = kernels.plan_contraction(w_q, act_scale, w_scales, conv)
-    return Step(state, act_scale, QuantParams(act_scale, bits), w_q, w_scales, contraction, w_lo)
+    return Step(state, act_scale, QuantParams(act_scale, bits), w_q, w_scales, contraction)
 
 
 def _mixed_step(base: Step, layer: Layer, flags, group_size: int, extraction: str | None) -> Step:
+    conv = layer.kind == "conv2d"
     flags = np.array(flags, dtype=bool)
     flags.flags.writeable = False  # shared by every call and LayerRecord that uses the step
     lowering = None  # a layer with no 4-bit group lowers nothing
     if flags.any():
         lowering = kernels.plan_lowering(
-            base.state.plan, group_size, flags, layer.n_in, extraction,
-            ndim=4 if layer.kind == "conv2d" else 2,
+            base.state.plan, group_size, flags, layer.n_in, extraction, ndim=4 if conv else 2
         )
-    return replace(base, flags=flags, lowering=lowering)
+    w_lo = base.state.w_lo8
+    return replace(base, w_lo=w_lo if conv else w_lo.T, flags=flags, lowering=lowering)
 
 
 def _steps(
@@ -334,26 +376,6 @@ def set_ratio(model: PreparedModel, ratio: float) -> dict[int, int]:
     }
 
 
-def _build_state(
-    layer: Layer, act_range: ChannelRange, group_size: int, extraction_mode: str
-) -> QuantState:
-    w = layer.weight
-    flat = w.reshape(w.shape[0], -1)
-    w_ranges = ChannelRange(flat.min(axis=1), flat.max(axis=1))
-    p8 = derive_scales(w_ranges, 8, per_channel=True, channel_axis=0)
-    p4 = derive_scales(w_ranges, 4, per_channel=True, channel_axis=0)
-    q8 = quantize(w, p8)
-    q4 = quantize(w, p4)
-    abs_max = float(act_range.abs_max().max())
-    act_scale = abs_max / 127.0 if abs_max > 0 else 1e-8
-    act_scale4 = abs_max / 7.0 if abs_max > 0 else 1e-8
-    plan = plan_extraction(
-        _act_code_bounds(act_range, act_scale), q8.data, group_size, mode=extraction_mode
-    )
-    w_lo8 = kernels.lower_weights(q8.data, plan.weight_shifts, group_size, axis=1)
-    return QuantState(act_range, act_scale, act_scale4, p8, q8.data, p4, q4.data, plan, w_lo8)
-
-
 def prepare(
     graph: NetworkGraph,
     calib_batches,
@@ -375,7 +397,7 @@ def prepare(
     states = {}
     for i in matmuls:
         cr = calibrate_ranges(streams[i], momentum, channel_axis=1, coverage_quantile=coverage_quantile)
-        states[i] = _build_state(graph.layers[i], cr, graph.group_size, extraction_mode)
+        states[i] = QuantState(graph.layers[i].weight, cr, graph.group_size, extraction_mode)
     return PreparedModel(graph, states)
 
 

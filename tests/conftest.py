@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -28,3 +30,24 @@ def small_conv_model(seed=0, channels=8, hw=5, group_size=2, residual=False):
 @pytest.fixture(scope="session")
 def prepared_model():
     return small_model(seed=7)
+
+
+# what a QuantState builds from its inputs (its dataclass fields) on first read
+DERIVED = ("act_scale", "act_scale4", "w_params8", "w_q8", "w_params4", "w_q4", "plan", "w_lo8")
+
+
+def assert_same(a, b, where="state"):
+    """Equal dataclass trees: arrays equal in dtype, shape and bytes, other
+    leaves equal.  A ``QuantState`` is compared on its inputs and on every
+    attribute it builds from them."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), where
+        names = [f.name for f in dataclasses.fields(a)]
+        if isinstance(a, netsim.QuantState):
+            names += DERIVED
+        for name in names:
+            assert_same(getattr(a, name), getattr(b, name), f"{where}.{name}")
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), where
+    else:
+        assert a == b and type(a) is type(b), where

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixq import cli, modelio, netsim, serve, synth
+from mixq import cli, kernels, modelio, netsim, serve, synth
 from conftest import small_conv_model
 
 
@@ -406,3 +406,49 @@ def test_infer_conv_model_top1(tmp_path, mode):
     assert logits.ndim == 4
     want = np.mean(np.argmax(logits.mean(axis=(2, 3)), axis=1) == y_ev)
     assert metrics["top1"] == want
+
+
+@pytest.mark.parametrize("flag, value, want", [
+    ("--elite", "-1", "elite must lie in [0, parents) = [0, 6), got -1"),
+    ("--generations", "-2", "generations must be non-negative, got -2"),
+    ("--parents", "1", "parents must be at least 2, got 1"),
+])
+def test_select_bad_evolution_config_exit_4(demo_dir, capsys, flag, value, want):
+    assert run_cli("select", "--model", str(demo_dir), flag, value) == 4
+    assert want in capsys.readouterr().err
+
+
+def test_score_and_layout_loads_build_no_quantized_state(tmp_path, monkeypatch):
+    """Loading a model builds no layer state, and scoring reads only the
+    ranges: do_score and do_layout's load and layout quantize no weights,
+    plan no extraction and lower no weights.  do_layout's save then quantizes
+    each layer's weights to the 8 and 4 bits of the codes it writes."""
+    graph = synth.make_linear_net(3, 4, 16, 8, 4)
+    x, y = synth.make_dataset(4, 16, 8, 64)
+    modelio.save_model(tmp_path, netsim.PreparedModel(graph, {}))
+    modelio.save_dataset(tmp_path, "calib", x, y)
+    cli.do_calibrate(tmp_path, 0.99, None, "static", 32)
+    n = len(graph.matmul_indices())
+    calls = []
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in [(netsim, "quantize"), (netsim, "plan_extraction"),
+                         (kernels, "lower_weights"), (modelio, "save_model")]:
+        count(module, name)
+    cli.do_score(tmp_path)
+    assert calls == []
+    cfg_kwargs = dict(population=4, generations=1, elite=1, parents=2, fitness_samples=16)
+    cli.do_select(tmp_path, [0.5, 1.0], "greedy", 0, cfg_kwargs, protect_edges=True,
+                  extraction=None)
+    assert calls.count("plan_extraction") == calls.count("lower_weights") == n
+    calls.clear()
+    cli.do_layout(tmp_path)
+    assert calls == ["save_model"] + ["quantize"] * (2 * n)

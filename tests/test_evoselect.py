@@ -195,3 +195,7 @@ def test_config_validation():
         EvoConfig(population=4, parents=8)
     with pytest.raises(ValueError):
         EvoConfig(mutation_prob=0.0)
+    for bad in (dict(elite=-1), dict(parents=1, elite=0), dict(generations=-2)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            EvoConfig(**bad)
+    EvoConfig(population=2, parents=2, elite=0, generations=0)  # the least a search takes

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 
@@ -8,7 +7,7 @@ import pytest
 from mixq import evoselect, layout, modelio, netsim, scoring
 from mixq.evoselect import EvoConfig
 from mixq.modelio import MissingArtifactError
-from conftest import small_model
+from conftest import assert_same, small_model
 
 
 def full_pipeline_model(seed=51):
@@ -210,19 +209,6 @@ def test_selection_must_fit_a_matmul_layer(tmp_path, bad):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=re.escape(want)):
         modelio.load_model(tmp_path)
-
-
-def assert_same(a, b, where="state"):
-    """Equal dataclass trees: arrays equal in dtype, shape and bytes, other
-    leaves equal."""
-    if dataclasses.is_dataclass(a):
-        assert type(a) is type(b), where
-        for f in dataclasses.fields(a):
-            assert_same(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
-    elif isinstance(a, np.ndarray):
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), where
-    else:
-        assert a == b and type(a) is type(b), where
 
 
 def test_manifest_with_stored_scales_loads_like_a_fresh_save(tmp_path):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixq import evoselect, kernels, layout, modelio, netsim, oracle, scoring, synth
-from mixq.bitlower import MAX_SHIFT, ExtractionPlan
+from mixq.bitlower import EXTRACTION_MODES, MAX_SHIFT, ExtractionPlan, plan_extraction
 from mixq.kernels import int_gemm
 from mixq.netsim import (
     Layer,
@@ -17,8 +19,8 @@ from mixq.netsim import (
     top1_accuracy,
     total_loss,
 )
-from mixq.qtensor import calibrate_ranges, quantize
-from conftest import small_conv_model, small_model
+from mixq.qtensor import ChannelRange, calibrate_ranges, derive_scales, quantize
+from conftest import DERIVED, assert_same, small_conv_model, small_model
 
 
 def one_layer_model(seed=41, features=8, group_size=4):
@@ -65,6 +67,59 @@ def test_residual_add_from_source_layer():
     lin = x @ w.T
     want = (np.maximum(lin, 0.0) + lin) @ w.T
     np.testing.assert_allclose(got, want, rtol=1e-6)
+
+
+def eager_state(weight, act_range, group_size, mode) -> dict:
+    """Every attribute a QuantState derives, by the formula that built them
+    all when the state was made."""
+    flat = weight.reshape(weight.shape[0], -1)
+    w_ranges = ChannelRange(flat.min(axis=1), flat.max(axis=1))
+    p8 = derive_scales(w_ranges, 8, per_channel=True, channel_axis=0)
+    p4 = derive_scales(w_ranges, 4, per_channel=True, channel_axis=0)
+    q8 = quantize(weight, p8)
+    q4 = quantize(weight, p4)
+    abs_max = float(act_range.abs_max().max())
+    act_scale = abs_max / 127.0 if abs_max > 0 else 1e-8
+    act_scale4 = abs_max / 7.0 if abs_max > 0 else 1e-8
+    lo = np.clip(np.rint(act_range.min / act_scale), -128, 127)
+    hi = np.clip(np.rint(act_range.max / act_scale), -128, 127)
+    bounds = np.stack([lo, hi], axis=1).astype(np.int64)
+    plan = plan_extraction(bounds, q8.data, group_size, mode=mode)
+    w_lo8 = kernels.lower_weights(q8.data, plan.weight_shifts, group_size, axis=1)
+    return dict(act_scale=act_scale, act_scale4=act_scale4, w_params8=p8, w_q8=q8.data,
+                w_params4=p4, w_q4=q4.data, plan=plan, w_lo8=w_lo8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    conv=st.booleans(),
+    n_out=st.integers(1, 6),
+    n_in=st.integers(1, 13),
+    group_size=st.integers(1, 5),
+    mode=st.sampled_from(EXTRACTION_MODES),
+    first=st.sampled_from(DERIVED),
+    zero_range=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lazy_state_equals_the_eager_formula(conv, n_out, n_in, group_size, mode, first,
+                                             zero_range, seed):
+    """Whichever attribute is read first, a QuantState builds the same arrays,
+    scales and plan as the formula that built them all at once, for linear
+    and conv layers, ragged last groups and every extraction mode."""
+    rng = np.random.default_rng(seed)
+    shape = (n_out, n_in, 3, 3) if conv else (n_out, n_in)
+    weight = (rng.standard_normal(shape) * rng.uniform(0.01, 4.0)).astype(np.float32)
+    weight[rng.random(n_out) < 0.2] = 0.0  # all-zero output channels take EPS_SCALE
+    lo = rng.standard_normal(n_in) * rng.uniform(0.01, 4.0)
+    hi = lo + rng.exponential(size=n_in)
+    act_range = ChannelRange(np.zeros(n_in), np.zeros(n_in)) if zero_range else ChannelRange(lo, hi)
+    state = netsim.QuantState(weight, act_range, group_size, mode)
+    getattr(state, first)
+    # a first read builds its part: the uniform one, and the mixed one on top
+    uniform, mixed = DERIVED[:6], DERIVED[6:]
+    assert set(DERIVED) & set(vars(state)) == set(uniform + (mixed if first in mixed else ()))
+    for name, want in eager_state(weight, act_range, group_size, mode).items():
+        assert_same(getattr(state, name), want, f"{name} after {first}")
 
 
 def test_int8_run_matches_manual_kernel_chain():
@@ -275,15 +330,18 @@ def test_one_kernel_call_per_matmul_layer(monkeypatch):
 
 
 def test_mixed_forward_reuses_the_lowered_weights(monkeypatch):
-    """A static or dynamic mixed forward of a prepared model lowers no weights
-    (they were lowered once when the state was built); naive extraction on
-    a static-plan model lowers them with shift 4 and matches the oracle."""
+    """Each flagged layer's weights are lowered exactly once, when the first
+    mixed forward builds the mixed part of its state; no uniform forward
+    lowers them, and no later static or dynamic forward or ratio switch
+    lowers them again.  Naive extraction on a static-plan model lowers them
+    with shift 4 and matches the oracle."""
     model, _, (x, _) = small_model(seed=46)
     matmuls = model.graph.matmul_indices()
     rng = np.random.default_rng(0)
     flags = {i: rng.integers(0, 2, model.n_groups(i)).astype(bool) for i in matmuls}
     for i in matmuls:
         flags[i][0] = True
+    model.selections = {0.5: flags, 1.0: {i: np.ones(model.n_groups(i), bool) for i in matmuls}}
     lowered = []
 
     def counted(*args, **kwargs):
@@ -292,9 +350,19 @@ def test_mixed_forward_reuses_the_lowered_weights(monkeypatch):
 
     lower_weights = kernels.lower_weights
     monkeypatch.setattr(kernels, "lower_weights", counted)
+    for mode in ("int8", "int4"):
+        run(model, x, mode=mode)
+    assert lowered == []
+    run(model, x, mode="mixed", flags_override=flags)
+    assert len(lowered) == len(matmuls)
+    assert all(args[0] is model.states[i].w_q8 for args, i in zip(lowered, matmuls))
     for extraction in ("static", "dynamic"):
         run(model, x, mode="mixed", flags_override=flags, extraction=extraction)
-    assert lowered == []
+        for ratio in (0.5, 1.0, 0.5):
+            netsim.set_ratio(model, ratio)
+            run(model, x, mode="mixed", extraction=extraction)
+    assert len(lowered) == len(matmuls)
+    lowered.clear()
 
     calls = []
     mixed_gemm = kernels.mixed_gemm
