@@ -56,11 +56,6 @@ def effective_bitwidth(values) -> int:
     return int(group_bitwidths(arr, arr.size)[0])
 
 
-def bitwidth_from_bounds(lo: int, hi: int) -> int:
-    """Effective bitwidth of an integer range [lo, hi]."""
-    return int(group_bitwidths([lo, hi], 2)[0])
-
-
 def static_shift(b: int) -> int:
     """Extraction shift for a group whose codes need b bits: max(0, b - 4)."""
     if not 1 <= b <= 8:

@@ -438,18 +438,22 @@ def run_ablate(seed: int, verbose=print) -> list[tuple[str, float]]:
 # argument parsing
 
 
-def _positive(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
+def _float_type(ok, requirement: str):
+    """An argparse type: a float for which ``ok`` holds, else exit 2 with
+    "must <requirement>"."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {requirement}, got {text}")
+        return value
+    parse.__name__ = "float"  # argparse names it in "invalid float value"
+    return parse
 
 
-def _unit(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
-    return value
+_positive = _float_type(lambda v: v > 0, "be positive")
+_unit = _float_type(lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+_momentum = _float_type(lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
+_rate = _float_type(lambda v: math.isfinite(v) and v >= 0, "be finite and non-negative")
 
 
 def _positive_int(text: str) -> int:
@@ -473,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("calibrate", "calibrate activation ranges on the stored calibration set")
     add_model(sp)
-    sp.add_argument("--momentum", type=float, default=0.99)
-    sp.add_argument("--quantile", type=float, default=None)
+    sp.add_argument("--momentum", type=_momentum, default=0.99)
+    sp.add_argument("--quantile", type=_unit, default=None)
     sp.add_argument("--extraction", choices=("static", "dynamic", "naive"), default="static")
     sp.add_argument("--batch-size", type=_positive_int, default=32)
 
@@ -535,8 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--policy", choices=("adaptive", "fixed"), default="adaptive")
     sp.add_argument("--ratio", type=_unit, default=0.0, help="ratio for the fixed policy")
     sp.add_argument("--trace", default=None, help="file with one arrival time per line")
-    sp.add_argument("--rate", type=float, default=None, help="constant Poisson rate, req/s")
-    sp.add_argument("--min-rate", type=float, default=None, help="fluctuating trace minimum rate")
+    sp.add_argument("--rate", type=_rate, default=None, help="constant Poisson rate, req/s")
+    sp.add_argument("--min-rate", type=_rate, default=None, help="fluctuating trace minimum rate")
     sp.add_argument("--peak-factor", type=_positive, default=3.0)
     sp.add_argument("--duration", type=_positive, default=None,
                     help="trace length, seconds (with --trace, --rate or --min-rate)")

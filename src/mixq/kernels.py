@@ -8,15 +8,17 @@ group's codes are replaced by clip(q >> p, -8, 7) << p.  So every kernel
 is one lowering step (mixed kernels only) followed by one contraction, a
 plain GEMM or a same-padded conv.
 
-What no call of a layer changes is built once by the caller and passed
-in (and built per call when omitted): the lowered weight codes
-(``lower_weights``), the contraction's bound and fused output scales
-(``plan_contraction``) and, per set of group flags, the per-channel shift
-and clip vectors and the flagged channel runs (``plan_lowering``);
-``netsim`` keeps them in its per-layer steps.  A call then only lowers the
-activation codes in one vectorized pass, splices the flagged runs of the
-lowered weights into the 8-bit codes (on a laid-out model, one leading run
-of groups), contracts and scales.
+Two per-layer constants of a mixed kernel are built once by the caller
+and passed in (and built per call when omitted): the lowered weight codes
+(``lower_weights``) and, per set of group flags and extraction mode, the
+per-channel shift and clip vectors and the flagged channel runs
+(``plan_lowering``).  ``netsim`` keeps both on each layer's
+``QuantState``.  A call then only lowers the activation codes in one
+vectorized pass, splices the flagged runs of the lowered weights into the
+8-bit codes (on a laid-out model, one leading run of groups), contracts
+and scales.  The contraction's bound comes from the operands' dtypes and
+shapes, and the output scales act_scale * w_scales are fused per call;
+both cost next to nothing.
 
 The contraction is a float BLAS product of the integer codes, and it is
 exact: every product and partial sum is an integer no larger than
@@ -219,22 +221,6 @@ def _lower(x, w, w_lo, w_axis, plan, group_size, lowering):
     return x4 * mul, w_lo, KernelStats(sat, shifts_used)
 
 
-@dataclass(frozen=True)
-class Contraction:
-    """The per-call constants of contracting codes with one layer's weights
-    (built by ``plan_contraction``).
-
-    ``terms`` is the count of products per output, and ``bound`` =
-    terms * max|x| * max|w| bounds every partial sum; it picks the float
-    dtype.  ``scales`` is act_scale * w_scales in float64, shaped for the
-    output (outputs on axis 1).
-    """
-
-    terms: int
-    bound: int
-    scales: np.ndarray
-
-
 def _magnitude(q: np.ndarray) -> int:
     """Bound on |code| over ``q``: the dtype's range for 8-bit codes (a
     lowered code stays in its dtype), the widest code otherwise."""
@@ -243,12 +229,17 @@ def _magnitude(q: np.ndarray) -> int:
     return max(-int(q.min(initial=0)), int(q.max(initial=0)))
 
 
-def _terms(w: np.ndarray, conv: bool) -> int:
-    return math.prod(w.shape[1:]) if conv else w.shape[0]
+def _contract(x: np.ndarray, w: np.ndarray, conv: bool) -> np.ndarray:
+    """Integer accumulators of codes ``x`` and ``w`` as one float BLAS GEMM
+    or same-padded conv, checked against the 32-bit accumulator range.
 
-
-def _plan_contraction(x, w, act_scale, w_scales, conv: bool) -> Contraction:
-    terms = _terms(w, conv)
+    No partial sum exceeds bound = (products per output) * max|x| * max|w|,
+    so the result is exact in float32 while bound <= 2^24 and in float64
+    while bound <= 2^53; beyond that it raises.  The GEMM runs as
+    (w.T @ x.T).T, which lets BLAS read [N, K] C-ordered weight codes (the
+    layout ``netsim`` holds) without a copy.
+    """
+    terms = math.prod(w.shape[1:]) if conv else w.shape[0]
     mx, mw = _magnitude(x), _magnitude(w)
     bound = terms * mx * mw
     if bound > EXACT_LIMIT:
@@ -256,44 +247,6 @@ def _plan_contraction(x, w, act_scale, w_scales, conv: bool) -> Contraction:
             f"float64 accumulation is exact only up to 2^53: {terms} products of codes "
             f"up to {mx} x {mw} could exceed it"
         )
-    scales = float(act_scale) * np.asarray(w_scales, dtype=np.float64)
-    return Contraction(terms, bound, scales.reshape((-1,) + (1,) * (w.ndim - 2)))
-
-
-def plan_contraction(
-    w_q: np.ndarray, act_scale: float, w_scales: np.ndarray, conv: bool
-) -> Contraction:
-    """The ``Contraction`` of int8 activation codes with the int8 weight codes
-    ``w_q`` ([K, N], or [O, C, kh, kw] when ``conv``), whose bound follows
-    from the dtype alone."""
-    w_q = np.asarray(w_q)
-    if w_q.dtype != np.int8:
-        raise ValueError(f"a planned contraction takes int8 weight codes, not {w_q.dtype}")
-    # any int8 array stands for int8 activation codes: _magnitude reads the dtype
-    return _plan_contraction(w_q, w_q, act_scale, w_scales, conv)
-
-
-def _resolve_contraction(contraction, x, w, act_scale, w_scales, conv) -> Contraction:
-    """``contraction`` checked against the operands, or planned for them when None."""
-    if contraction is None:
-        return _plan_contraction(x, w, act_scale, w_scales, conv)
-    if x.dtype != np.int8 or w.dtype != np.int8 or contraction.terms != _terms(w, conv):
-        raise ValueError(
-            f"contraction was planned for int8 codes and {contraction.terms} products per "
-            f"output, got {x.dtype} x {w.dtype} codes and {_terms(w, conv)}"
-        )
-    return contraction
-
-
-def _contract(x: np.ndarray, w: np.ndarray, conv: bool, bound: int) -> np.ndarray:
-    """Integer accumulators of codes ``x`` and ``w`` as one float BLAS GEMM
-    or same-padded conv, checked against the 32-bit accumulator range.
-
-    No partial sum exceeds ``bound`` (see ``Contraction``), so the result is
-    exact in float32 while bound <= 2^24 and in float64 while bound <= 2^53.
-    The GEMM runs as (w.T @ x.T).T, which lets BLAS read [N, K] C-ordered
-    weight codes (the layout ``netsim`` holds) without a copy.
-    """
     dtype = np.float32 if bound <= F32_EXACT_LIMIT else np.float64
     x, w = x.astype(dtype), w.astype(dtype)
     acc = conv2d_same(x, w) if conv else (w.T @ x.T).T
@@ -321,16 +274,18 @@ def conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out.reshape(B, H, W, O).transpose(0, 3, 1, 2)
 
 
-def _scale(acc: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """Apply the per-output ``Contraction.scales`` in float64 and round once
-    to float32.  A GEMM output is C-ordered; a conv output keeps the
-    channels-last memory order of ``conv2d_same``."""
+def _scale(acc: np.ndarray, act_scale: float, w_scales: np.ndarray) -> np.ndarray:
+    """Apply the per-output scales act_scale * w_scales (outputs on axis 1)
+    in float64 and round once to float32.  A GEMM output is C-ordered; a
+    conv output keeps the channels-last memory order of ``conv2d_same``."""
+    scales = float(act_scale) * np.asarray(w_scales, dtype=np.float64)
+    scales = scales.reshape((-1,) + (1,) * (acc.ndim - 2))
     out = np.empty_like(acc, dtype=np.float32, order="C" if acc.ndim == 2 else "K")
     return np.multiply(acc, scales, out=out, casting="unsafe")
 
 
 def _mixed(x_q, w_q, w_axis, act_scale, w_scales, plan, group_size, group_flags, extraction,
-           w_lo, contraction, lowering) -> tuple[np.ndarray, KernelStats]:
+           w_lo, lowering) -> tuple[np.ndarray, KernelStats]:
     flags = _resolve_flags(x_q.shape[1], group_size, group_flags)
     if flags.any():
         mode = extraction or plan.mode
@@ -338,9 +293,7 @@ def _mixed(x_q, w_q, w_axis, act_scale, w_scales, plan, group_size, group_flags,
         x_q, w_q, stats = _lower(x_q, w_q, w_lo, w_axis, plan, group_size, lowering)
     else:  # all 8-bit: nothing to lower, and no lowering is needed
         stats = KernelStats(np.zeros(x_q.shape[1], dtype=bool), plan.act_shifts.copy())
-    conv = w_axis == 1
-    c = _resolve_contraction(contraction, x_q, w_q, act_scale, w_scales, conv)
-    return _scale(_contract(x_q, w_q, conv, c.bound), c.scales), stats
+    return _scale(_contract(x_q, w_q, conv=w_axis == 1), act_scale, w_scales), stats
 
 
 def mixed_gemm(
@@ -353,7 +306,6 @@ def mixed_gemm(
     group_flags,
     extraction: str | None = None,
     w_lo: np.ndarray | None = None,
-    contraction: Contraction | None = None,
     lowering: Lowering | None = None,
 ) -> tuple[np.ndarray, KernelStats]:
     """Mixed-precision integer GEMM.
@@ -362,11 +314,10 @@ def mixed_gemm(
     per-output-channel scales ``w_scales`` [N].  Groups flagged 4-bit are
     lowered per the plan (or per runtime scan when extraction is
     "dynamic"); the rest are multiplied as plain 8-bit.  A caller that runs
-    the same layer again passes what it built once; each is computed when
-    omitted:
+    the same layer again passes what it built once (``netsim`` keeps both
+    on the layer's ``QuantState``); each is computed when omitted:
 
     - ``w_lo``: ``lower_weights(w_q, plan.weight_shifts, group_size, axis=0)``;
-    - ``contraction``: ``plan_contraction(w_q, act_scale, w_scales, conv=False)``;
     - ``lowering``: ``plan_lowering(plan, group_size, group_flags, K, extraction)``,
       read only when some group is flagged.
 
@@ -377,7 +328,7 @@ def mixed_gemm(
     if w_q.shape[0] != K:
         raise ValueError(f"shape mismatch: x has {K} channels, w has {w_q.shape[0]}")
     return _mixed(x_q, w_q, 0, act_scale, w_scales, plan, group_size, group_flags, extraction,
-                  w_lo, contraction, lowering)
+                  w_lo, lowering)
 
 
 def mixed_conv2d(
@@ -390,7 +341,6 @@ def mixed_conv2d(
     group_flags,
     extraction: str | None = None,
     w_lo: np.ndarray | None = None,
-    contraction: Contraction | None = None,
     lowering: Lowering | None = None,
 ) -> tuple[np.ndarray, KernelStats]:
     """Mixed-precision 2-D convolution (stride 1, same padding).
@@ -398,35 +348,25 @@ def mixed_conv2d(
     x_q: [B, C, H, W] int8 codes; w_q: [O, C, kh, kw] int8 codes.
     Feature channels are input channels; semantics match an im2col GEMM
     where every spatial tap of a channel shares that channel's group
-    shift.  ``w_lo``, ``contraction`` and ``lowering`` are as for
-    ``mixed_gemm``, with ``axis=1``, ``conv=True`` and ``ndim=4``.
+    shift.  ``w_lo`` and ``lowering`` are as for ``mixed_gemm``, with
+    ``axis=1`` and ``ndim=4``.
     """
     x_q, w_q = np.asarray(x_q), np.asarray(w_q)
     C, Cw = x_q.shape[1], w_q.shape[1]
     if Cw != C:
         raise ValueError(f"shape mismatch: x has {C} channels, w has {Cw}")
     return _mixed(x_q, w_q, 1, act_scale, w_scales, plan, group_size, group_flags, extraction,
-                  w_lo, contraction, lowering)
+                  w_lo, lowering)
 
 
-def _uniform(x_q, w_q, act_scale, w_scales, contraction, conv: bool) -> np.ndarray:
-    x_q, w_q = np.asarray(x_q), np.asarray(w_q)
-    c = _resolve_contraction(contraction, x_q, w_q, act_scale, w_scales, conv)
-    return _scale(_contract(x_q, w_q, conv, c.bound), c.scales)
+def int_gemm(x_q: np.ndarray, w_q: np.ndarray, act_scale: float, w_scales: np.ndarray) -> np.ndarray:
+    """Plain uniform integer GEMM (8-bit or 4-bit codes)."""
+    return _scale(_contract(np.asarray(x_q), np.asarray(w_q), conv=False), act_scale, w_scales)
 
 
-def int_gemm(x_q: np.ndarray, w_q: np.ndarray, act_scale: float, w_scales: np.ndarray,
-             contraction: Contraction | None = None) -> np.ndarray:
-    """Plain uniform integer GEMM (8-bit or 4-bit codes); ``contraction`` as
-    for ``mixed_gemm``."""
-    return _uniform(x_q, w_q, act_scale, w_scales, contraction, conv=False)
-
-
-def int_conv2d(x_q: np.ndarray, w_q: np.ndarray, act_scale: float, w_scales: np.ndarray,
-               contraction: Contraction | None = None) -> np.ndarray:
-    """Plain uniform integer conv2d (stride 1, same padding); ``contraction``
-    as for ``mixed_conv2d``."""
-    return _uniform(x_q, w_q, act_scale, w_scales, contraction, conv=True)
+def int_conv2d(x_q: np.ndarray, w_q: np.ndarray, act_scale: float, w_scales: np.ndarray) -> np.ndarray:
+    """Plain uniform integer conv2d (stride 1, same padding)."""
+    return _scale(_contract(np.asarray(x_q), np.asarray(w_q), conv=True), act_scale, w_scales)
 
 
 def accumulator_error_bound(

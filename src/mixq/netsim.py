@@ -7,15 +7,15 @@ float.  The engine is pure: a prepared model is immutable during a call
 and outputs are deterministic.  Each matmul layer's ``QuantState`` keeps
 its float weight and calibrated ranges and builds its codes, scales and
 extraction plan on first read, so only what a call reads is ever built.  A
-quantized run walks a plan of per-layer ``Step``s holding what no call
-changes, built once per model and precision, and in mixed mode once per
-prepared ratio.
+quantized run calls the kernels straight from each layer's state; in mixed
+mode the state also memoizes, per prepared set of group flags and
+extraction mode, the kernel's ``kernels.Lowering``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,7 +77,8 @@ class QuantState:
       group lowered per the plan (``kernels.lower_weights``).
 
     So a stage that reads only the ranges quantizes no weights, and int8 or
-    int4 inference plans no extraction.
+    int4 inference plans no extraction.  ``lowering`` memoizes the one
+    per-call constant of a mixed kernel that is worth keeping.
     """
 
     weight: np.ndarray  # the layer's float32 weight
@@ -88,6 +89,7 @@ class QuantState:
     def __post_init__(self):
         if self.mode not in EXTRACTION_MODES:
             raise ValueError(f"unknown extraction mode {self.mode!r}")
+        self._lowerings: dict[tuple[bytes, str | None], kernels.Lowering] = {}
 
     def __getattr__(self, name):
         # reached only while ``name`` is unset: build its whole part
@@ -114,6 +116,29 @@ class QuantState:
         plan = plan_extraction(self.act_q8_bounds(), self.w_q8, self.group_size, mode=self.mode)
         return plan, kernels.lower_weights(self.w_q8, plan.weight_shifts, self.group_size, axis=1)
 
+    def lowering(self, flags, extraction: str | None) -> kernels.Lowering | None:
+        """The ``kernels.Lowering`` of this layer's 8-bit activation codes
+        under 4-bit group ``flags`` and ``extraction`` (default: the plan's
+        mode), or None when no group is flagged.
+
+        It is planned once per (flags, extraction) and holds its own
+        read-only copy of the flags, so changing the caller's array later
+        cannot make it stale.
+        """
+        flags = np.asarray(flags, dtype=bool)
+        if not flags.any():
+            return None
+        key = (flags.tobytes(), extraction)
+        lowering = self._lowerings.get(key)
+        if lowering is None:
+            flags = flags.copy()
+            flags.flags.writeable = False
+            lowering = self._lowerings[key] = kernels.plan_lowering(
+                self.plan, self.group_size, flags, self.weight.shape[1], extraction,
+                ndim=self.weight.ndim,
+            )
+        return lowering
+
     def act_q8_bounds(self) -> np.ndarray:
         """[n_channels, 2] int64 (lo, hi) 8-bit activation code bounds of the
         calibrated per-channel ranges."""
@@ -130,8 +155,6 @@ class PreparedModel:
     input_perm: np.ndarray | None = None
     laid_out: bool = False
     active_ratio: float | None = None
-    # the step plans ``run`` reuses, per precision and per (ratio, extraction)
-    steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def group_size(self) -> int:
@@ -185,114 +208,22 @@ def _matmul_fp32(layer: Layer, h: np.ndarray) -> np.ndarray:
     return kernels.conv2d_same(h.astype(np.float64), w).astype(np.float32)
 
 
-@dataclass(frozen=True)
-class Step:
-    """One matmul layer as each call in one precision runs it.
-
-    It holds what no call changes: the activation quantizer, the kernel's
-    weight operands and its ``kernels.Contraction``; in mixed mode also the
-    4-bit group flags in force, the lowered weight codes and the flags'
-    ``kernels.Lowering``.  ``state`` is the ``QuantState`` it was built from.
-    """
-
-    state: QuantState
-    act_scale: float
-    act: QuantParams
-    w_q: np.ndarray  # as the kernel takes it: [K, N] (a view of [N, K]) or [O, C, kh, kw]
-    w_scales: np.ndarray
-    contraction: kernels.Contraction
-    w_lo: np.ndarray | None = None  # mixed: ``state.w_lo8`` laid out as ``w_q``
-    flags: np.ndarray | None = None  # mixed
-    lowering: kernels.Lowering | None = None  # mixed, on a layer with a 4-bit group
-
-
-def _uniform_step(layer: Layer, state: QuantState, bits: int) -> Step:
-    conv = layer.kind == "conv2d"
-    if bits == 4:
-        act_scale, w_q, w_scales = state.act_scale4, state.w_q4, state.w_params4.scale
+def _matmul_quant(layer: Layer, state: QuantState, h, mode: str, group_size: int, flags,
+                  extraction, lowering) -> tuple[np.ndarray, kernels.KernelStats | None]:
+    if mode == "int4":
+        act_scale, bits, w_q, scales = state.act_scale4, 4, state.w_q4, state.w_params4.scale
     else:
-        act_scale, w_q, w_scales = state.act_scale, state.w_q8, state.w_params8.scale
-    if not conv:
-        w_q = w_q.T
-    contraction = kernels.plan_contraction(w_q, act_scale, w_scales, conv)
-    return Step(state, act_scale, QuantParams(act_scale, bits), w_q, w_scales, contraction)
-
-
-def _mixed_step(base: Step, layer: Layer, flags, group_size: int, extraction: str | None) -> Step:
+        act_scale, bits, w_q, scales = state.act_scale, 8, state.w_q8, state.w_params8.scale
+    codes = quantize(h, QuantParams(act_scale, bits)).data
     conv = layer.kind == "conv2d"
-    flags = np.array(flags, dtype=bool)
-    flags.flags.writeable = False  # shared by every call and LayerRecord that uses the step
-    lowering = None  # a layer with no 4-bit group lowers nothing
-    if flags.any():
-        lowering = kernels.plan_lowering(
-            base.state.plan, group_size, flags, layer.n_in, extraction, ndim=4 if conv else 2
-        )
-    w_lo = base.state.w_lo8
-    return replace(base, w_lo=w_lo if conv else w_lo.T, flags=flags, lowering=lowering)
-
-
-def _steps(
-    model: PreparedModel,
-    mode: str,
-    ratio: float | None,
-    extraction: str | None,
-    flags_override: dict[int, np.ndarray] | None,
-) -> dict[int, Step]:
-    """Each matmul layer's step for one quantized ``run``.
-
-    The steps of a precision, and in mixed mode those of a prepared ratio
-    and extraction, are built once and kept in ``model.steps``.  A kept
-    step is reused only while its layer's state and flags are the ones in
-    force (the flags are compared on every call); steps for
-    ``flags_override`` are built for the call and not kept.
-    """
-    bits = 4 if mode == "int4" else 8
-    uniform = model.steps.setdefault(bits, {})
-    mixed: dict[int, tuple] = {}
-    if mode == "mixed":
-        flags_by_layer = flags_override
-        if flags_override is None:
-            if ratio is None:
-                ratio = model.active_ratio
-            if ratio is None:
-                raise ValueError("mixed mode needs a ratio (or set_ratio() first)")
-            flags_by_layer = _selection(model, ratio)
-            mixed = model.steps.setdefault(("mixed", ratio_key(ratio), extraction), {})
-    steps = {}
-    for idx in model.graph.matmul_indices():
-        layer, state = model.graph.layers[idx], model.states[idx]
-        step = uniform.get(idx)
-        if step is None or step.state is not state:
-            step = uniform[idx] = _uniform_step(layer, state, bits)
-        if mode == "mixed":
-            flags = flags_by_layer.get(idx)
-            key = None if flags is None else np.asarray(flags, dtype=bool).tobytes()
-            kept = mixed.get(idx)
-            if kept is None or kept[0] != key or kept[1].state is not state:
-                if flags is None:
-                    flags = np.zeros(model.n_groups(idx), dtype=bool)
-                kept = (key, _mixed_step(step, layer, flags, model.group_size, extraction))
-                if flags_override is None:
-                    mixed[idx] = kept
-            step = kept[1]
-        steps[idx] = step
-    return steps
-
-
-def _matmul_quant(
-    kind: str, step: Step, h: np.ndarray, group_size: int, extraction: str | None
-) -> tuple[np.ndarray, kernels.KernelStats | None]:
-    codes = quantize(h, step.act).data
-    if step.flags is None:
-        kernel = kernels.int_gemm if kind == "linear" else kernels.int_conv2d
-        return kernel(codes, step.w_q, step.act_scale, step.w_scales,
-                      contraction=step.contraction), None
-    kernel = kernels.mixed_gemm if kind == "linear" else kernels.mixed_conv2d
-    return kernel(
-        codes, step.w_q, step.act_scale, step.w_scales, step.state.plan, group_size,
-        group_flags=step.flags, extraction=extraction, w_lo=step.w_lo,
-        contraction=step.contraction, lowering=step.lowering,
-    )
+    w_q = w_q if conv else w_q.T  # a GEMM takes [K, N], a view of the [N, K] codes
+    if mode != "mixed":
+        kernel = kernels.int_conv2d if conv else kernels.int_gemm
+        return kernel(codes, w_q, act_scale, scales), None
+    kernel = kernels.mixed_conv2d if conv else kernels.mixed_gemm
+    return kernel(codes, w_q, act_scale, scales, state.plan, group_size, group_flags=flags,
+                  extraction=extraction, w_lo=state.w_lo8 if conv else state.w_lo8.T,
+                  lowering=lowering)
 
 
 def run(
@@ -309,18 +240,24 @@ def run(
     mode: fp32 | int8 | int4 | mixed.  In mixed mode the 4-bit group flags
     come from ``flags_override`` if given, else from the selection
     prepared for ``ratio`` (defaulting to the model's active ratio); a
-    layer without flags runs all-8-bit.  A quantized run walks the step
-    plan of ``_steps``.  If ``record`` is given, it gets a ``LayerRecord``
+    layer without flags runs all-8-bit.  The kernels' lowerings of a
+    prepared selection come from each state's memo
+    (``QuantState.lowering``); those of ``flags_override`` are planned per
+    call and not kept.  If ``record`` is given, it gets a ``LayerRecord``
     per matmul layer index: the layer's float input and output, and in
     mixed mode the flags used and the kernel's stats.
     """
     if mode not in ("fp32", "int8", "int4", "mixed"):
         raise ValueError(f"unknown mode {mode!r}")
-    steps = None
-    if mode != "fp32":
-        if not model.states:
-            raise ValueError("model is not calibrated; run prepare() first")
-        steps = _steps(model, mode, ratio, extraction, flags_override)
+    if mode != "fp32" and not model.states:
+        raise ValueError("model is not calibrated; run prepare() first")
+    flags_by_layer = flags_override
+    if mode == "mixed" and flags_override is None:
+        if ratio is None:
+            ratio = model.active_ratio
+        if ratio is None:
+            raise ValueError("mixed mode needs a ratio (or set_ratio() first)")
+        flags_by_layer = _selection(model, ratio)
 
     h = np.asarray(x, dtype=np.float32)
     if model.input_perm is not None:
@@ -329,14 +266,24 @@ def run(
     outputs: list[np.ndarray] = []
     for idx, layer in enumerate(model.graph.layers):
         if layer.kind in MATMUL_KINDS:
-            h_in, step, kstats = h, None, None
-            if steps is None:
+            h_in, flags, kstats = h, None, None
+            if mode == "fp32":
                 h = _matmul_fp32(layer, h)
             else:
-                step = steps[idx]
-                h, kstats = _matmul_quant(layer.kind, step, h, model.group_size, extraction)
+                state, lowering = model.states[idx], None
+                if mode == "mixed":
+                    flags = flags_by_layer.get(idx)
+                    if flags is None:
+                        flags = np.zeros(model.n_groups(idx), dtype=bool)
+                    elif flags_override is None:
+                        lowering = state.lowering(flags, extraction)
+                        if lowering is not None:
+                            flags = lowering.flags
+                h, kstats = _matmul_quant(
+                    layer, state, h, mode, model.group_size, flags, extraction, lowering
+                )
             if record is not None:
-                record[idx] = LayerRecord(h_in, h, None if step is None else step.flags, kstats)
+                record[idx] = LayerRecord(h_in, h, flags, kstats)
             outputs.append(h)
         elif layer.kind == "relu":
             h = np.maximum(h, 0.0)

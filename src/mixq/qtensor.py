@@ -99,7 +99,7 @@ def quantize(x: np.ndarray, params: QuantParams) -> QuantizedTensor:
         x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         bad = np.argwhere(~np.isfinite(x))[0]
-        raise ValueError(f"non-finite input value at index {tuple(bad)}")
+        raise ValueError(f"non-finite input value at index {tuple(int(i) for i in bad)}")
     scale = params.broadcast_scale(x.ndim)
     codes = np.asarray(np.divide(x, scale, dtype=np.float64))  # 0-d input gives a scalar
     np.rint(codes, out=codes)

@@ -62,10 +62,14 @@ class ServingTrace:
             raise ValueError("arrival times must be non-decreasing")
 
 
+def _check_rate(name: str, rate: float) -> None:
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, got {rate}")
+
+
 def gen_poisson(rate: float, duration: float, seed: int) -> ServingTrace:
     """Homogeneous Poisson arrivals at the given requests/second."""
-    if rate < 0:
-        raise ValueError("rate must be non-negative")
+    _check_rate("rate", rate)
     rng = np.random.default_rng(seed)
     if rate == 0:
         return ServingTrace(np.empty(0), duration, [(0.0, 0.0)])
@@ -88,6 +92,7 @@ def gen_fluctuating(
     peak_factor * min_rate, sampled per interval; arrivals within an
     interval are Poisson at the interval's rate.
     """
+    _check_rate("min_rate", min_rate)
     rng = np.random.default_rng(seed)
     period = period or duration
     times = np.arange(0.0, duration, interval)

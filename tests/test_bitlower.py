@@ -9,7 +9,6 @@ from mixq.bitlower import (
     Q4_MAX,
     Q4_MIN,
     ExtractionPlan,
-    bitwidth_from_bounds,
     dynamic_shift,
     effective_bitwidth,
     extract4,
@@ -40,12 +39,6 @@ def test_effective_bitwidth_goldens():
     assert effective_bitwidth([0, 0]) == 1
     assert effective_bitwidth([-128]) == 8
     assert effective_bitwidth([7, -8]) == 4
-
-
-def test_bitwidth_from_bounds():
-    assert bitwidth_from_bounds(-9, 3) == 5
-    assert bitwidth_from_bounds(0, 29) == 6
-    assert bitwidth_from_bounds(0, 0) == 1
 
 
 def test_static_shift():

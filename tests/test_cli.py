@@ -245,6 +245,14 @@ def test_manifest_missing_key_exit_4(demo_dir, tmp_path, capsys, path):
     ("select", "--samples", "-5"),
     ("calibrate", "--batch-size", "0"),
     ("serve-sim", "--min-rate", "100", "--peak-factor", "-2"),
+    ("serve-sim", "--rate", "nan"),
+    ("serve-sim", "--rate", "inf"),
+    ("serve-sim", "--rate", "-1"),
+    ("serve-sim", "--min-rate", "-1"),
+    ("serve-sim", "--min-rate", "nan"),
+    ("calibrate", "--momentum", "1"),
+    ("calibrate", "--momentum", "-0.5"),
+    ("calibrate", "--quantile", "1.5"),
 ])
 def test_non_positive_counts_exit_2(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # the default model and output directory

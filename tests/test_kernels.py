@@ -13,7 +13,6 @@ from mixq.kernels import (
     lower_weights,
     mixed_conv2d,
     mixed_gemm,
-    plan_contraction,
     plan_lowering,
 )
 
@@ -335,17 +334,16 @@ def test_conv2d_same_property_matches_direct_reference(shape, kernel, seed):
 
 @pytest.mark.parametrize("mode", ["static", "dynamic", "naive"])
 def test_planned_constants_give_the_same_results_and_must_fit_the_call(mode):
-    """A kernel given the lowering and contraction a caller planned once
-    returns the bytes and stats it computes without them; constants planned
-    for other flags, another extraction mode or other codes are rejected (a
-    lowering only when the call flags some group, as only then is it read)."""
+    """A kernel given the lowering a caller planned once returns the bytes
+    and stats it computes without it; a lowering planned for other flags or
+    another extraction mode is rejected when the call flags some group, as
+    only then is it read."""
     rng = np.random.default_rng(12)
     for _ in range(10):
         x_q, w_q, act_scale, w_scales, bounds, flags = random_case(rng)
         x8, w8 = x_q.astype(np.int8), w_q.astype(np.int8)
         plan = plan_extraction(bounds, w_q.T.copy(), 4, mode=mode)
-        planned = {"lowering": plan_lowering(plan, 4, flags, x8.shape[1]),
-                   "contraction": plan_contraction(w8, act_scale, w_scales, conv=False)}
+        planned = {"lowering": plan_lowering(plan, 4, flags, x8.shape[1])}
         want, want_stats = mixed_gemm(x8, w8, act_scale, w_scales, plan, 4, group_flags=flags)
         got, stats = mixed_gemm(x8, w8, act_scale, w_scales, plan, 4, group_flags=flags, **planned)
         assert got.tobytes() == want.tobytes() and got.strides == want.strides
@@ -357,5 +355,3 @@ def test_planned_constants_give_the_same_results_and_must_fit_the_call(mode):
         for bad in bad_calls:
             with pytest.raises(ValueError, match="lowering was planned"):
                 mixed_gemm(x8, w8, act_scale, w_scales, plan, 4, **bad, **planned)
-        with pytest.raises(ValueError, match="contraction was planned"):
-            int_gemm(x_q, w_q, act_scale, w_scales, contraction=planned["contraction"])

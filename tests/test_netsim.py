@@ -385,6 +385,50 @@ def test_mixed_forward_reuses_the_lowered_weights(monkeypatch):
         assert np.array_equal(got, want)
 
 
+def test_lowerings_are_planned_once_per_prepared_flags(monkeypatch):
+    """set_ratio cycles over prepared ratios plan each flagged layer's
+    lowering once per (flags, extraction); flags_override forwards plan
+    theirs per call and leave every state's memo as it was."""
+    model, _, (x, _) = small_model(seed=48)
+    matmuls = model.graph.matmul_indices()
+    rng = np.random.default_rng(6)
+    model.selections = {r: {i: rng.random(model.n_groups(i)) < 0.5 for i in matmuls}
+                        for r in (0.25, 0.5)}
+    planned = []
+    plan_lowering = kernels.plan_lowering
+
+    def counted(*args, **kwargs):
+        planned.append(args)
+        return plan_lowering(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "plan_lowering", counted)
+    distinct = {(i, sel[i].tobytes()) for sel in model.selections.values() for i in matmuls
+                if sel[i].any()}
+    assert distinct
+    for extraction in ("static", "dynamic"):
+        for ratio in (0.25, 0.5) * 3:
+            netsim.set_ratio(model, ratio)
+            run(model, x, mode="mixed", extraction=extraction)
+    assert len(planned) == 2 * len(distinct)
+    rec = {}
+    run(model, x, mode="mixed", extraction="dynamic", record=rec)
+    i = next(i for i in matmuls if model.selections[0.5][i].any())
+    kept = rec[i].flags.copy()
+    model.selections[0.5][i][:] = ~kept  # the memo's flags are its own
+    assert np.array_equal(rec[i].flags, kept) and not rec[i].flags.flags.writeable
+    model.selections[0.5][i][:] = kept
+
+    sizes ={i: len(model.states[i]._lowerings) for i in matmuls}
+    offsets = np.cumsum([0] + [model.n_groups(i) for i in matmuls])
+    planned.clear()
+    for k in range(1, 51):  # 50 distinct flag sets, each flagging some group
+        bits = (k >> np.arange(offsets[-1])) & 1 == 1
+        flags = {i: bits[a:b] for i, a, b in zip(matmuls, offsets[:-1], offsets[1:])}
+        run(model, x, mode="mixed", flags_override=flags, extraction="dynamic")
+    assert len(planned) >= 50
+    assert {i: len(model.states[i]._lowerings) for i in matmuls} == sizes
+
+
 def test_record_holds_one_entry_per_matmul_layer():
     model, (x_cal, _), (x_ev, _) = small_model(seed=36, residual=True)
     sel = evoselect.chained_selection(

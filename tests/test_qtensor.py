@@ -58,8 +58,10 @@ def test_quantize_clips_to_range():
 
 def test_quantize_rejects_non_finite():
     p = QuantParams(scale=1.0, bitwidth=8)
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match=r"non-finite input value at index \(1,\)$"):
         quantize(np.array([1.0, np.nan]), p)
+    with pytest.raises(ValueError, match=r"non-finite input value at index \(1, 0\)$"):
+        quantize(np.array([[1.0, 2.0], [np.inf, 3.0]]), p)
 
 
 def test_per_channel_scale_broadcast():

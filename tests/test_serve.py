@@ -1,4 +1,5 @@
 import bisect
+import math
 import tracemalloc
 
 import numpy as np
@@ -59,6 +60,14 @@ def test_fluctuating_peak_is_three_times_min():
     assert rates.max() == pytest.approx(300.0, rel=0.01)
     # raised cosine: peak mid-trace
     assert abs(np.argmax(rates) - len(rates) // 2) <= 1
+
+
+@pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf])
+def test_generators_reject_bad_rates_naming_them(rate):
+    with pytest.raises(ValueError, match="^rate must be finite and non-negative"):
+        gen_poisson(rate, 10.0, seed=0)
+    with pytest.raises(ValueError, match="^min_rate must be finite and non-negative"):
+        gen_fluctuating(rate, 10.0, seed=0)
 
 
 def test_simulate_fifo_conservation():
