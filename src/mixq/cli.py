@@ -243,11 +243,18 @@ def _read_arrivals(trace_file) -> np.ndarray:
     """Sorted arrival times, one per line of ``trace_file``."""
     if not Path(trace_file).is_file():
         raise MissingArtifactError(f"trace file {trace_file} not found")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # numpy's "input contained no data"
-        arrivals = np.loadtxt(trace_file, dtype=np.float64, ndmin=1)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's "input contained no data"
+            arrivals = np.loadtxt(trace_file, dtype=np.float64, ndmin=1)
+    except ValueError as exc:
+        raise ValueError(f"trace file {trace_file}: {exc}") from None
     if arrivals.size == 0:
         raise ValueError(f"trace file {trace_file} holds no arrival times")
+    bad = ~(np.isfinite(arrivals) & (arrivals >= 0))
+    if bad.any():
+        raise ValueError(f"trace file {trace_file}: arrival times must be finite and "
+                         f"non-negative, found {arrivals[np.argmax(bad)]}")
     return np.sort(arrivals)
 
 
@@ -450,7 +457,8 @@ def _float_type(ok, requirement: str):
     return parse
 
 
-_positive = _float_type(lambda v: v > 0, "be positive")
+_positive = _float_type(lambda v: math.isfinite(v) and v > 0, "be finite and positive")
+_finite = _float_type(math.isfinite, "be finite")
 _unit = _float_type(lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
 _momentum = _float_type(lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
 _rate = _float_type(lambda v: math.isfinite(v) and v >= 0, "be finite and non-negative")
@@ -524,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ratio", type=float, default=None,
                     help="4-bit ratio (default: the highest prepared)")
     sp.add_argument("--extraction", choices=("static", "dynamic", "naive"), default=None)
-    sp.add_argument("--scale", type=float, default=1.0,
+    sp.add_argument("--scale", type=_finite, default=1.0,
                     help="multiply eval inputs to emulate out-of-range batches")
     sp.add_argument("--dataset", default="eval")
 

@@ -155,11 +155,11 @@ def plan_lowering(
         shifts[flags] = MAX_SHIFT
     group = np.arange(n_in) // group_size
     on = flags[group]
-    per_channel = (1, n_in) + (1,) * (ndim - 2)
-    channel_group = np.where(on, group, flags.size).reshape(per_channel)
+    channel_shape = (1, n_in) + (1,) * (ndim - 2)
+    channel_group = np.where(on, group, flags.size).reshape(channel_shape)
     info = np.iinfo(dtype)
-    lo = np.where(on, Q4_MIN, info.min).astype(dtype).reshape(per_channel)
-    hi = np.where(on, Q4_MAX, info.max).astype(dtype).reshape(per_channel)
+    lo = np.where(on, Q4_MIN, info.min).astype(dtype).reshape(channel_shape)
+    hi = np.where(on, Q4_MAX, info.max).astype(dtype).reshape(channel_shape)
     padded = np.concatenate(([False], flags, [False]))
     edges = np.minimum(np.flatnonzero(padded[1:] != padded[:-1]) * group_size, n_in)
     runs = tuple((int(a), int(b)) for a, b in edges.reshape(-1, 2))

@@ -19,7 +19,10 @@ read back; writing it builds each layer's 8- and 4-bit codes.
 ``load_model`` checks that each range lists one finite number per input
 channel with min <= max, that each extraction mode is a known one and
 that ``input_perm`` permutes the input channels; a failed check raises a
-``ValueError`` naming the manifest and the key.
+``ValueError`` naming the manifest and the key.  It checks the graph the
+same way, naming the layer index: every kind is a known one, a matmul
+layer has a weight, a ``source`` is -1 (the input) or an earlier layer and
+a ``perm`` is a permutation.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from .bitlower import EXTRACTION_MODES, group_slices
-from .netsim import Layer, NetworkGraph, PreparedModel, QuantState, ratio_key
+from .netsim import (LAYER_KINDS, MATMUL_KINDS, Layer, NetworkGraph, PreparedModel, QuantState,
+                     ratio_key)
 from .qtensor import ChannelRange
 
 MANIFEST = "manifest.json"
@@ -154,6 +158,23 @@ def _vector(mpath: Path, what: str, value, n: int, kinds: str = "iuf") -> np.nda
     return arr
 
 
+def _check_layer(mpath: Path, idx: int, layer: Layer) -> None:
+    """The graph rules ``netsim.run`` relies on, for layer ``idx``."""
+    where = f"{mpath}: layer {idx} ({layer.kind!r})"
+    if layer.kind not in LAYER_KINDS:
+        raise ValueError(f"{where} has an unknown kind (known: {', '.join(LAYER_KINDS)})")
+    if layer.kind in MATMUL_KINDS and layer.weight is None:
+        raise ValueError(f"{where} has no weight_file")
+    source, perm = layer.source, layer.perm
+    bad_source = not (type(source) is int and -1 <= source < idx)
+    if bad_source and (source is not None or layer.kind == "residual_add"):
+        raise ValueError(f"{where} has source {source!r}, not -1 (the input) or an earlier layer")
+    bad_perm = (perm is None or perm.dtype.kind != "i"
+                or not np.array_equal(np.sort(perm), np.arange(perm.size)))
+    if bad_perm and (perm is not None or layer.kind == "reorder"):
+        raise ValueError(f"{where} has a perm that is not a permutation")
+
+
 def _parse_manifest(path: Path, manifest: dict) -> PreparedModel:
     mpath = path / MANIFEST
     layers = []
@@ -167,9 +188,10 @@ def _parse_manifest(path: Path, manifest: dict) -> PreparedModel:
                 name=rec.get("name", ""),
                 weight=weight,
                 source=rec.get("source"),
-                perm=None if rec.get("perm") is None else np.asarray(rec["perm"], dtype=np.int64),
+                perm=None if rec.get("perm") is None else np.asarray(rec["perm"]),
             )
         )
+        _check_layer(mpath, idx, layers[-1])
     graph = NetworkGraph(layers, tuple(manifest["input_shape"]), manifest["group_size"])
     input_perm = manifest.get("input_perm")
     if input_perm is not None:

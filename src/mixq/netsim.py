@@ -21,9 +21,10 @@ import numpy as np
 
 from . import kernels
 from .bitlower import EXTRACTION_MODES, group_bitwidths, group_slices, plan_extraction
-from .qtensor import ChannelRange, QuantParams, calibrate_ranges, derive_scales, quantize
+from .qtensor import ChannelRange, calibrate_ranges, derive_scales, quantize
 
 MATMUL_KINDS = ("linear", "conv2d")
+LAYER_KINDS = MATMUL_KINDS + ("relu", "gelu", "residual_add", "reorder")
 
 
 @dataclass
@@ -58,7 +59,7 @@ class NetworkGraph:
 
 
 # the derived attributes of a ``QuantState``, per part built on first read
-_UNIFORM_PART = ("act_scale", "act_scale4", "w_params8", "w_q8", "w_params4", "w_q4")
+_UNIFORM_PART = ("act_scale", "act_scale4", "w_scales8", "w_q8", "w_scales4", "w_q4")
 _MIXED_PART = ("plan", "w_lo8")
 
 
@@ -71,8 +72,8 @@ class QuantState:
 
     - uniform: the per-tensor activation scales ``act_scale`` (8-bit) and
       ``act_scale4`` (4-bit, the uniform-int4 baseline), and the
-      per-output-channel ``w_params8``/``w_params4`` with the weight codes
-      ``w_q8``/``w_q4``, all from one per-channel weight range;
+      per-output-channel scales ``w_scales8``/``w_scales4`` (1-D float64)
+      with the weight codes ``w_q8``/``w_q4``;
     - mixed: the extraction ``plan`` and ``w_lo8``, ``w_q8`` with every
       group lowered per the plan (``kernels.lower_weights``).
 
@@ -103,14 +104,12 @@ class QuantState:
 
     def _uniform_part(self) -> tuple:
         w = self.weight
-        flat = w.reshape(w.shape[0], -1)
-        w_ranges = ChannelRange(flat.min(axis=1), flat.max(axis=1))
-        p8 = derive_scales(w_ranges, 8, per_channel=True, channel_axis=0)
-        p4 = derive_scales(w_ranges, 4, per_channel=True, channel_axis=0)
-        abs_max = float(self.act_range.abs_max().max())
-        act_scale = abs_max / 127.0 if abs_max > 0 else 1e-8
-        act_scale4 = abs_max / 7.0 if abs_max > 0 else 1e-8
-        return act_scale, act_scale4, p8, quantize(w, p8).data, p4, quantize(w, p4).data
+        w_abs = np.abs(w.reshape(w.shape[0], -1)).max(axis=1)
+        s8, s4 = derive_scales(w_abs, 8), derive_scales(w_abs, 4)
+        channels = (-1,) + (1,) * (w.ndim - 1)  # one scale per output channel
+        act_abs = self.act_range.abs_max().max()
+        return (float(derive_scales(act_abs, 8)), float(derive_scales(act_abs, 4)),
+                s8, quantize(w, s8.reshape(channels), 8), s4, quantize(w, s4.reshape(channels), 4))
 
     def _mixed_part(self) -> tuple:
         plan = plan_extraction(self.act_q8_bounds(), self.w_q8, self.group_size, mode=self.mode)
@@ -142,9 +141,8 @@ class QuantState:
     def act_q8_bounds(self) -> np.ndarray:
         """[n_channels, 2] int64 (lo, hi) 8-bit activation code bounds of the
         calibrated per-channel ranges."""
-        lo = np.clip(np.rint(self.act_range.min / self.act_scale), -128, 127)
-        hi = np.clip(np.rint(self.act_range.max / self.act_scale), -128, 127)
-        return np.stack([lo, hi], axis=1).astype(np.int64)
+        bounds = np.stack([self.act_range.min, self.act_range.max], axis=1)
+        return quantize(bounds, self.act_scale, 8).astype(np.int64)
 
 
 @dataclass
@@ -211,10 +209,10 @@ def _matmul_fp32(layer: Layer, h: np.ndarray) -> np.ndarray:
 def _matmul_quant(layer: Layer, state: QuantState, h, mode: str, group_size: int, flags,
                   extraction, lowering) -> tuple[np.ndarray, kernels.KernelStats | None]:
     if mode == "int4":
-        act_scale, bits, w_q, scales = state.act_scale4, 4, state.w_q4, state.w_params4.scale
+        act_scale, bits, w_q, scales = state.act_scale4, 4, state.w_q4, state.w_scales4
     else:
-        act_scale, bits, w_q, scales = state.act_scale, 8, state.w_q8, state.w_params8.scale
-    codes = quantize(h, QuantParams(act_scale, bits)).data
+        act_scale, bits, w_q, scales = state.act_scale, 8, state.w_q8, state.w_scales8
+    codes = quantize(h, act_scale, bits)
     conv = layer.kind == "conv2d"
     w_q = w_q if conv else w_q.T  # a GEMM takes [K, N], a view of the [N, K] codes
     if mode != "mixed":
@@ -343,7 +341,7 @@ def prepare(
             streams[i].append(rec[i].input)
     states = {}
     for i in matmuls:
-        cr = calibrate_ranges(streams[i], momentum, channel_axis=1, coverage_quantile=coverage_quantile)
+        cr = calibrate_ranges(streams[i], momentum, coverage_quantile=coverage_quantile)
         states[i] = QuantState(graph.layers[i].weight, cr, graph.group_size, extraction_mode)
     return PreparedModel(graph, states)
 

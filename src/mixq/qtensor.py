@@ -1,16 +1,17 @@
-"""Quantized tensor types, channel-wise symmetric quantization, and range calibration.
+"""Channel-wise symmetric quantization and range calibration.
 
 Conventions used throughout the package:
+  - A scale is a plain float64 value: a float, or an array that
+    broadcasts against the tensor it quantizes.
   - Weights are quantized channel-wise: one scale per output channel.
-  - Activations are quantized with a single per-tensor scale by default
-    (per-group scales are available through ``derive_scales`` but the
-    mixed kernels assume a per-tensor activation scale).
-  - Quantization is symmetric signed, round-half-to-even, no zero point.
+  - Activations are quantized with a single per-tensor scale.
+  - Quantization is symmetric signed, round-half-to-even, no zero point;
+    codes are int8.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,55 +22,6 @@ EPS_SCALE = 1e-8
 def qrange(bitwidth: int) -> tuple[int, int]:
     """Signed integer range [q_min, q_max] for a bitwidth."""
     return -(1 << (bitwidth - 1)), (1 << (bitwidth - 1)) - 1
-
-
-@dataclass(frozen=True)
-class QuantParams:
-    """Scale factor(s) and integer range for one tensor.
-
-    ``scale`` is a scalar for per-tensor quantization or a 1-D array with
-    one entry per channel along ``channel_axis``.
-    """
-
-    scale: np.ndarray
-    bitwidth: int
-    channel_axis: int | None = None
-
-    def __post_init__(self):
-        scale = np.atleast_1d(np.asarray(self.scale, dtype=np.float64))
-        if self.bitwidth not in (4, 8):
-            raise ValueError(f"unsupported bitwidth {self.bitwidth}")
-        if not np.all(scale > 0):
-            raise ValueError("scale must be positive")
-        object.__setattr__(self, "scale", scale)
-
-    @property
-    def q_min(self) -> int:
-        return qrange(self.bitwidth)[0]
-
-    @property
-    def q_max(self) -> int:
-        return qrange(self.bitwidth)[1]
-
-    def broadcast_scale(self, ndim: int) -> np.ndarray:
-        """Scale shaped for broadcasting against an ndim-dimensional tensor."""
-        if self.channel_axis is None or self.scale.size == 1:
-            return self.scale.reshape(()) if self.scale.size == 1 else self.scale
-        shape = [1] * ndim
-        shape[self.channel_axis] = -1
-        return self.scale.reshape(shape)
-
-
-@dataclass(frozen=True)
-class QuantizedTensor:
-    """Signed integer codes stored in 8-bit containers plus their params."""
-
-    data: np.ndarray
-    params: QuantParams
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.int8)
-        object.__setattr__(self, "data", data)
 
 
 @dataclass
@@ -89,37 +41,38 @@ class ChannelRange:
         return np.maximum(np.abs(self.min), np.abs(self.max))
 
 
-def quantize(x: np.ndarray, params: QuantParams) -> QuantizedTensor:
-    """Map float values to integer codes: clip(round_half_even(x / S), qmin, qmax).
+def quantize(x: np.ndarray, scale, bits: int) -> np.ndarray:
+    """Map float values to int8 codes: clip(round_half_even(x / scale), q_min, q_max).
 
+    ``scale`` is a float or an array that broadcasts against ``x``.
     float32/float64 arrays are divided straight into one float64 buffer,
     which is rounded and clipped in place (float32 widens exactly).
     """
+    if bits not in (4, 8):
+        raise ValueError(f"unsupported bitwidth {bits}")
     if not (isinstance(x, np.ndarray) and x.dtype in (np.float32, np.float64)):
         x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         bad = np.argwhere(~np.isfinite(x))[0]
         raise ValueError(f"non-finite input value at index {tuple(int(i) for i in bad)}")
-    scale = params.broadcast_scale(x.ndim)
     codes = np.asarray(np.divide(x, scale, dtype=np.float64))  # 0-d input gives a scalar
     np.rint(codes, out=codes)
-    np.clip(codes, params.q_min, params.q_max, out=codes)
-    return QuantizedTensor(codes.astype(np.int8), params)
+    np.clip(codes, *qrange(bits), out=codes)
+    return codes.astype(np.int8)
 
 
-def dequantize(q: QuantizedTensor) -> np.ndarray:
-    """Inverse map: code * S with the channel-appropriate scale."""
-    scale = q.params.broadcast_scale(q.data.ndim)
-    return q.data.astype(np.float64) * scale
+def dequantize(codes: np.ndarray, scale) -> np.ndarray:
+    """Inverse map: code * scale, ``scale`` broadcasting as in ``quantize``."""
+    return np.asarray(codes).astype(np.float64) * scale
 
 
 def calibrate_ranges(
     batches,
     momentum: float = 0.99,
-    channel_axis: int = 1,
     coverage_quantile: float | None = None,
 ) -> ChannelRange:
-    """EMA of per-channel batch min/max over a stream of activation batches.
+    """EMA of per-channel batch min/max over a stream of activation batches
+    ([batch, channels, ...]).
 
     Update rule: new = momentum * old + (1 - momentum) * batch, with the
     first batch initializing the EMA directly.  ``coverage_quantile``
@@ -130,7 +83,7 @@ def calibrate_ranges(
     ema_min = ema_max = None
     for batch in batches:
         batch = np.asarray(batch, dtype=np.float64)
-        moved = np.moveaxis(batch, channel_axis, 0).reshape(batch.shape[channel_axis], -1)
+        moved = np.moveaxis(batch, 1, 0).reshape(batch.shape[1], -1)
         if coverage_quantile is not None:
             lo = np.quantile(moved, 1.0 - coverage_quantile, axis=1)
             hi = np.quantile(moved, coverage_quantile, axis=1)
@@ -147,21 +100,9 @@ def calibrate_ranges(
     return ChannelRange(ema_min, ema_max)
 
 
-def derive_scales(
-    ranges: ChannelRange,
-    bitwidth: int,
-    per_channel: bool = True,
-    channel_axis: int | None = 0,
-) -> QuantParams:
-    """Symmetric scales S = max(|min|, |max|) / (2^(bitwidth-1) - 1).
-
-    With ``per_channel=False`` a single scale from the global absolute max
-    is returned (used for activations).
-    """
-    abs_max = ranges.abs_max()
-    if not per_channel:
-        abs_max = np.atleast_1d(abs_max.max())
-        channel_axis = None
-    q_max = qrange(bitwidth)[1]
-    scale = np.where(abs_max > 0, abs_max / q_max, EPS_SCALE)
-    return QuantParams(scale=scale, bitwidth=bitwidth, channel_axis=channel_axis)
+def derive_scales(abs_max, bitwidth: int) -> np.ndarray:
+    """Symmetric scales S = abs_max / (2^(bitwidth-1) - 1), EPS_SCALE where
+    abs_max is 0: one per weight output channel from its largest |weight|,
+    or one per tensor from the largest calibrated |activation|."""
+    abs_max = np.asarray(abs_max, dtype=np.float64)
+    return np.where(abs_max > 0, abs_max / qrange(bitwidth)[1], EPS_SCALE)

@@ -158,9 +158,6 @@ class SimResult:
         return [(a, s, f, ratios[i]) for a, s, f, i in zip(
             self.arrivals.tolist(), starts.tolist(), self.finishes.tolist(), k.tolist())]
 
-    def completed(self) -> int:
-        return self.latencies.size
-
 
 def _ratio_timeline(trace: ServingTrace, policy: ControllerPolicy) -> list[tuple[float, float]]:
     """Controller decisions from observed per-window arrival rates.

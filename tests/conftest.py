@@ -33,7 +33,7 @@ def prepared_model():
 
 
 # what a QuantState builds from its inputs (its dataclass fields) on first read
-DERIVED = ("act_scale", "act_scale4", "w_params8", "w_q8", "w_params4", "w_q4", "plan", "w_lo8")
+DERIVED = ("act_scale", "act_scale4", "w_scales8", "w_q8", "w_scales4", "w_q4", "plan", "w_lo8")
 
 
 def assert_same(a, b, where="state"):

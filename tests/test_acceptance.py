@@ -26,7 +26,7 @@ from mixq.bitlower import (
 from mixq.evoselect import EvoConfig
 from mixq.kernels import int_gemm, mixed_conv2d, mixed_gemm
 from mixq.netsim import LossInputs, run, total_loss
-from mixq.qtensor import QuantParams, quantize
+from mixq.qtensor import quantize
 from conftest import small_model
 
 
@@ -44,8 +44,7 @@ def criterion(n, desc):
 def test_criterion_1_extraction_goldens():
     with criterion(1, "8-bit quantization and 4-bit extraction goldens"):
         start = time.time()
-        p = QuantParams(scale=0.033, bitwidth=8)
-        assert quantize(np.array([0.957]), p).data[0] == 29
+        assert quantize(np.array([0.957]), 0.033, 8)[0] == 29
         assert effective_bitwidth([29]) == 6
         assert static_shift(6) == 2
         assert extract4(29, 2) == 7

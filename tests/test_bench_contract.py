@@ -1,0 +1,38 @@
+"""What the benchmark under ``perfbench/`` needs of the ``mixq`` API.
+
+``perfbench/test_smoke.py`` runs the whole benchmark and takes ~20 s; these
+checks catch a rename that breaks it in well under a second.  They read
+the benchmark's modules and change none of their files.
+"""
+
+import functools
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from mixq import evoselect, scoring
+from conftest import small_conv_model, small_model
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))  # its modules import each other by name
+
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("module, attr", tracing.SPANNED + tracing.COUNTED,
+                         ids=lambda v: v)
+def test_traced_names_resolve(module, attr):
+    mod = importlib.import_module(f"mixq.{module}")
+    assert callable(functools.reduce(getattr, attr.split("."), mod))
+
+
+@pytest.mark.parametrize("conv", [False, True], ids=["linear", "conv"])
+def test_check_kernel_passes_on_a_tiny_prepared_net(conv):
+    model, _, (x_ev, _) = small_conv_model(seed=4) if conv else small_model(seed=4)
+    ratio = workloads.RATIOS[1]
+    chrom = evoselect.select_greedy(model, scoring.score_groups(model), ratio)
+    evoselect.install_selections(model, {ratio: chrom})
+    workloads.check_kernel(model, x_ev[:4], conv=conv)

@@ -253,6 +253,10 @@ def test_manifest_missing_key_exit_4(demo_dir, tmp_path, capsys, path):
     ("calibrate", "--momentum", "1"),
     ("calibrate", "--momentum", "-0.5"),
     ("calibrate", "--quantile", "1.5"),
+    ("serve-sim", "--rate", "10", "--duration", "inf"),
+    ("serve-sim", "--min-rate", "10", "--peak-factor", "inf", "--duration", "5"),
+    ("report-saturation", "--scale", "nan"),
+    ("report-saturation", "--scale", "inf"),
 ])
 def test_non_positive_counts_exit_2(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # the default model and output directory
@@ -302,6 +306,14 @@ def test_serve_sim_negative_arrival_exit_4(tmp_path, capsys):
     trace.write_text("-0.5\n1.0\n")
     assert run_cli("serve-sim", "--out", str(tmp_path), "--trace", str(trace)) == 4
     assert "finite and non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["nan", "inf", "-1", "abc"])
+def test_serve_sim_bad_arrival_names_the_trace_file(tmp_path, capsys, line):
+    trace = tmp_path / "trace.txt"
+    trace.write_text(f"0.5\n{line}\n")
+    assert run_cli("serve-sim", "--out", str(tmp_path), "--trace", str(trace)) == 4
+    assert f"trace file {trace}: " in capsys.readouterr().err
 
 
 def test_serve_sim_trace_puts_every_arrival_in_a_window(tmp_path):
@@ -460,3 +472,37 @@ def test_score_and_layout_loads_build_no_quantized_state(tmp_path, monkeypatch):
     calls.clear()
     cli.do_layout(tmp_path)
     assert calls == ["save_model"] + ["quantize"] * (2 * n)
+
+
+def _layer_edit(rule, layers):
+    """Break one graph rule in a copy of the demo manifest's ``layers``;
+    returns the index of the broken layer and a part of the message."""
+    relu = next(i for i, l in enumerate(layers) if l["kind"] == "relu")
+    if rule == "kind":
+        layers[relu] = {"kind": "softmax"}
+        return relu, "has an unknown kind"
+    if rule == "weight":
+        linear = next(i for i, l in enumerate(layers) if l["kind"] == "linear")
+        del layers[linear]["weight_file"]
+        return linear, "has no weight_file"
+    if rule in ("source 99", "source forward"):
+        source = 99 if rule == "source 99" else relu + 1
+        layers[relu] = {"kind": "residual_add", "source": source}
+        return relu, f"has source {source}, not -1 (the input) or an earlier layer"
+    perm = [99] * 32 if rule == "perm" else [c + 0.5 for c in range(32)]  # not integers
+    layers[relu] = {"kind": "reorder", "perm": perm}
+    return relu, "has a perm that is not a permutation"
+
+
+@pytest.mark.parametrize("rule", ["kind", "weight", "source 99", "source forward", "perm",
+                                  "perm floats"])
+def test_manifest_graph_checked_on_load_exit_4(demo_dir, tmp_path, capsys, rule):
+    """A broken graph is rejected on load, naming manifest and layer, not
+    with a traceback or a failure inside the first forward."""
+    model_dir = tmp_path / "model"
+    manifest = _copy_model(demo_dir, model_dir)
+    idx, want = _layer_edit(rule, manifest["layers"])
+    (model_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli("infer", "--model", str(model_dir), "--mode", "int8") == 4
+    err = capsys.readouterr().err
+    assert f"{model_dir / 'manifest.json'}: layer {idx}" in err and want in err

@@ -223,8 +223,8 @@ def test_manifest_with_stored_scales_loads_like_a_fresh_save(tmp_path):
     for key, q in manifest["quant"].items():
         st = model.states[int(key)]
         q["act_scale"], q["act_scale4"] = st.act_scale, st.act_scale4
-        q["weight_scales8"] = [float(v) for v in st.w_params8.scale]
-        q["weight_scales4"] = [float(v) for v in st.w_params4.scale]
+        q["weight_scales8"] = [float(v) for v in st.w_scales8]
+        q["weight_scales4"] = [float(v) for v in st.w_scales4]
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     old, fresh = modelio.load_model(tmp_path / "old"), modelio.load_model(tmp_path / "fresh")
     assert sorted(old.states) == sorted(fresh.states) == sorted(model.states)

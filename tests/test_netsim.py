@@ -74,20 +74,21 @@ def eager_state(weight, act_range, group_size, mode) -> dict:
     all when the state was made."""
     flat = weight.reshape(weight.shape[0], -1)
     w_ranges = ChannelRange(flat.min(axis=1), flat.max(axis=1))
-    p8 = derive_scales(w_ranges, 8, per_channel=True, channel_axis=0)
-    p4 = derive_scales(w_ranges, 4, per_channel=True, channel_axis=0)
-    q8 = quantize(weight, p8)
-    q4 = quantize(weight, p4)
+    s8 = derive_scales(w_ranges.abs_max(), 8)
+    s4 = derive_scales(w_ranges.abs_max(), 4)
+    channels = (-1,) + (1,) * (weight.ndim - 1)
+    q8 = quantize(weight, s8.reshape(channels), 8)
+    q4 = quantize(weight, s4.reshape(channels), 4)
     abs_max = float(act_range.abs_max().max())
     act_scale = abs_max / 127.0 if abs_max > 0 else 1e-8
     act_scale4 = abs_max / 7.0 if abs_max > 0 else 1e-8
     lo = np.clip(np.rint(act_range.min / act_scale), -128, 127)
     hi = np.clip(np.rint(act_range.max / act_scale), -128, 127)
     bounds = np.stack([lo, hi], axis=1).astype(np.int64)
-    plan = plan_extraction(bounds, q8.data, group_size, mode=mode)
-    w_lo8 = kernels.lower_weights(q8.data, plan.weight_shifts, group_size, axis=1)
-    return dict(act_scale=act_scale, act_scale4=act_scale4, w_params8=p8, w_q8=q8.data,
-                w_params4=p4, w_q4=q4.data, plan=plan, w_lo8=w_lo8)
+    plan = plan_extraction(bounds, q8, group_size, mode=mode)
+    w_lo8 = kernels.lower_weights(q8, plan.weight_shifts, group_size, axis=1)
+    return dict(act_scale=act_scale, act_scale4=act_scale4, w_scales8=s8, w_q8=q8,
+                w_scales4=s4, w_q4=q4, plan=plan, w_lo8=w_lo8)
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,8 +129,7 @@ def test_int8_run_matches_manual_kernel_chain():
     state = model.states[idx]
     got = run(model, x, mode="int8")
     x_q = np.clip(np.rint(x.astype(np.float64) / state.act_scale), -128, 127).astype(np.int64)
-    want = int_gemm(x_q, state.w_q8.T.astype(np.int64), state.act_scale,
-                    state.w_params8.scale)
+    want = int_gemm(x_q, state.w_q8.T.astype(np.int64), state.act_scale, state.w_scales8)
     assert np.array_equal(got, want)
 
 
@@ -147,8 +147,7 @@ def test_int4_uniform_uses_4bit_scale():
     state = model.states[idx]
     got = run(model, x, mode="int4")
     x_q = np.clip(np.rint(x.astype(np.float64) / state.act_scale4), -8, 7).astype(np.int64)
-    want = int_gemm(x_q, state.w_q4.T.astype(np.int64), state.act_scale4,
-                    state.w_params4.scale)
+    want = int_gemm(x_q, state.w_q4.T.astype(np.int64), state.act_scale4, state.w_scales4)
     assert np.array_equal(got, want)
 
 
@@ -464,7 +463,7 @@ def test_fp32_record_inputs_reproduce_calibration():
         recs.append({})
         run(model, x_cal[i : i + 32], record=recs[-1])
     for idx, state in model.states.items():
-        cr = calibrate_ranges([r[idx].input for r in recs], 0.99, channel_axis=1)
+        cr = calibrate_ranges([r[idx].input for r in recs], 0.99)
         assert np.array_equal(cr.min, state.act_range.min)
         assert np.array_equal(cr.max, state.act_range.max)
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from mixq.qtensor import (
     EPS_SCALE,
     ChannelRange,
-    QuantParams,
     calibrate_ranges,
     dequantize,
     derive_scales,
@@ -30,44 +29,43 @@ def test_qrange():
 
 
 def test_quantize_golden_example():
-    p = QuantParams(scale=0.033, bitwidth=8)
-    assert quantize(np.array([0.957]), p).data[0] == 29
+    assert quantize(np.array([0.957]), 0.033, 8)[0] == 29
 
 
 def test_quantize_matches_scalar_reference():
     rng = np.random.default_rng(0)
     x = rng.uniform(-6, 6, size=500)
     for bitwidth in (4, 8):
-        p = QuantParams(scale=0.033, bitwidth=bitwidth)
-        got = quantize(x, p).data
+        got = quantize(x, 0.033, bitwidth)
         for i, v in enumerate(x):
             assert got[i] == scalar_quantize(v, 0.033, bitwidth), v
 
 
 def test_round_half_to_even():
-    p = QuantParams(scale=1.0, bitwidth=8)
-    got = quantize(np.array([0.5, 1.5, 2.5, -0.5, -1.5]), p).data
+    got = quantize(np.array([0.5, 1.5, 2.5, -0.5, -1.5]), 1.0, 8)
     assert got.tolist() == [0, 2, 2, 0, -2]
 
 
 def test_quantize_clips_to_range():
-    p = QuantParams(scale=0.01, bitwidth=8)
-    got = quantize(np.array([100.0, -100.0]), p).data
+    got = quantize(np.array([100.0, -100.0]), 0.01, 8)
     assert got.tolist() == [127, -128]
 
 
 def test_quantize_rejects_non_finite():
-    p = QuantParams(scale=1.0, bitwidth=8)
     with pytest.raises(ValueError, match=r"non-finite input value at index \(1,\)$"):
-        quantize(np.array([1.0, np.nan]), p)
+        quantize(np.array([1.0, np.nan]), 1.0, 8)
     with pytest.raises(ValueError, match=r"non-finite input value at index \(1, 0\)$"):
-        quantize(np.array([[1.0, 2.0], [np.inf, 3.0]]), p)
+        quantize(np.array([[1.0, 2.0], [np.inf, 3.0]]), 1.0, 8)
+
+
+def test_quantize_rejects_unsupported_bitwidth():
+    with pytest.raises(ValueError, match="unsupported bitwidth 16"):
+        quantize(np.array([1.0]), 1.0, 16)
 
 
 def test_per_channel_scale_broadcast():
-    p = QuantParams(scale=[1.0, 0.5], bitwidth=8, channel_axis=0)
     x = np.array([[2.0, 2.0], [3.0, 3.0]])
-    got = quantize(x, p).data
+    got = quantize(x, np.array([[1.0], [0.5]]), 8)  # one scale per row
     assert got.tolist() == [[2, 2], [6, 6]]
 
 
@@ -77,28 +75,27 @@ def test_per_channel_scale_broadcast():
     st.floats(0.01, 1.0, allow_nan=False),
 )
 def test_roundtrip_error_bounded(x, scale):
-    p = QuantParams(scale=scale, bitwidth=8)
-    q = quantize(np.array([x]), p)
-    if abs(x) <= scale * p.q_max:  # in representable range
-        assert abs(dequantize(q)[0] - x) <= scale / 2 + 1e-12
+    q = quantize(np.array([x]), scale, 8)
+    if abs(x) <= scale * qrange(8)[1]:  # in representable range
+        assert abs(dequantize(q, scale)[0] - x) <= scale / 2 + 1e-12
 
 
 def test_ema_update_rule():
     batches = [np.array([[-1.0, 1.0]]).T, np.array([[-2.0, 2.0]]).T]
-    cr = calibrate_ranges(batches, momentum=0.99, channel_axis=1)
+    cr = calibrate_ranges(batches, momentum=0.99)
     # new = 0.99 * old + 0.01 * batch
     assert np.allclose(cr.min, [-1.01])
     assert np.allclose(cr.max, [1.01])
 
 
 def test_ema_first_batch_initializes():
-    cr = calibrate_ranges([np.array([[3.0, -5.0]]).T], momentum=0.9, channel_axis=1)
+    cr = calibrate_ranges([np.array([[3.0, -5.0]]).T], momentum=0.9)
     assert cr.min[0] == -5.0 and cr.max[0] == 3.0
 
 
 def test_ema_per_channel():
     batch = np.array([[1.0, -2.0], [3.0, 4.0]])  # channels along axis 1
-    cr = calibrate_ranges([batch], channel_axis=1)
+    cr = calibrate_ranges([batch])
     assert cr.min.tolist() == [1.0, -2.0]
     assert cr.max.tolist() == [3.0, 4.0]
 
@@ -111,30 +108,27 @@ def test_ema_empty_stream_rejected():
 def test_coverage_quantile_tightens_range():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((4096, 1))
-    full = calibrate_ranges([x], channel_axis=1)
-    clipped = calibrate_ranges([x], channel_axis=1, coverage_quantile=0.99)
+    full = calibrate_ranges([x])
+    clipped = calibrate_ranges([x], coverage_quantile=0.99)
     assert clipped.max[0] < full.max[0]
     assert clipped.min[0] > full.min[0]
 
 
 def test_derive_scales_symmetric_absmax():
     cr = ChannelRange(np.array([-3.0, -0.5]), np.array([1.0, 2.0]))
-    p = derive_scales(cr, 8)
-    assert np.allclose(p.scale, [3.0 / 127.0, 2.0 / 127.0])
-    p4 = derive_scales(cr, 4)
-    assert np.allclose(p4.scale, [3.0 / 7.0, 2.0 / 7.0])
+    assert np.allclose(derive_scales(cr.abs_max(), 8), [3.0 / 127.0, 2.0 / 127.0])
+    assert np.allclose(derive_scales(cr.abs_max(), 4), [3.0 / 7.0, 2.0 / 7.0])
 
 
 def test_derive_scales_per_tensor():
     cr = ChannelRange(np.array([-3.0, -0.5]), np.array([1.0, 2.0]))
-    p = derive_scales(cr, 8, per_channel=False)
-    assert p.scale.size == 1 and np.isclose(p.scale[0], 3.0 / 127.0)
+    scale = derive_scales(cr.abs_max().max(), 8)
+    assert scale.shape == () and scale == 3.0 / 127.0
 
 
 def test_derive_scales_degenerate_channel():
     cr = ChannelRange(np.array([0.0]), np.array([0.0]))
-    p = derive_scales(cr, 8)
-    assert p.scale[0] == EPS_SCALE
+    assert derive_scales(cr.abs_max(), 8)[0] == EPS_SCALE
 
 
 def test_channel_range_validation():
@@ -148,10 +142,10 @@ def quantize_cases(draw):
     bitwidth = draw(st.sampled_from([4, 8]))
     scale_of = st.one_of(st.sampled_from([0.5, 0.25, 0.033, 1.0, 3.0]), st.floats(1e-3, 10.0))
     if draw(st.booleans()):
-        p = QuantParams(scale=[draw(scale_of) for _ in range(rows)], bitwidth=bitwidth, channel_axis=0)
+        scale = np.array([[draw(scale_of)] for _ in range(rows)])  # one per row
     else:
-        p = QuantParams(scale=draw(scale_of), bitwidth=bitwidth)
-    row_scale = np.broadcast_to(p.broadcast_scale(2), (rows, 1))[:, 0]
+        scale = draw(scale_of)
+    row_scale = np.broadcast_to(scale, (rows, 1))[:, 0]
     # exact (k + 0.5)·scale ties, anything inside or beyond the range, and zeros
     values = [
         [draw(st.one_of(
@@ -168,16 +162,15 @@ def quantize_cases(draw):
         "int": lambda: np.rint(np.array(values)).astype(np.int64),
         "list": lambda: values,
     }[kind]()
-    return x, p
+    return x, scale, bitwidth
 
 
 @settings(max_examples=300, deadline=None)
 @given(quantize_cases())
 def test_quantize_equals_float64_reference(case):
-    x, p = case
-    want = np.clip(np.rint(np.asarray(x, np.float64) / p.broadcast_scale(2)),
-                   p.q_min, p.q_max).astype(np.int8)
-    got = quantize(x, p).data
+    x, scale, bitwidth = case
+    want = np.clip(np.rint(np.asarray(x, np.float64) / scale), *qrange(bitwidth)).astype(np.int8)
+    got = quantize(x, scale, bitwidth)
     assert got.dtype == np.int8 and got.shape == want.shape
     assert np.array_equal(got, want)
 
@@ -185,5 +178,5 @@ def test_quantize_equals_float64_reference(case):
 def test_quantize_leaves_its_input_unchanged():
     x = np.array([[0.26, -1.3], [2.0, 0.75]], dtype=np.float32)
     before = x.copy()
-    assert quantize(x, QuantParams(scale=0.5, bitwidth=4)).data.tolist() == [[1, -3], [4, 2]]
+    assert quantize(x, 0.5, 4).tolist() == [[1, -3], [4, 2]]
     assert np.array_equal(x, before) and x.dtype == np.float32
