@@ -23,7 +23,6 @@ from . import bitlower, evoselect, kernels, layout, modelio, netsim, oracle, sco
 from .modelio import MissingArtifactError
 
 DEFAULT_RATIOS = (0.25, 0.5, 0.75, 1.0)
-SERVE_RATIOS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -44,10 +43,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
-
-
-def _load(model_dir) -> netsim.PreparedModel:
-    return modelio.load_model(model_dir)
 
 
 def _batches(x: np.ndarray, batch_size: int):
@@ -76,7 +71,7 @@ def _parse_ratios(text: str) -> list[float]:
 
 
 def do_calibrate(model_dir, momentum, quantile, extraction, batch_size) -> netsim.PreparedModel:
-    model = _load(model_dir)
+    model = modelio.load_model(model_dir)
     x, _ = modelio.load_dataset(model_dir, "calib")
     new = netsim.prepare(
         model.graph,
@@ -94,7 +89,7 @@ def do_calibrate(model_dir, momentum, quantile, extraction, batch_size) -> netsi
 
 
 def do_score(model_dir, out_name="score.csv") -> list[scoring.ErrorScore]:
-    model = _load(model_dir)
+    model = modelio.load_model(model_dir)
     scores = scoring.score_groups(model)
     (Path(model_dir) / out_name).write_text(scoring.scores_to_csv(scores))
     return scores
@@ -102,7 +97,7 @@ def do_score(model_dir, out_name="score.csv") -> list[scoring.ErrorScore]:
 
 def do_select(model_dir, ratios, algo, seed, cfg_kwargs, protect_edges, extraction):
     cfg = evoselect.EvoConfig(seed=stage_seed(seed, "select"), **cfg_kwargs)
-    model = _load(model_dir)
+    model = modelio.load_model(model_dir)
     scores = scoring.score_groups(model)
     x, _ = modelio.load_dataset(model_dir, "calib")
     samples = x[: cfg.fitness_samples]
@@ -134,7 +129,7 @@ def do_select(model_dir, ratios, algo, seed, cfg_kwargs, protect_edges, extracti
 
 
 def do_layout(model_dir) -> netsim.PreparedModel:
-    model = _load(model_dir)
+    model = modelio.load_model(model_dir)
     plans = layout.plan_layout(model)
     model = layout.apply_layout(model, plans)
     modelio.save_model(model_dir, model)
@@ -179,7 +174,7 @@ def run_gemm_check(cases: int, seed: int, group_size: int, max_dim: int) -> list
 
 
 def do_infer(model_dir, mode, ratio, extraction, dataset):
-    model = _load(model_dir)
+    model = modelio.load_model(model_dir)
     x, y = modelio.load_dataset(model_dir, dataset)
     if mode == "mixed" and ratio is None:
         ratio = _top_ratio(model)
@@ -197,7 +192,7 @@ def do_infer(model_dir, mode, ratio, extraction, dataset):
 
 
 def do_report_bits(model_dir, out_name="bits.csv"):
-    model = _load(model_dir)
+    model = modelio.load_model(model_dir)
     report = netsim.unused_bit_report(model)
     rows = []
     for idx in sorted(report):
@@ -212,7 +207,7 @@ def do_report_bits(model_dir, out_name="bits.csv"):
 
 
 def do_report_saturation(model_dir, ratio, extraction, scale, dataset, out_name="saturation.csv"):
-    model = _load(model_dir)
+    model = modelio.load_model(model_dir)
     x, _ = modelio.load_dataset(model_dir, dataset)
     if ratio is None:
         ratio = _top_ratio(model)
@@ -223,7 +218,7 @@ def do_report_saturation(model_dir, ratio, extraction, scale, dataset, out_name=
 
 
 def do_report_l2(model_dir, dataset, extraction, out_name="l2.csv"):
-    model = _load(model_dir)
+    model = modelio.load_model(model_dir)
     x, _ = modelio.load_dataset(model_dir, dataset)
     ref_rec: dict[int, netsim.LayerRecord] = {}
     ref = netsim.run(model, x, mode="int8", record=ref_rec)
@@ -370,7 +365,7 @@ def run_demo(out_dir, seed: int, algo: str = "evo", verbose=print) -> dict:
     (out / "gemm_check.txt").write_text("\n".join(lines) + "\n")
 
     verbose("[demo] measuring accuracy and logit drift")
-    model = _load(out)
+    model = modelio.load_model(out)
     ref = netsim.run(model, x_eval, mode="int8")
     rows = []
     quality = {}
@@ -396,7 +391,7 @@ def run_demo(out_dir, seed: int, algo: str = "evo", verbose=print) -> dict:
     do_report_l2(out, dataset="eval", extraction=None)
 
     verbose("[demo] simulating adaptive serving")
-    summary = do_serve_sim(seed, out, "adaptive", None, quality={r: quality[r] for r in SERVE_RATIOS})
+    summary = do_serve_sim(seed, out, "adaptive", None, quality=quality)
     verbose(f"[demo] done: effective accuracy {summary['effective_accuracy']:.4f}, "
             f"{summary['windows_over_threshold']}/{summary['windows']} windows over threshold")
     return summary
@@ -487,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(sp)
     sp.add_argument("--momentum", type=_momentum, default=0.99)
     sp.add_argument("--quantile", type=_unit, default=None)
-    sp.add_argument("--extraction", choices=("static", "dynamic", "naive"), default="static")
+    sp.add_argument("--extraction", choices=bitlower.EXTRACTION_MODES, default="static")
     sp.add_argument("--batch-size", type=_positive_int, default=32)
 
     sp = add("score", "rank feature groups by quantization error score")
@@ -495,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("select", "search 4-bit group selections for each ratio")
     add_model(sp)
-    sp.add_argument("--ratios", default="0.25,0.5,0.75,1.0")
+    sp.add_argument("--ratios", default=",".join(map(str, DEFAULT_RATIOS)))
     sp.add_argument("--algo", choices=("evo", "greedy", "random"), default="evo")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--population", type=int, default=12)
@@ -505,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=_positive_int, default=64)
     sp.add_argument("--no-protect-edges", action="store_true",
                     help="allow 4-bit groups in the first/last layer")
-    sp.add_argument("--extraction", choices=("static", "dynamic", "naive"), default=None)
+    sp.add_argument("--extraction", choices=bitlower.EXTRACTION_MODES, default=None)
 
     sp = add("layout", "reorder channels so 4-bit groups are contiguous and nested")
     add_model(sp)
@@ -521,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("fp32", "int8", "int4", "mixed"), default="mixed")
     sp.add_argument("--ratio", type=float, default=None,
                     help="4-bit ratio of mixed mode (default: the highest prepared)")
-    sp.add_argument("--extraction", choices=("static", "dynamic", "naive"), default=None)
+    sp.add_argument("--extraction", choices=bitlower.EXTRACTION_MODES, default=None)
     sp.add_argument("--dataset", default="eval")
 
     sp = add("report-bits", "histogram of unused high bits per layer")
@@ -531,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model(sp)
     sp.add_argument("--ratio", type=float, default=None,
                     help="4-bit ratio (default: the highest prepared)")
-    sp.add_argument("--extraction", choices=("static", "dynamic", "naive"), default=None)
+    sp.add_argument("--extraction", choices=bitlower.EXTRACTION_MODES, default=None)
     sp.add_argument("--scale", type=_finite, default=1.0,
                     help="multiply eval inputs to emulate out-of-range batches")
     sp.add_argument("--dataset", default="eval")
@@ -539,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("report-l2", "per-layer relative L2 drift versus 8-bit, per ratio")
     add_model(sp)
     sp.add_argument("--dataset", default="eval")
-    sp.add_argument("--extraction", choices=("static", "dynamic", "naive"), default=None)
+    sp.add_argument("--extraction", choices=bitlower.EXTRACTION_MODES, default=None)
 
     sp = add("serve-sim", "simulate the reference fluctuating serving workload")
     sp.add_argument("--out", default=_default_dir())

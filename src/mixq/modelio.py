@@ -22,7 +22,8 @@ that ``input_perm`` permutes the input channels; a failed check raises a
 ``ValueError`` naming the manifest and the key.  It checks the graph the
 same way, naming the layer index: every kind is a known one, a matmul
 layer has a weight, a ``source`` is -1 (the input) or an earlier layer and
-a ``perm`` is a permutation.
+a ``perm`` is a permutation.  A weight with a non-finite value raises one
+naming its ``.f32bin`` file and the layer index.
 """
 
 from __future__ import annotations
@@ -181,7 +182,12 @@ def _parse_manifest(path: Path, manifest: dict) -> PreparedModel:
     for idx, rec in enumerate(manifest["layers"]):
         weight = None
         if "weight_file" in rec:
-            weight = load_array(path / rec["weight_file"], "<f4", rec["shape"])
+            wpath = path / rec["weight_file"]
+            weight = load_array(wpath, "<f4", rec["shape"])
+            finite = np.isfinite(weight)
+            if not finite.all():
+                at = tuple(int(i) for i in np.unravel_index(np.argmin(finite), weight.shape))
+                raise ValueError(f"{wpath}: layer {idx} weight is not finite at index {at}")
         layers.append(
             Layer(
                 rec["kind"],

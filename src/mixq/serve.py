@@ -1,18 +1,19 @@
 """Discrete-event inference-serving simulator.
 
 Single-server FIFO queue fed by Poisson or trace-driven arrivals.
-Service time comes from a parametric cost model tied to the 4-bit ratio;
-at the end of each monitoring window the adaptive controller steps the
-ratio to the adjacent entry of its ratio list whenever the profiled
-latency for the observed request rate crosses a threshold.  Simulated
-time only; fully deterministic per seed.
+Service time comes from a parametric cost model tied to the 4-bit ratio.
+The adaptive controller walks the ratio ladder of its latency profile
+(``RATIOS``, which ``build_profile`` profiles): it starts at the lowest
+entry and, at the end of each monitoring window, steps to the adjacent
+entry whenever the profiled latency for the observed request rate
+crosses a threshold.  Simulated time only; fully deterministic per seed.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .netsim import ratio_key
 DEFAULT_SPEEDUP = 1.43  # 100% 4-bit vs 8-bit matmul time
 DECREASE_MARGIN = 0.7  # step down when profiled latency < margin * threshold
 SHIPPED_DURATION = 120.0  # seconds of the reference scenario's trace
+RATIOS = (0.0, 0.25, 0.5, 0.75, 1.0)  # the controller's ladder, profiled by build_profile
 
 
 @dataclass
@@ -29,30 +31,23 @@ class CostModel:
 
     matmul_costs: np.ndarray  # per-layer base cost at 8-bit, time units
     speedup: float = DEFAULT_SPEEDUP
-    float_cost: float = 0.0
-    reorder_costs: np.ndarray | float = 0.0
-    dynamic_overhead: float = 0.0  # fraction of matmul cost, dynamic extraction
-    switch_cost: float = 0.0  # cost of a ratio switch (negligible by default)
 
     def __post_init__(self):
         self.matmul_costs = np.atleast_1d(np.asarray(self.matmul_costs, dtype=np.float64))
-        self.reorder_costs = np.atleast_1d(np.asarray(self.reorder_costs, dtype=np.float64))
 
     def service_time(self, ratio: float) -> float:
         if not 0.0 <= ratio <= 1.0:
             raise ValueError(f"ratio {ratio} outside [0, 1]")
         per_layer = self.matmul_costs * (1.0 - ratio * (1.0 - 1.0 / self.speedup))
-        matmul = float(per_layer.sum()) * (1.0 + self.dynamic_overhead)
-        return matmul + self.float_cost + float(np.sum(self.reorder_costs))
+        return float(per_layer.sum())
 
 
 @dataclass
 class ServingTrace:
-    """Request arrival times (seconds, non-decreasing) plus rate metadata."""
+    """Request arrival times (seconds, non-decreasing) over a duration."""
 
     arrivals: np.ndarray
     duration: float
-    intervals: list[tuple[float, float]] = field(default_factory=list)  # (t_start, rate)
 
     def __post_init__(self):
         self.arrivals = np.asarray(self.arrivals, dtype=np.float64)
@@ -72,40 +67,28 @@ def gen_poisson(rate: float, duration: float, seed: int) -> ServingTrace:
     _check_rate("rate", rate)
     rng = np.random.default_rng(seed)
     if rate == 0:
-        return ServingTrace(np.empty(0), duration, [(0.0, 0.0)])
+        return ServingTrace(np.empty(0), duration)
     n = int(rng.poisson(rate * duration))
-    arrivals = np.sort(rng.uniform(0.0, duration, size=n))
-    return ServingTrace(arrivals, duration, [(0.0, rate)])
+    return ServingTrace(np.sort(rng.uniform(0.0, duration, size=n)), duration)
 
 
-def gen_fluctuating(
-    min_rate: float,
-    duration: float,
-    seed: int,
-    peak_factor: float = 3.0,
-    period: float | None = None,
-    interval: float = 1.0,
-) -> ServingTrace:
+def gen_fluctuating(min_rate: float, duration: float, seed: int,
+                    peak_factor: float = 3.0) -> ServingTrace:
     """Trace-style fluctuating workload: peak rate = peak_factor x minimum.
 
-    The rate profile is a raised cosine between min_rate and
-    peak_factor * min_rate, sampled per interval; arrivals within an
-    interval are Poisson at the interval's rate.
+    The rate is one raised-cosine period over the duration, between
+    min_rate and peak_factor * min_rate (at mid-trace), sampled per second;
+    arrivals within a second are Poisson at that second's rate.
     """
     _check_rate("min_rate", min_rate)
     rng = np.random.default_rng(seed)
-    period = period or duration
-    times = np.arange(0.0, duration, interval)
+    times = np.arange(0.0, duration)
     rates = min_rate + (peak_factor - 1.0) * min_rate * 0.5 * (
-        1.0 - np.cos(2.0 * np.pi * times / period)
+        1.0 - np.cos(2.0 * np.pi * times / duration)
     )
-    arrivals = []
-    intervals = []
-    for t, r in zip(times, rates):
-        intervals.append((float(t), float(r)))
-        n = int(rng.poisson(r * interval))
-        arrivals.append(np.sort(rng.uniform(t, t + interval, size=n)))
-    return ServingTrace(np.concatenate(arrivals) if arrivals else np.empty(0), duration, intervals)
+    arrivals = [np.sort(rng.uniform(t, t + 1.0, size=int(rng.poisson(r))))
+                for t, r in zip(times, rates)]
+    return ServingTrace(np.concatenate(arrivals) if arrivals else np.empty(0), duration)
 
 
 @dataclass
@@ -113,7 +96,7 @@ class LatencyProfile:
     """Profiled latency table mapping (rate, ratio) -> expected latency."""
 
     rates: np.ndarray
-    ratios: tuple[float, ...]
+    ratios: tuple[float, ...]  # the controller's ladder
     latency: np.ndarray  # [n_rates, n_ratios]
 
     def lookup(self, rate: float, ratio: float) -> float:
@@ -129,8 +112,6 @@ class ControllerPolicy:
     window: float  # monitoring window, seconds
     threshold: float  # latency threshold, seconds
     profile: LatencyProfile
-    ratios: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
-    initial_ratio: float = 0.0
 
 
 @dataclass
@@ -139,50 +120,30 @@ class SimResult:
     ratio_timeline: list[tuple[float, float]]  # (t_start, ratio)
     latencies: np.ndarray
     saturated: bool
-    arrivals: np.ndarray
-    finishes: np.ndarray
-
-    @property
-    def requests(self) -> list[tuple[float, float, float, float]]:
-        """(arrival, start, finish, ratio) per request, built on each read.
-
-        A request starts at the later of its arrival and the previous
-        finish, as ``max(arrival, free)`` does in ``_fifo``, and is served
-        at the ratio in force at its start.
-        """
-        free = np.concatenate(([0.0], self.finishes[:-1]))
-        starts = np.where(free > self.arrivals, free, self.arrivals)
-        switch_times = [t for t, _ in self.ratio_timeline]
-        k = np.searchsorted(switch_times, starts, side="right") - 1
-        ratios = [r for _, r in self.ratio_timeline]
-        return [(a, s, f, ratios[i]) for a, s, f, i in zip(
-            self.arrivals.tolist(), starts.tolist(), self.finishes.tolist(), k.tolist())]
 
 
 def _ratio_timeline(trace: ServingTrace, policy: ControllerPolicy) -> list[tuple[float, float]]:
     """Controller decisions from observed per-window arrival rates.
 
-    The controller consults the profiled latency for the current rate at
-    each window boundary and moves the ratio at most one entry along
-    ``policy.ratios``.
+    The controller starts at the lowest ratio of the profile's ladder,
+    consults the profiled latency for the current rate at each window
+    boundary and moves the ratio at most one entry along the ladder.
     """
-    timeline = [(0.0, policy.initial_ratio)]
-    ratio = policy.initial_ratio
-    order = sorted(policy.ratios)
+    ladder = sorted(policy.profile.ratios)
+    i = 0
+    timeline = [(0.0, ladder[0])]
+    low = DECREASE_MARGIN * policy.threshold
     t = policy.window
     while t <= trace.duration + 1e-12:
         lo, hi = np.searchsorted(trace.arrivals, [t - policy.window, t])
         rate = (hi - lo) / policy.window
-        profiled = policy.profile.lookup(rate, ratio)
-        i = order.index(ratio)
-        if profiled > policy.threshold and i + 1 < len(order):
-            ratio = order[i + 1]
-            timeline.append((t, ratio))
-        elif profiled < DECREASE_MARGIN * policy.threshold and i > 0:
-            down = order[i - 1]
-            if policy.profile.lookup(rate, down) < DECREASE_MARGIN * policy.threshold:
-                ratio = down
-                timeline.append((t, ratio))
+        profiled = policy.profile.lookup(rate, ladder[i])
+        if profiled > policy.threshold and i + 1 < len(ladder):
+            i += 1
+            timeline.append((t, ladder[i]))
+        elif profiled < low and i > 0 and policy.profile.lookup(rate, ladder[i - 1]) < low:
+            i -= 1
+            timeline.append((t, ladder[i]))
         t += policy.window
     return timeline
 
@@ -192,14 +153,13 @@ def _fifo(arrivals: list[float], cost_model: CostModel,
     """Finish time of each request of a single-server FIFO queue.
 
     A request starts at the later of its arrival and the previous finish
-    and is served at the ratio in force at its start; the first request
-    served at a new ratio also pays ``switch_cost``.  Start times never
+    and is served at the ratio in force at its start.  Start times never
     decrease, so the timeline is only consulted when a start reaches the
     next switch; each ratio's service time is computed once.
     """
     finishes: list[float] = []
     service_of: dict[float, float] = {}
-    k, last_ratio = 0, timeline[0][1]
+    k = 0
     next_switch = timeline[0][0]  # 0.0: the first start looks its ratio up
     free = service = 0.0
     for a in arrivals:
@@ -212,11 +172,6 @@ def _fifo(arrivals: list[float], cost_model: CostModel,
             if ratio not in service_of:
                 service_of[ratio] = cost_model.service_time(ratio)
             service = service_of[ratio]
-            if ratio != last_ratio:
-                last_ratio = ratio
-                free = start + (service + cost_model.switch_cost)
-                finishes.append(free)
-                continue
         free = start + service
         finishes.append(free)
     return finishes
@@ -264,32 +219,32 @@ def simulate(
         trace.arrivals.size
         and trace.arrivals.size / max(trace.duration, 1e-12) * service_min > 1.0
     )
-    return SimResult(windows, timeline, latencies, saturated, trace.arrivals, finishes)
+    return SimResult(windows, timeline, latencies, saturated)
 
 
 def build_profile(
     cost_model: CostModel,
     rates,
-    ratios=(0.0, 0.25, 0.5, 0.75, 1.0),
     duration: float = 20.0,
     seed: int = 1234,
 ) -> LatencyProfile:
-    """Profiled (rate, ratio) -> median latency table via pre-simulation sweeps.
+    """Profiled (rate, ratio) -> median latency table over ``RATIOS`` via
+    pre-simulation sweeps.
 
     Each cell is the median latency of a fixed-ratio FIFO run over a Poisson
     trace; no per-window statistics are computed.
     """
     rates = np.asarray(sorted(rates), dtype=np.float64)
-    table = np.zeros((rates.size, len(ratios)))
+    table = np.zeros((rates.size, len(RATIOS)))
     for i, rate in enumerate(rates):
         arrivals = gen_poisson(float(rate), duration, seed + i).arrivals
         if not arrivals.size:
             continue  # no request, no latency: the row stays 0
         times = arrivals.tolist()
-        for j, ratio in enumerate(ratios):
-            finishes = np.array(_fifo(times, cost_model, [(0.0, float(ratio))]))
+        for j, ratio in enumerate(RATIOS):
+            finishes = np.array(_fifo(times, cost_model, [(0.0, ratio)]))
             table[i, j] = float(np.median(finishes - arrivals))
-    return LatencyProfile(rates, tuple(ratios), table)
+    return LatencyProfile(rates, RATIOS, table)
 
 
 def shipped_server(seed: int = 7) -> tuple[CostModel, ControllerPolicy]:
@@ -307,8 +262,7 @@ def shipped_scenario(seed: int = 7):
     8-bit overloads around the peak while the adaptive controller rides it
     out by raising the 4-bit ratio.  Returns (trace, cost_model, policy).
     """
-    trace = gen_fluctuating(min_rate=500.0, duration=SHIPPED_DURATION, seed=seed,
-                            peak_factor=3.0, period=SHIPPED_DURATION)
+    trace = gen_fluctuating(min_rate=500.0, duration=SHIPPED_DURATION, seed=seed, peak_factor=3.0)
     return (trace, *shipped_server(seed))
 
 

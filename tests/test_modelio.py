@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from mixq import evoselect, layout, modelio, netsim, scoring
+from mixq import cli, evoselect, layout, modelio, netsim, scoring
 from mixq.evoselect import EvoConfig
 from mixq.modelio import MissingArtifactError
 from conftest import assert_same, small_model
@@ -121,6 +121,24 @@ def test_binary_size_mismatch_names_file_and_counts(tmp_path, extra):
     found = 25 if extra is None else want + extra
     with pytest.raises(ValueError, match=f"{rec['weight_file']}.*needs {want} elements, found {found}"):
         modelio.load_model(tmp_path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_weight_names_file_and_layer(tmp_path, capsys, value):
+    # once caught only by quantize, as "non-finite input value at index (0, 3)"
+    model, _ = full_pipeline_model()
+    modelio.save_model(tmp_path, model)
+    meta = json.loads((tmp_path / "manifest.json").read_text())
+    idx, rec = [(i, l) for i, l in enumerate(meta["layers"]) if "weight_file" in l][1]
+    path = tmp_path / rec["weight_file"]
+    w = np.fromfile(path, dtype="<f4").reshape(rec["shape"])
+    w[1, 2] = value
+    w.tofile(path)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: layer {idx} weight is not finite "
+                                                   "at index (1, 2)")):
+        modelio.load_model(tmp_path)
+    assert cli.main(["infer", "--model", str(tmp_path), "--mode", "fp32"]) == 4
+    assert f"{path}: layer {idx}" in capsys.readouterr().err
 
 
 def test_manifest_stores_only_the_extraction_mode(tmp_path):

@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixq import serve
+from mixq import cli, serve
 from mixq.serve import (
     ControllerPolicy,
     CostModel,
@@ -32,12 +33,6 @@ def test_service_time_speedup_endpoints():
         cost.service_time(1.5)
 
 
-def test_service_time_overheads():
-    cost = CostModel(matmul_costs=np.array([1.0]), float_cost=0.5,
-                     reorder_costs=np.array([0.03]), dynamic_overhead=0.1)
-    assert cost.service_time(0.0) == pytest.approx(1.0 * 1.1 + 0.5 + 0.03)
-
-
 def test_poisson_count_within_4_sigma():
     rate, duration = 200.0, 50.0
     trace = gen_poisson(rate, duration, seed=0)
@@ -54,12 +49,12 @@ def test_poisson_interarrival_mean():
 
 
 def test_fluctuating_peak_is_three_times_min():
-    trace = gen_fluctuating(100.0, 60.0, seed=2, peak_factor=3.0, period=60.0)
-    rates = np.array([r for _, r in trace.intervals])
-    assert rates.min() == pytest.approx(100.0)
-    assert rates.max() == pytest.approx(300.0, rel=0.01)
-    # raised cosine: peak mid-trace
-    assert abs(np.argmax(rates) - len(rates) // 2) <= 1
+    trace = gen_fluctuating(100.0, 60.0, seed=2, peak_factor=3.0)
+    counts = np.bincount(trace.arrivals.astype(int), minlength=60)
+    assert counts.size == 60  # every arrival falls inside the trace
+    # raised cosine over the trace: 100 req/s at both ends, 300 at mid-trace
+    rates = 100.0 + 100.0 * (1.0 - np.cos(2.0 * np.pi * np.arange(60) / 60.0))
+    assert np.all(np.abs(counts - rates) < 4.0 * np.sqrt(rates))
 
 
 @pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf])
@@ -75,8 +70,8 @@ def test_simulate_fifo_conservation():
     cost = CostModel(matmul_costs=np.array([0.001]))
     res = simulate(trace, cost, 0.0)
     assert res.latencies.size == trace.arrivals.size
-    starts = np.array([s for _, s, _, _ in res.requests])
-    finishes = np.array([f for _, _, f, _ in res.requests])
+    finishes = trace.arrivals + res.latencies
+    starts = np.maximum(trace.arrivals, np.concatenate(([0.0], finishes[:-1])))
     assert np.all(np.diff(starts) >= 0)  # FIFO
     assert np.all(finishes - starts >= cost.service_time(0.0) - 1e-12)
     assert np.all(res.latencies >= cost.service_time(0.0) - 1e-12)
@@ -118,8 +113,7 @@ def test_controller_raises_and_lowers_ratio():
     rates = np.array([0.0, 100.0, 200.0])
     table = np.array([[0.001, 0.0001], [0.02, 0.0001], [0.02, 0.0001]])
     prof = LatencyProfile(rates, (0.0, 1.0), table)
-    policy = ControllerPolicy(window=1.0, threshold=0.01, profile=prof,
-                              ratios=(0.0, 1.0))
+    policy = ControllerPolicy(window=1.0, threshold=0.01, profile=prof)
     # 3 s busy then 3 s idle
     busy = np.sort(np.random.default_rng(7).uniform(0, 3, 600))
     trace = ServingTrace(np.concatenate([busy, np.array([5.9])]), 6.0)
@@ -139,6 +133,22 @@ def test_controller_steps_one_level_per_window():
     timeline = serve._ratio_timeline(trace, policy)
     steps = [r for _, r in timeline]
     assert steps[:5] == [0.0, 0.25, 0.5, 0.75, 1.0]  # one 25% step per window
+
+
+def test_controller_walks_the_ladder_of_its_profile():
+    # a hand-built profile with a coarser ladder than RATIOS: over the
+    # threshold above 100 req/s below ratio 1.0, under it otherwise
+    ladder = (0.0, 0.5, 1.0)
+    table = np.array([[0.001, 0.001, 0.0001], [0.02, 0.02, 0.0001], [0.02, 0.02, 0.0001]])
+    prof = LatencyProfile(np.array([0.0, 100.0, 200.0]), ladder, table)
+    policy = ControllerPolicy(window=1.0, threshold=0.01, profile=prof)
+    # busy, idle, busy, idle
+    rng = np.random.default_rng(8)
+    busy = [np.sort(rng.uniform(t, t + 3, 600)) for t in (0.0, 6.0)]
+    trace = ServingTrace(np.concatenate([busy[0], busy[1], [11.9]]), 12.0)
+    steps = [ladder.index(r) for _, r in serve._ratio_timeline(trace, policy)]
+    assert steps[0] == 0 and 2 in steps and steps[-1] == 0
+    assert np.all(np.abs(np.diff(steps)) == 1)  # adjacent entries only
 
 
 def test_effective_accuracy_time_weighted():
@@ -180,15 +190,10 @@ def reference_simulate(trace, cost_model, policy, window=None):
 
     free = 0.0
     requests = []
-    last_ratio = timeline[0][1]
     for a in trace.arrivals:
         start = max(float(a), free)
         ratio = ratio_at(start)
-        service = cost_model.service_time(ratio)
-        if ratio != last_ratio:
-            service += cost_model.switch_cost
-            last_ratio = ratio
-        finish = start + service
+        finish = start + cost_model.service_time(ratio)
         free = finish
         requests.append((float(a), start, finish, ratio))
 
@@ -220,10 +225,7 @@ def serving_cases(draw):
     anywhere = st.floats(0.0, duration, allow_nan=False)
     arrivals = sorted(draw(st.lists(st.one_of(on_edge, anywhere), max_size=60)))
     trace = ServingTrace(np.array(arrivals, dtype=np.float64), duration)
-    cost = CostModel(
-        matmul_costs=np.array([draw(st.sampled_from([0.01, 0.05, 0.2, 1.0 / 3.0]))]),
-        switch_cost=draw(st.sampled_from([0.0, 0.0125, 0.1])),
-    )
+    cost = CostModel(matmul_costs=np.array([draw(st.sampled_from([0.01, 0.05, 0.2, 1.0 / 3.0]))]))
     if draw(st.booleans()):
         return trace, cost, draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])), \
             draw(st.sampled_from([None, window]))
@@ -233,7 +235,7 @@ def serving_cases(draw):
                                             min_size=5, max_size=5), min_size=3, max_size=3)))
     profile = LatencyProfile(rates, ratios, table)
     policy = ControllerPolicy(window=window, threshold=draw(st.sampled_from([0.005, 0.02, 0.1])),
-                              profile=profile, initial_ratio=draw(st.sampled_from(ratios)))
+                              profile=profile)
     return trace, cost, policy, None
 
 
@@ -249,17 +251,16 @@ def test_simulate_equals_reference(case):
     assert res.ratio_timeline == timeline
     assert res.latencies.dtype == latencies.dtype
     assert res.latencies.tolist() == latencies.tolist()
-    assert res.requests == requests
 
 
 def test_simulate_equals_reference_on_a_long_switching_trace():
     # 2,000 arrivals whose rate swings across the profile, so the
-    # controller switches often and each switch costs service time
+    # controller switches often and requests are served at every ratio
     rng = np.random.default_rng(11)
     gaps = rng.exponential(1.0 / np.repeat([20.0, 300.0, 40.0, 300.0, 20.0], [200, 600, 200, 800, 200]))
     arrivals = np.cumsum(gaps)
     trace = ServingTrace(arrivals, float(np.ceil(arrivals[-1])) + 0.5)
-    cost = CostModel(matmul_costs=np.array([0.004]), switch_cost=0.0015)
+    cost = CostModel(matmul_costs=np.array([0.004]))
     profile = build_profile(cost, rates=[0.0, 100.0, 200.0, 300.0], duration=5.0, seed=12)
     policy = ControllerPolicy(window=0.5, threshold=0.008, profile=profile)
     res = simulate(trace, cost, policy)
@@ -269,27 +270,24 @@ def test_simulate_equals_reference_on_a_long_switching_trace():
     assert res.windows == windows
     assert res.ratio_timeline == timeline
     assert res.latencies.tolist() == latencies.tolist()
-    assert res.requests == requests
     assert res.latencies.size == 2000
 
 
-def reference_build_profile(cost_model, rates, ratios=(0.0, 0.25, 0.5, 0.75, 1.0),
-                            duration=20.0, seed=1234):
+def reference_build_profile(cost_model, rates, duration=20.0, seed=1234):
     """build_profile as the median of each fixed-ratio simulate run."""
     rates = np.asarray(sorted(rates), dtype=np.float64)
-    table = np.zeros((rates.size, len(ratios)))
+    table = np.zeros((rates.size, len(serve.RATIOS)))
     for i, rate in enumerate(rates):
         trace = gen_poisson(float(rate), duration, seed + i)
-        for j, ratio in enumerate(ratios):
+        for j, ratio in enumerate(serve.RATIOS):
             res = simulate(trace, cost_model, float(ratio))
             table[i, j] = float(np.median(res.latencies)) if res.latencies.size else 0.0
-    return LatencyProfile(rates, tuple(ratios), table)
+    return LatencyProfile(rates, serve.RATIOS, table)
 
 
-@pytest.mark.parametrize("switch_cost", [0.0, 0.0005])
-def test_build_profile_equals_median_of_simulate(switch_cost):
+def test_build_profile_equals_median_of_simulate():
     # 0 req/s has no arrival; 1,500 req/s is above capacity at every ratio
-    cost = CostModel(matmul_costs=np.array([0.001]), switch_cost=switch_cost)
+    cost = CostModel(matmul_costs=np.array([0.001]))
     rates = [900.0, 0.0, 300.0, 1500.0]
     got = build_profile(cost, rates, duration=4.0, seed=21)
     want = reference_build_profile(cost, rates, duration=4.0, seed=21)
@@ -339,3 +337,13 @@ def test_effective_accuracy_names_a_ratio_without_quality():
     assert not isinstance(e.value, KeyError)
     # a ratio that is never in force inside [0, duration) needs no entry
     assert effective_accuracy([(0.0, 0.0), (12.0, 0.75)], 10.0, {0.0: 1.0}) == 1.0
+
+
+def test_shipped_serving_scenario_is_pinned(tmp_path):
+    # serve.csv and the controller's decisions of `mixq serve-sim --seed 0`
+    summary = cli.do_serve_sim(0, tmp_path, "adaptive", None)
+    assert hashlib.sha256((tmp_path / "serve.csv").read_bytes()).hexdigest() == \
+        "122e8ac73a4e091aa7968e58ac040c6d0a20ed4cdd65e7aece34551e1c394678"
+    assert summary["ratio_timeline"] == [
+        [0.0, 0.0], [34.0, 0.25], [40.0, 0.5], [42.0, 0.75], [50.0, 1.0], [54.0, 0.75],
+        [56.0, 1.0], [74.0, 0.75], [84.0, 0.5], [88.0, 0.25], [92.0, 0.0]]
