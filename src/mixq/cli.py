@@ -9,7 +9,6 @@ per-stage named generators, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -42,7 +41,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    modelio.write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def _batches(x: np.ndarray, batch_size: int):
@@ -91,7 +90,7 @@ def do_calibrate(model_dir, momentum, quantile, extraction, batch_size) -> netsi
 def do_score(model_dir, out_name="score.csv") -> list[scoring.ErrorScore]:
     model = modelio.load_model(model_dir)
     scores = scoring.score_groups(model)
-    (Path(model_dir) / out_name).write_text(scoring.scores_to_csv(scores))
+    modelio.write_atomic(Path(model_dir) / out_name, scoring.scores_to_csv(scores).encode())
     return scores
 
 
@@ -122,9 +121,7 @@ def do_select(model_dir, ratios, algo, seed, cfg_kwargs, protect_edges, extracti
         _fmt(r): {str(i): int(f.sum()) for i, f in zip(c.layers, c.flags)}
         for r, c in selections.items()
     }
-    (Path(model_dir) / "selection.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    modelio.write_json(Path(model_dir) / "selection.json", summary)
     return selections
 
 
@@ -311,7 +308,7 @@ def do_serve_sim(seed, out_dir, policy_name, fixed_ratio, quality=None, out_name
         summary["effective_accuracy"] = serve.effective_accuracy(
             result.ratio_timeline, trace.duration, quality
         )
-    (out_dir / "serve_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    modelio.write_json(out_dir / "serve_summary.json", summary)
     return summary
 
 
@@ -345,7 +342,7 @@ def run_demo(out_dir, seed: int, algo: str = "evo", verbose=print) -> dict:
     modelio.save_model(out, netsim.PreparedModel(graph, {}))
     modelio.save_dataset(out, "calib", x_cal, y_cal)
     modelio.save_dataset(out, "eval", x_eval, y_eval)
-    (out / "demo_config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+    modelio.write_json(out / "demo_config.json", cfg)
 
     verbose("[demo] calibrating activation ranges")
     do_calibrate(out, momentum=0.99, quantile=None, extraction="static", batch_size=32)
@@ -362,7 +359,7 @@ def run_demo(out_dir, seed: int, algo: str = "evo", verbose=print) -> dict:
 
     verbose("[demo] verifying kernels against the scalar reference")
     lines = run_gemm_check(cases=10, seed=seed, group_size=4, max_dim=12)
-    (out / "gemm_check.txt").write_text("\n".join(lines) + "\n")
+    modelio.write_atomic(out / "gemm_check.txt", ("\n".join(lines) + "\n").encode())
 
     verbose("[demo] measuring accuracy and logit drift")
     model = modelio.load_model(out)
@@ -541,10 +538,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--policy", choices=("adaptive", "fixed"), default="adaptive")
     sp.add_argument("--ratio", type=_unit, default=0.0, help="ratio for the fixed policy")
-    sp.add_argument("--trace", default=None, help="file with one arrival time per line")
-    sp.add_argument("--rate", type=_rate, default=None, help="constant Poisson rate, req/s")
-    sp.add_argument("--min-rate", type=_rate, default=None, help="fluctuating trace minimum rate")
-    sp.add_argument("--peak-factor", type=_positive, default=3.0)
+    arrivals = sp.add_mutually_exclusive_group()
+    arrivals.add_argument("--trace", default=None, help="file with one arrival time per line")
+    arrivals.add_argument("--rate", type=_rate, default=None, help="constant Poisson rate, req/s")
+    arrivals.add_argument("--min-rate", type=_rate, default=None,
+                          help="fluctuating trace minimum rate")
+    sp.add_argument("--peak-factor", type=_positive, default=None,
+                    help="fluctuating trace peak over minimum rate (with --min-rate; default 3)")
     sp.add_argument("--duration", type=_positive, default=None,
                     help="trace length, seconds (with --trace, --rate or --min-rate)")
     sp.add_argument("--threshold", type=_positive, default=None, help="latency threshold, seconds")
@@ -605,7 +605,8 @@ def _dispatch(args) -> int:
         summary = do_serve_sim(args.seed, args.out, args.policy,
                                args.ratio if args.policy == "fixed" else None,
                                rate=args.rate, min_rate=args.min_rate,
-                               peak_factor=args.peak_factor, duration=args.duration,
+                               peak_factor=3.0 if args.peak_factor is None else args.peak_factor,
+                               duration=args.duration,
                                threshold=args.threshold, window=args.window,
                                trace_file=args.trace)
         print(f"{summary['windows_over_threshold']}/{summary['windows']} windows over "
@@ -621,9 +622,12 @@ def _dispatch(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (args.command == "serve-sim" and args.duration is not None
-            and args.trace is None and args.rate is None and args.min_rate is None):
-        parser.error("--duration needs --trace, --rate or --min-rate")
+    if args.command == "serve-sim":
+        if (args.duration is not None
+                and args.trace is None and args.rate is None and args.min_rate is None):
+            parser.error("--duration needs --trace, --rate or --min-rate")
+        if args.peak_factor is not None and args.min_rate is None:
+            parser.error("--peak-factor needs --min-rate")
     try:
         return _dispatch(args)
     except MissingArtifactError as exc:

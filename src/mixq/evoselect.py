@@ -2,9 +2,13 @@
 
 A chromosome is one bit flag per feature group, ordered by layer; fitness
 is the mean L2 distance between mixed-precision output logits and the
-full 8-bit logits (lower is better).  Greedy and random baseline
-selectors share the same chromosome shape.  Inclusivity across ratios is
+full 8-bit logits (lower is better).  Inclusivity across ratios is
 enforced with a baseline chromosome whose flags are never unset.
+
+One routine, ``_complete``, fills a baseline up to a ratio's group count;
+a selector only chooses which unset groups it sets: greedy the lowest
+scores, random uniform draws, the evolutionary seed population the greedy
+pick plus score-weighted draws, and ``mutate``'s repair greedy's ranking.
 """
 
 from __future__ import annotations
@@ -158,25 +162,18 @@ def mutate(
             f[pick] = True
     # repair pass: meet the target count exactly
     total = int(sum(f.sum() for f in flags))
-    if total != target:
-        flat_scores = []
-        for li, idx in enumerate(chrom.layers):
-            for g in range(flags[li].size):
-                flat_scores.append((scores[idx][g], li, g))
-        if total > target:
-            removable = sorted(
-                (t for t in flat_scores if flags[t[1]][t[2]] and not base[t[1]][t[2]]),
-                key=lambda t: (-t[0], t[1], t[2]),
-            )
-            for _, li, g in removable[: total - target]:
-                flags[li][g] = False
-        else:
-            addable = sorted(
-                (t for t in flat_scores if not flags[t[1]][t[2]]),
-                key=lambda t: (t[0], t[1], t[2]),
-            )
-            for _, li, g in addable[: target - total]:
-                flags[li][g] = True
+    if total > target:
+        removable = sorted(
+            ((scores[idx][g], li, g) for li, idx in enumerate(chrom.layers)
+             for g in np.flatnonzero(flags[li] & ~base[li])),
+            key=lambda t: (-t[0], t[1], t[2]),
+        )
+        for _, li, g in removable[: total - target]:
+            flags[li][g] = False
+    elif total < target:
+        short = Chromosome(chrom.layers, tuple(flags), chrom.target_ratio)
+        flags = _complete(None, target / short.total_groups(), short, False,
+                          _lowest(scores, chrom.layers)).flags
     return Chromosome(chrom.layers, tuple(flags), chrom.target_ratio)
 
 
@@ -191,6 +188,28 @@ def _empty(model: PreparedModel, layers: tuple[int, ...], ratio: float) -> Chrom
     return Chromosome(layers, tuple(np.zeros(model.n_groups(i), dtype=bool) for i in layers), ratio)
 
 
+def _complete(model: PreparedModel | None, ratio: float, baseline: Chromosome | None,
+              protect_edges: bool, choose) -> Chromosome:
+    """``baseline`` (default: no group of ``model``'s selectable layers set)
+    with the unset (layer position, group) pairs that ``choose(unset, need)``
+    picks set, where ``need`` is the count the ratio's target still lacks."""
+    base = baseline or _empty(model, _selectable_layers(model, protect_edges), ratio)
+    need = target_count(ratio, base.total_groups()) - base.set_count()
+    if need < 0:
+        raise ValueError("baseline exceeds the target ratio")
+    flags = [f.copy() for f in base.flags]
+    unset = [(li, g) for li, f in enumerate(flags) for g in np.flatnonzero(~f)]
+    for li, g in choose(unset, need):
+        flags[li][g] = True
+    return Chromosome(base.layers, tuple(flags), ratio)
+
+
+def _lowest(scores: dict[int, np.ndarray], layers: tuple[int, ...]):
+    """A ``choose`` taking the lowest (score, layer position, group)."""
+    return lambda unset, need: sorted(
+        unset, key=lambda t: (scores[layers[t[0]]][t[1]], t[0], t[1]))[:need]
+
+
 def select_greedy(
     model: PreparedModel,
     scores: list[ErrorScore],
@@ -198,20 +217,11 @@ def select_greedy(
     baseline: Chromosome | None = None,
     protect_edges: bool = False,
 ) -> Chromosome:
-    """Pick ascending-score groups model-wide until the target is met."""
+    """Pick ascending-score groups model-wide until the target is met.
+    Every group of the selectable layers needs a score."""
     layers = baseline.layers if baseline else _selectable_layers(model, protect_edges)
-    chrom = baseline or _empty(model, layers, ratio)
-    flags = [f.copy() for f in chrom.flags]
-    target = target_count(ratio, chrom.total_groups())
-    pos = {idx: li for li, idx in enumerate(layers)}
-    ranked = [s for s in scores if s.layer in pos and not flags[pos[s.layer]][s.group]]
-    ranked.sort(key=lambda s: (s.score, s.layer, s.group))
-    need = target - int(sum(f.sum() for f in flags))
-    if need < 0:
-        raise ValueError("baseline exceeds the target ratio")
-    for s in ranked[:need]:
-        flags[pos[s.layer]][s.group] = True
-    return Chromosome(layers, tuple(flags), ratio)
+    smap = _scores_map(scores, layers, [model.n_groups(i) for i in layers])
+    return _complete(model, ratio, baseline, protect_edges, _lowest(smap, layers))
 
 
 def select_random(
@@ -222,43 +232,9 @@ def select_random(
     protect_edges: bool = False,
 ) -> Chromosome:
     """Uniformly random selection at the target ratio."""
-    layers = baseline.layers if baseline else _selectable_layers(model, protect_edges)
-    chrom = baseline or _empty(model, layers, ratio)
-    flags = [f.copy() for f in chrom.flags]
-    target = target_count(ratio, chrom.total_groups())
-    unset = [(li, g) for li, f in enumerate(flags) for g in np.flatnonzero(~f)]
-    need = target - int(sum(f.sum() for f in flags))
-    picks = rng.choice(len(unset), size=need, replace=False)
-    for i in picks:
-        li, g = unset[i]
-        flags[li][g] = True
-    return Chromosome(layers, tuple(flags), ratio)
-
-
-def _seed_population(
-    model: PreparedModel,
-    layers: tuple[int, ...],
-    scores_map: dict[int, np.ndarray],
-    greedy: Chromosome,
-    ratio: float,
-    target: int,
-    cfg: EvoConfig,
-    rng: np.random.Generator,
-    baseline: Chromosome | None,
-) -> list[Chromosome]:
-    base = baseline or _empty(model, layers, ratio)
-    unset = [(li, g) for li, f in enumerate(base.flags) for g in np.flatnonzero(~f)]
-    weights = np.array([1.0 / (scores_map[layers[li]][g] + SCORE_EPS) for li, g in unset])
-    weights /= weights.sum()
-    need = target - base.set_count()
-    pop = [greedy]
-    while len(pop) < cfg.population:
-        flags = [f.copy() for f in base.flags]
-        for i in rng.choice(len(unset), size=need, replace=False, p=weights):
-            li, g = unset[i]
-            flags[li][g] = True
-        pop.append(Chromosome(layers, tuple(flags), ratio))
-    return pop
+    def uniform(unset, need):
+        return [unset[i] for i in rng.choice(len(unset), size=need, replace=False)]
+    return _complete(model, ratio, baseline, protect_edges, uniform)
 
 
 def select_channels(
@@ -285,8 +261,6 @@ def select_channels(
         return _empty(model, layers, ratio)
     if target == total:
         return Chromosome(layers, tuple(np.ones(n, dtype=bool) for n in sizes), ratio)
-    if baseline is not None and baseline.set_count() > target:
-        raise ValueError("baseline ratio exceeds the requested ratio")
 
     rng = np.random.default_rng(cfg.seed)
     smap = _scores_map(scores, layers, sizes)
@@ -299,8 +273,12 @@ def select_channels(
             cache[k] = fitness(model, c, sample_inputs, ref_logits, extraction=extraction)
         return cache[k]
 
-    greedy = select_greedy(model, scores, ratio, baseline=baseline, protect_edges=protect_edges)
-    pop = _seed_population(model, layers, smap, greedy, ratio, target, cfg, rng, baseline)
+    def weighted(unset, need):  # favours low scores
+        w = np.array([1.0 / (smap[layers[li]][g] + SCORE_EPS) for li, g in unset])
+        return [unset[i] for i in rng.choice(len(unset), size=need, replace=False, p=w / w.sum())]
+
+    pop = [_complete(model, ratio, baseline, protect_edges, choose)
+           for choose in [_lowest(smap, layers)] + [weighted] * (cfg.population - 1)]
     for _ in range(cfg.generations):
         ranked = sorted(pop, key=lambda c: (fit(c), c.key()))
         if history is not None:

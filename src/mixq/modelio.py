@@ -15,7 +15,9 @@ is rebuilt from the float weights and ranges, not on load but on its first
 read (``netsim.QuantState``), so a stage that reads only the ranges
 quantizes no weights; keys that older manifests carry for them are
 ignored.  ``codes_file`` is written for readers of the tree and never
-read back; writing it builds each layer's 8- and 4-bit codes.
+read back; writing it builds each layer's 8- and 4-bit codes.  Every file
+is written atomically (``write_atomic``), the manifest last, so an
+interrupted save leaves each file whole, old or new.
 ``load_model`` checks that each range lists one finite number per input
 channel with min <= max, that each extraction mode is a known one and
 that ``input_perm`` permutes the input channels; a failed check raises a
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -55,9 +58,29 @@ def _codes_file(idx: int, layer: Layer) -> str:
     return f"{layer.name or f'layer{idx}'}.i8bin"
 
 
+def write_atomic(path, data) -> None:
+    """Write ``data`` (bytes, or a C-contiguous array, whose buffer is
+    written without a copy) to a temporary sibling of ``path``, then move it
+    over ``path``: an interrupted write leaves the previous file, never part
+    of ``data``.  The temporary file is removed when the write fails."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as indented JSON with sorted keys, written atomically."""
+    write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
+
+
 def save_array(path: Path, arr: np.ndarray):
     dtype = {"float32": "<f4", "int8": "i1", "int64": "<i8"}[str(arr.dtype)]
-    arr.astype(dtype, copy=False).tofile(path)
+    write_atomic(path, np.ascontiguousarray(arr, dtype=dtype))
 
 
 def load_array(path: Path, dtype: str, shape) -> np.ndarray:
@@ -119,7 +142,7 @@ def save_model(path, model: PreparedModel):
         "input_perm": None if model.input_perm is None else [int(v) for v in model.input_perm],
         "laid_out": model.laid_out,
     }
-    (path / MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(path / MANIFEST, manifest)
 
 
 def load_model(path) -> PreparedModel:
@@ -276,7 +299,7 @@ def save_dataset(path, name: str, x: np.ndarray, y: np.ndarray | None = None):
     if y is not None:
         save_array(path / f"{name}_y.i64bin", y.astype(np.int64))
         meta[name]["y_shape"] = list(y.shape)
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(meta_path, meta)
 
 
 def load_dataset(path, name: str):

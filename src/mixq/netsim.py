@@ -233,7 +233,8 @@ def run(
     flags_override: dict[int, np.ndarray] | None = None,
     record: dict[int, LayerRecord] | None = None,
 ) -> np.ndarray:
-    """Execute the network on a batch and return its output.
+    """Execute the network on a batch ``x`` of shape [batch, *input_shape]
+    and return its output.
 
     mode: fp32 | int8 | int4 | mixed.  In mixed mode the 4-bit group flags
     come from ``flags_override`` if given, else from the selection
@@ -258,6 +259,9 @@ def run(
         flags_by_layer = _selection(model, ratio)
 
     h = np.asarray(x, dtype=np.float32)
+    if h.shape[1:] != tuple(model.graph.input_shape):
+        raise ValueError(f"input of shape {list(h.shape)} does not match the model's input "
+                         f"shape [batch, {', '.join(map(str, model.graph.input_shape))}]")
     if model.input_perm is not None:
         h = h[:, model.input_perm]
     x0 = h

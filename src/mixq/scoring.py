@@ -28,18 +28,16 @@ class ErrorScore:
         return self.activation_range * self.max_weight_range
 
 
-def score_groups(model: PreparedModel, eligible: list[int] | None = None) -> list[ErrorScore]:
-    """Score every feature group of the eligible matmul layers.
+def score_groups(model: PreparedModel) -> list[ErrorScore]:
+    """Score every feature group of the model's matmul layers.
 
     Ranges are the post-calibration float ranges.  Returned sorted
     ascending by (score, layer, group) so ties break deterministically.
     """
     if not model.states:
         raise ValueError("model is not calibrated")
-    if eligible is None:
-        eligible = model.graph.matmul_indices()
     scores = []
-    for idx in eligible:
+    for idx in model.graph.matmul_indices():
         layer = model.graph.layers[idx]
         rng = model.states[idx].act_range
         starts = [sl.start for sl in group_slices(layer.n_in, model.group_size)]

@@ -142,6 +142,16 @@ def test_infer_non_finite_input_exit_4(demo_dir, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_infer_input_of_another_shape_exit_4(demo_dir, capsys):
+    # a rank-4 batch on the linear demo net once ran in int8 and printed
+    # rel_l2 0.0, broadcast over the extra axes
+    _, y = modelio.load_dataset(demo_dir, "eval")
+    modelio.save_dataset(demo_dir, "rank4_eval", np.ones((8, 32, 2, 2), np.float32), y[:8])
+    assert run_cli("infer", "--model", str(demo_dir), "--mode", "int8",
+                   "--dataset", "rank4_eval") == 4
+    assert "[8, 32, 2, 2]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--threshold", "--window", "--duration"])
 @pytest.mark.parametrize("value", ["0", "-1", "nan"])
 def test_serve_sim_rejects_non_positive(tmp_path, flag, value):
@@ -169,6 +179,23 @@ def test_serve_sim_duration_needs_a_generated_trace(tmp_path):
     with pytest.raises(SystemExit) as e:
         run_cli("serve-sim", "--out", str(tmp_path), "--duration", "10")
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--rate", "10", "--min-rate", "400"),
+    ("--rate", "700", "--trace", "TRACE"),
+    ("--peak-factor", "5"),
+])
+def test_serve_sim_rejects_flags_it_would_ignore(tmp_path, argv):
+    # each once exited 0, serving one arrival source and dropping the other
+    # flag, or writing the default scenario
+    trace = tmp_path / "arrivals.txt"
+    trace.write_text("0.5\n1.5\n")
+    with pytest.raises(SystemExit) as e:
+        run_cli("serve-sim", "--out", str(tmp_path),
+                *[str(trace) if a == "TRACE" else a for a in argv])
+    assert e.value.code == 2
+    assert not (tmp_path / "serve.csv").exists()
 
 
 def test_serve_sim_missing_trace_exit_3(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -123,6 +124,42 @@ def test_greedy_matches_sorted_score_oracle():
         want.add((s.layer, s.group))
     got = {(idx, g) for idx, f in zip(layers, chrom.flags) for g in np.flatnonzero(f)}
     assert got == want
+
+
+def test_greedy_rejects_scores_missing_for_a_layer():
+    # with one layer's scores only, greedy once set 4 of the 8 target groups
+    model, _, _ = small_model(seed=13)
+    matmuls = model.graph.matmul_indices()
+    scores = [s for s in scoring.score_groups(model) if s.layer == matmuls[1]]
+    with pytest.raises(ValueError, match=f"scores missing for some groups of layer {matmuls[0]}"):
+        evoselect.select_greedy(model, scores, 0.5)
+
+
+# sha256 of each algorithm's chained flags and fitness histories on a
+# 5-layer residual net, taken before the selectors shared one completion
+SELECTION_PINS = {
+    ("evo", False): "50e8dd6efef386b54bcbf8597b382a98464c29899e267f23ffc4f912e8288a6b",
+    ("evo", True): "cc204b77aae789dc45196f91bd22381ca23576b075f2e9e44dc1f9d6b9515fbc",
+    ("greedy", False): "6634891f7f4275b2df7c9481e04c2a6205cdec15b7255f21338ac0cc7b560782",
+    ("greedy", True): "2f56c30fdb1f49cf53e989ac2c7f9d5cc3e3d9d22ac7787159102448fd43724e",
+    ("random", False): "b955577ff052b624896692f384386ab37c4434c144905306888aa722aba76e75",
+    ("random", True): "b896467e40b486373600ca3829c11b06ea4e30267f36244759f25bd7c7e5cdb1",
+}
+
+
+@pytest.mark.parametrize("algo, protect_edges", list(SELECTION_PINS))
+def test_chained_selection_is_pinned(algo, protect_edges):
+    model, (x_cal, _), _ = small_model(seed=5, n_layers=5, residual=True)
+    scores = scoring.score_groups(model)
+    cfg = EvoConfig(population=8, generations=4, elite=2, parents=4,
+                    fitness_samples=32, seed=3)
+    histories: dict = {}
+    sel = evoselect.chained_selection(model, scores, [0.25, 0.5, 0.75, 1.0], cfg, x_cal[:32],
+                                      algo=algo, protect_edges=protect_edges, histories=histories)
+    h = hashlib.sha256()
+    for ratio in sorted(sel):
+        h.update(repr((ratio, sel[ratio].layers, histories[ratio])).encode() + sel[ratio].key())
+    assert h.hexdigest() == SELECTION_PINS[algo, protect_edges]
 
 
 def test_protect_edges_excludes_first_and_last_matmul():

@@ -1,5 +1,7 @@
 import json
 import re
+import resource
+import signal
 
 import numpy as np
 import pytest
@@ -139,6 +141,29 @@ def test_non_finite_weight_names_file_and_layer(tmp_path, capsys, value):
         modelio.load_model(tmp_path)
     assert cli.main(["infer", "--model", str(tmp_path), "--mode", "fp32"]) == 4
     assert f"{path}: layer {idx}" in capsys.readouterr().err
+
+
+def test_write_failing_part_way_leaves_the_previous_files(tmp_path):
+    """A save whose writes fail after their first bytes (a 16-byte file
+    size limit) leaves every file of the previous save byte-identical and
+    no temporary file behind; writing in place once truncated them."""
+    model, x_ev = full_pipeline_model()
+    modelio.save_model(tmp_path, model)
+    modelio.save_dataset(tmp_path, "eval", x_ev)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    other, _ = full_pipeline_model(seed=52)
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # fail with EFBIG instead
+    resource.setrlimit(resource.RLIMIT_FSIZE, (16, hard))
+    try:
+        with pytest.raises(OSError):
+            modelio.save_model(tmp_path, other)
+        with pytest.raises(OSError):
+            modelio.save_dataset(tmp_path, "eval", x_ev * 2)
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_manifest_stores_only_the_extraction_mode(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,58 @@ def test_run_validation_errors():
     bare = netsim.PreparedModel(model.graph, {})
     with pytest.raises(ValueError, match="calibrated"):
         run(bare, x, mode="int8")
+
+
+@pytest.mark.parametrize("mode", ["fp32", "int8", "int4", "mixed"])
+@pytest.mark.parametrize("conv", [False, True], ids=["linear", "conv"])
+def test_run_rejects_an_input_of_another_shape(mode, conv):
+    """A batch must be [batch, *input_shape]: the GEMM would broadcast over
+    extra axes, and numpy's own errors name neither shape."""
+    if conv:
+        model = small_conv_model(seed=4)[0]  # input [8, 5, 5]
+        bad = [(4, 8), (4, 8, 5), (4, 8, 4, 5), (4, 5, 5, 8)]
+        want = r"\[batch, 8, 5, 5\]"
+    else:
+        model = one_layer_model()[0]  # input [8]
+        bad = [(8,), (8, 8, 2, 2), (8, 30), (8, 1, 8)]
+        want = r"\[batch, 8\]"
+    for shape in bad:
+        x = np.ones(shape, dtype=np.float32)
+        with pytest.raises(ValueError, match=re.escape(str(list(shape))) + ".*" + want):
+            run(model, x, mode=mode, flags_override={} if mode == "mixed" else None)
+
+
+def test_gelu_layer(tmp_path):
+    """linear -> gelu -> linear: the gelu output is the tanh formula to
+    float32 rounding, the quantized forwards run, and a save/load round
+    trip keeps the kind and every output."""
+    rng = np.random.default_rng(8)
+    graph = NetworkGraph([
+        Layer("linear", weight=rng.standard_normal((8, 8)).astype(np.float32)),
+        Layer("gelu"),
+        Layer("linear", weight=rng.standard_normal((4, 8)).astype(np.float32)),
+    ], (8,), group_size=4)
+    x = rng.standard_normal((32, 8)).astype(np.float32) * 2
+    model = netsim.prepare(graph, [x])
+    rec: dict = {}
+    fp32 = run(model, x, mode="fp32", record=rec)
+    h = rec[0].output.astype(np.float64)
+    want = 0.5 * h * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (h + 0.044715 * h**3)))
+    eps = np.finfo(np.float32).eps
+    assert np.all(np.abs(rec[2].input - want) <= 8 * eps * (np.abs(h) + np.abs(want)))
+    assert np.any(h < -1.0) and np.any(h > 1.0)  # both tails of the curve
+    flags = {0: np.array([True, False]), 2: np.array([False, True])}
+    outs = {"fp32": fp32, "int8": run(model, x, mode="int8"), "int4": run(model, x, mode="int4"),
+            "mixed": run(model, x, mode="mixed", flags_override=flags)}
+    for out in outs.values():
+        assert out.shape == (32, 4) and np.all(np.isfinite(out))
+    assert np.array_equal(run(model, x, mode="mixed", flags_override={}), outs["int8"])
+    modelio.save_model(tmp_path, model)
+    loaded = modelio.load_model(tmp_path)
+    assert [l.kind for l in loaded.graph.layers] == ["linear", "gelu", "linear"]
+    for mode, out in outs.items():
+        got = run(loaded, x, mode=mode, flags_override=flags if mode == "mixed" else None)
+        assert got.tobytes() == out.tobytes(), mode
 
 
 def test_prepare_rejects_empty_stream():

@@ -38,13 +38,6 @@ def test_scores_sorted_ascending_with_tie_break():
     assert keys == sorted(keys)
 
 
-def test_eligible_filter():
-    model, _, _ = small_model(seed=13)
-    matmuls = model.graph.matmul_indices()
-    scores = scoring.score_groups(model, eligible=matmuls[1:2])
-    assert {s.layer for s in scores} == {matmuls[1]}
-
-
 def test_uncalibrated_model_rejected():
     model, _, _ = small_model(seed=14)
     model.states = {}
