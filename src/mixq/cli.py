@@ -253,9 +253,13 @@ def _read_arrivals(trace_file) -> np.ndarray:
 def do_serve_sim(seed, out_dir, policy_name, fixed_ratio, quality=None, out_name="serve.csv",
                  rate=None, min_rate=None, peak_factor=3.0, duration=None,
                  threshold=None, window=None, trace_file=None):
+    sources = {"trace_file": trace_file, "rate": rate, "min_rate": min_rate}
+    given = [name for name, value in sources.items() if value is not None]
+    if len(given) > 1:
+        raise ValueError(f"give at most one arrival source, got {', '.join(given)}")
     arrivals = None if trace_file is None else _read_arrivals(trace_file)
     seed = stage_seed(seed, "serve")
-    if arrivals is None and rate is None and min_rate is None:
+    if not given:
         trace, cost, policy = serve.shipped_scenario(seed=seed)
     else:
         cost, policy = serve.shipped_server(seed=seed)
@@ -511,9 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("infer", "run the stored eval set and print accuracy/drift metrics")
     add_model(sp)
     sp.add_argument("--mode", choices=("fp32", "int8", "int4", "mixed"), default="mixed")
-    sp.add_argument("--ratio", type=float, default=None,
+    sp.add_argument("--ratio", type=_unit, default=None,
                     help="4-bit ratio of mixed mode (default: the highest prepared)")
-    sp.add_argument("--extraction", choices=bitlower.EXTRACTION_MODES, default=None)
+    sp.add_argument("--extraction", choices=bitlower.EXTRACTION_MODES, default=None,
+                    help="extraction of mixed mode (default: the one calibrated)")
     sp.add_argument("--dataset", default="eval")
 
     sp = add("report-bits", "histogram of unused high bits per layer")
@@ -521,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("report-saturation", "percentage of clipped 4-bit channels per layer")
     add_model(sp)
-    sp.add_argument("--ratio", type=float, default=None,
+    sp.add_argument("--ratio", type=_unit, default=None,
                     help="4-bit ratio (default: the highest prepared)")
     sp.add_argument("--extraction", choices=bitlower.EXTRACTION_MODES, default=None)
     sp.add_argument("--scale", type=_finite, default=1.0,
@@ -622,6 +627,10 @@ def _dispatch(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "infer" and args.mode != "mixed":
+        for flag, value in (("--ratio", args.ratio), ("--extraction", args.extraction)):
+            if value is not None:
+                parser.error(f"{flag} needs --mode mixed")
     if args.command == "serve-sim":
         if (args.duration is not None
                 and args.trace is None and args.rate is None and args.min_rate is None):

@@ -332,21 +332,29 @@ def prepare(
     coverage_quantile: float | None = None,
     extraction_mode: str = "static",
 ) -> PreparedModel:
-    """Calibrate activation ranges on a batch stream and quantize weights."""
-    batches = list(calib_batches)
-    if not batches:
-        raise ValueError("calibration stream is empty")
+    """Calibrate activation ranges on a batch stream and quantize weights.
+
+    Batches are read one at a time: each batch's fp32 forward records every
+    matmul layer's input, which is folded into that layer's running range
+    (``calibrate_ranges`` continuing from the range so far) before the next
+    batch is read.  So memory does not grow with the number of batches.
+    """
     matmuls = graph.matmul_indices()
-    streams: dict[int, list[np.ndarray]] = {i: [] for i in matmuls}
-    for batch in batches:
+    ranges: dict[int, ChannelRange | None] = dict.fromkeys(matmuls)
+    uncalibrated = PreparedModel(graph, {})
+    n_batches = 0
+    for batch in calib_batches:
         rec: dict[int, LayerRecord] = {}
-        run(PreparedModel(graph, {}), batch, record=rec)
+        run(uncalibrated, batch, record=rec)
         for i in matmuls:
-            streams[i].append(rec[i].input)
-    states = {}
-    for i in matmuls:
-        cr = calibrate_ranges(streams[i], momentum, coverage_quantile=coverage_quantile)
-        states[i] = QuantState(graph.layers[i].weight, cr, graph.group_size, extraction_mode)
+            ranges[i] = calibrate_ranges([rec[i].input], momentum, coverage_quantile, start=ranges[i])
+        n_batches += 1
+    if not n_batches:
+        raise ValueError("calibration stream is empty")
+    states = {
+        i: QuantState(graph.layers[i].weight, ranges[i], graph.group_size, extraction_mode)
+        for i in matmuls
+    }
     return PreparedModel(graph, states)
 
 

@@ -70,17 +70,22 @@ def calibrate_ranges(
     batches,
     momentum: float = 0.99,
     coverage_quantile: float | None = None,
+    start: ChannelRange | None = None,
 ) -> ChannelRange:
     """EMA of per-channel batch min/max over a stream of activation batches
     ([batch, channels, ...]).
 
-    Update rule: new = momentum * old + (1 - momentum) * batch, with the
-    first batch initializing the EMA directly.  ``coverage_quantile``
+    Update rule: new = momentum * old + (1 - momentum) * batch.  Without
+    ``start`` the first batch initializes the EMA directly; with it, the
+    EMA continues from that running range and every batch is an update.
+    So folding a stream one batch at a time, each call passing on the last
+    result as ``start``, gives the same bytes as one call over the whole
+    stream, and a caller need not keep the batches.  ``coverage_quantile``
     switches min/max to symmetric quantiles over the sampled values.
     """
     if not 0 <= momentum < 1:
         raise ValueError("momentum must be in [0, 1)")
-    ema_min = ema_max = None
+    ema_min, ema_max = (None, None) if start is None else (start.min, start.max)
     for batch in batches:
         batch = np.asarray(batch, dtype=np.float64)
         moved = np.moveaxis(batch, 1, 0).reshape(batch.shape[1], -1)

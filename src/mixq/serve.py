@@ -7,10 +7,13 @@ The adaptive controller walks the ratio ladder of its latency profile
 entry and, at the end of each monitoring window, steps to the adjacent
 entry whenever the profiled latency for the observed request rate
 crosses a threshold.  Simulated time only; fully deterministic per seed.
+Per request it keeps float64 array entries (arrival, finish, latency),
+never a Python object.
 """
 
 from __future__ import annotations
 
+import array
 import bisect
 import math
 from dataclasses import dataclass
@@ -51,9 +54,11 @@ class ServingTrace:
 
     def __post_init__(self):
         self.arrivals = np.asarray(self.arrivals, dtype=np.float64)
+        if self.arrivals.ndim != 1:
+            raise ValueError(f"arrival times must be 1-D, got shape {self.arrivals.shape}")
         if self.arrivals.size and not (np.all(np.isfinite(self.arrivals)) and self.arrivals.min() >= 0):
             raise ValueError("arrival times must be finite and non-negative")
-        if self.arrivals.size and np.any(np.diff(self.arrivals) < 0):
+        if np.any(self.arrivals[1:] < self.arrivals[:-1]):
             raise ValueError("arrival times must be non-decreasing")
 
 
@@ -148,21 +153,24 @@ def _ratio_timeline(trace: ServingTrace, policy: ControllerPolicy) -> list[tuple
     return timeline
 
 
-def _fifo(arrivals: list[float], cost_model: CostModel,
-          timeline: list[tuple[float, float]]) -> list[float]:
-    """Finish time of each request of a single-server FIFO queue.
+def _fifo(arrivals: np.ndarray, cost_model: CostModel,
+          timeline: list[tuple[float, float]]) -> np.ndarray:
+    """Finish time of each request of a single-server FIFO queue, as a
+    float64 array aligned with the float64 ``arrivals``.
 
     A request starts at the later of its arrival and the previous finish
     and is served at the ratio in force at its start.  Start times never
     decrease, so the timeline is only consulted when a start reaches the
-    next switch; each ratio's service time is computed once.
+    next switch; each ratio's service time is computed once.  Arrivals are
+    read through a ``memoryview`` (strided views too) and finishes go into
+    an ``array.array``, so no Python float is kept per request.
     """
-    finishes: list[float] = []
+    finishes = array.array("d")
     service_of: dict[float, float] = {}
     k = 0
     next_switch = timeline[0][0]  # 0.0: the first start looks its ratio up
     free = service = 0.0
-    for a in arrivals:
+    for a in memoryview(arrivals):
         start = free if free > a else a
         if start >= next_switch:
             while k + 1 < len(timeline) and timeline[k + 1][0] <= start:
@@ -174,7 +182,7 @@ def _fifo(arrivals: list[float], cost_model: CostModel,
             service = service_of[ratio]
         free = start + service
         finishes.append(free)
-    return finishes
+    return np.frombuffer(finishes, dtype=np.float64)
 
 
 def simulate(
@@ -195,8 +203,7 @@ def simulate(
     else:
         timeline = [(0.0, float(policy))]
         window = window or max(trace.duration / 20.0, 1e-9)
-    finishes = np.array(_fifo(trace.arrivals.tolist(), cost_model, timeline))
-    latencies = finishes - trace.arrivals
+    latencies = _fifo(trace.arrivals, cost_model, timeline) - trace.arrivals
     switch_times = [t for t, _ in timeline]
     windows = []
     n_windows = max(1, int(np.ceil(trace.duration / window)))
@@ -240,9 +247,8 @@ def build_profile(
         arrivals = gen_poisson(float(rate), duration, seed + i).arrivals
         if not arrivals.size:
             continue  # no request, no latency: the row stays 0
-        times = arrivals.tolist()
         for j, ratio in enumerate(RATIOS):
-            finishes = np.array(_fifo(times, cost_model, [(0.0, ratio)]))
+            finishes = _fifo(arrivals, cost_model, [(0.0, ratio)])
             table[i, j] = float(np.median(finishes - arrivals))
     return LatencyProfile(rates, RATIOS, table)
 

@@ -198,6 +198,21 @@ def test_serve_sim_rejects_flags_it_would_ignore(tmp_path, argv):
     assert not (tmp_path / "serve.csv").exists()
 
 
+@pytest.mark.parametrize("sources", [
+    {"rate": 10.0, "min_rate": 400.0},
+    {"trace_file": "TRACE", "rate": 700.0},
+    {"trace_file": "TRACE", "rate": 1.0, "min_rate": 2.0},
+])
+def test_do_serve_sim_rejects_more_than_one_arrival_source(tmp_path, sources):
+    # rate=10 with min_rate=400 once served the Poisson trace over 60 windows
+    trace = tmp_path / "arrivals.txt"
+    trace.write_text("0.5\n1.5\n")
+    kwargs = {k: str(trace) if v == "TRACE" else v for k, v in sources.items()}
+    with pytest.raises(ValueError, match=f"at most one arrival source, got {', '.join(sources)}$"):
+        cli.do_serve_sim(0, tmp_path, "adaptive", None, **kwargs)
+    assert not (tmp_path / "serve.csv").exists()
+
+
 def test_serve_sim_missing_trace_exit_3(tmp_path, capsys):
     trace = tmp_path / "no-such-trace.txt"
     assert run_cli("serve-sim", "--out", str(tmp_path), "--trace", str(trace)) == 3
@@ -210,6 +225,29 @@ def test_infer_defaults_to_highest_prepared_ratio(demo_dir, capsys):
     assert "ratio: 1.0\n" in default
     assert run_cli("infer", "--model", str(demo_dir), "--ratio", "1.0") == 0
     assert capsys.readouterr().out == default
+
+
+@pytest.mark.parametrize("argv", [
+    ("--mode", "int8", "--ratio", "0.3"),
+    ("--mode", "fp32", "--extraction", "dynamic"),
+    ("--mode", "int4", "--ratio", "1.0", "--extraction", "static"),
+])
+def test_infer_rejects_flags_it_would_ignore(demo_dir, capsys, argv):
+    # `--mode int8 --ratio 0.3` once exited 0 and printed "ratio: 0.3"
+    with pytest.raises(SystemExit) as e:
+        run_cli("infer", "--model", str(demo_dir), *argv)
+    assert e.value.code == 2
+    assert "needs --mode mixed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["infer", "report-saturation"])
+@pytest.mark.parametrize("ratio", ["nan", "inf", "1.5", "-0.25"])
+def test_ratio_outside_unit_interval_exit_2(demo_dir, capsys, command, ratio):
+    # `infer --ratio nan` once exited 4 with "ratio nan not prepared"
+    with pytest.raises(SystemExit) as e:
+        run_cli(command, "--model", str(demo_dir), "--ratio", ratio)
+    assert e.value.code == 2
+    assert f"must lie in [0, 1], got {ratio}" in capsys.readouterr().err
 
 
 def test_infer_without_selections_exit_4(tmp_path, capsys):

@@ -180,3 +180,43 @@ def test_quantize_leaves_its_input_unchanged():
     before = x.copy()
     assert quantize(x, 0.5, 4).tolist() == [[1, -3], [4, 2]]
     assert np.array_equal(x, before) and x.dtype == np.float32
+
+
+@st.composite
+def calibration_streams(draw):
+    channels = draw(st.integers(1, 4))
+    shape = (draw(st.integers(1, 5)), channels)
+    if draw(st.booleans()):  # conv activations: [batch, channels, h, w]
+        shape += (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    value = st.floats(-1e3, 1e3, allow_nan=False)
+    batches = [
+        np.array(draw(st.lists(value, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))),
+                 dtype=draw(st.sampled_from([np.float32, np.float64]))).reshape(shape)
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    momentum = draw(st.one_of(st.just(0.0), st.just(0.99), st.floats(0.0, 1.0, exclude_max=True)))
+    # below 0.5 the lower quantile lies above the upper one: not a range
+    quantile = draw(st.one_of(st.none(), st.floats(0.5, 1.0)))
+    return batches, momentum, quantile
+
+
+@settings(max_examples=200, deadline=None)
+@given(calibration_streams())
+def test_folding_batches_one_at_a_time_equals_one_call(case):
+    batches, momentum, quantile = case
+    whole = calibrate_ranges(batches, momentum, coverage_quantile=quantile)
+    running = None
+    for batch in batches:
+        running = calibrate_ranges([batch], momentum, coverage_quantile=quantile, start=running)
+    for got, want in ((running.min, whole.min), (running.max, whole.max)):
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_continuing_from_a_range_updates_on_every_batch():
+    start = ChannelRange(np.array([-1.0]), np.array([1.0]))
+    cr = calibrate_ranges([np.array([[-2.0, 2.0]]).T], momentum=0.99, start=start)
+    assert cr.min.tolist() == [0.99 * -1.0 + 0.01 * -2.0]
+    assert cr.max.tolist() == [0.99 * 1.0 + 0.01 * 2.0]
+    empty = calibrate_ranges([], start=start)  # nothing to fold: the start range
+    assert (empty.min.tolist(), empty.max.tolist()) == ([-1.0], [1.0])
