@@ -460,11 +460,26 @@ _momentum = _float_type(lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
 _rate = _float_type(lambda v: math.isfinite(v) and v >= 0, "be finite and non-negative")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _int_type(minimum: int, noun: str):
+    """An argparse type: an int of at least ``minimum``, else exit 2 with
+    "must be a <noun> integer"."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be a {noun} integer, got {text}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
+_positive_int = _int_type(1, "positive")
+_non_negative_int = _int_type(0, "non-negative")
+
+
+def _evo_kwargs(args) -> dict:
+    """The ``evoselect.EvoConfig`` fields that ``select`` takes as flags."""
+    return dict(population=args.population, generations=args.generations, elite=args.elite,
+                parents=args.parents, fitness_samples=args.samples)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -494,10 +509,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ratios", default=",".join(map(str, DEFAULT_RATIOS)))
     sp.add_argument("--algo", choices=("evo", "greedy", "random"), default="evo")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--population", type=int, default=12)
-    sp.add_argument("--generations", type=int, default=8)
-    sp.add_argument("--elite", type=int, default=2)
-    sp.add_argument("--parents", type=int, default=6)
+    sp.add_argument("--population", type=_positive_int, default=12)
+    sp.add_argument("--generations", type=_non_negative_int, default=8)
+    sp.add_argument("--elite", type=_non_negative_int, default=2)
+    sp.add_argument("--parents", type=_positive_int, default=6)
     sp.add_argument("--samples", type=_positive_int, default=64)
     sp.add_argument("--no-protect-edges", action="store_true",
                     help="allow 4-bit groups in the first/last layer")
@@ -542,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=_default_dir())
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--policy", choices=("adaptive", "fixed"), default="adaptive")
-    sp.add_argument("--ratio", type=_unit, default=0.0, help="ratio for the fixed policy")
+    sp.add_argument("--ratio", type=_unit, default=None,
+                    help="ratio of the fixed policy (default 0; needs --policy fixed)")
     arrivals = sp.add_mutually_exclusive_group()
     arrivals.add_argument("--trace", default=None, help="file with one arrival time per line")
     arrivals.add_argument("--rate", type=_rate, default=None, help="constant Poisson rate, req/s")
@@ -577,9 +593,7 @@ def _dispatch(args) -> int:
             print(f"  layer {s.layer} group {s.group}: score {s.score:.6g}")
     elif cmd == "select":
         ratios = _parse_ratios(args.ratios)
-        cfg_kwargs = dict(population=args.population, generations=args.generations,
-                          elite=args.elite, parents=args.parents, fitness_samples=args.samples)
-        selections = do_select(args.model, ratios, args.algo, args.seed, cfg_kwargs,
+        selections = do_select(args.model, ratios, args.algo, args.seed, _evo_kwargs(args),
                                protect_edges=not args.no_protect_edges, extraction=args.extraction)
         for r in sorted(selections):
             c = selections[r]
@@ -607,8 +621,8 @@ def _dispatch(args) -> int:
         do_report_l2(args.model, args.dataset, args.extraction)
         print(f"wrote {args.model}/l2.csv")
     elif cmd == "serve-sim":
-        summary = do_serve_sim(args.seed, args.out, args.policy,
-                               args.ratio if args.policy == "fixed" else None,
+        fixed_ratio = (args.ratio or 0.0) if args.policy == "fixed" else None
+        summary = do_serve_sim(args.seed, args.out, args.policy, fixed_ratio,
                                rate=args.rate, min_rate=args.min_rate,
                                peak_factor=3.0 if args.peak_factor is None else args.peak_factor,
                                duration=args.duration,
@@ -637,6 +651,13 @@ def main(argv=None) -> int:
             parser.error("--duration needs --trace, --rate or --min-rate")
         if args.peak_factor is not None and args.min_rate is None:
             parser.error("--peak-factor needs --min-rate")
+        if args.ratio is not None and args.policy != "fixed":
+            parser.error("--ratio needs --policy fixed")
+    if args.command == "select":
+        try:  # the rules that tie the evolution counts together
+            evoselect.EvoConfig(**_evo_kwargs(args))
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         return _dispatch(args)
     except MissingArtifactError as exc:

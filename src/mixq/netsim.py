@@ -5,11 +5,14 @@ residual_add, and reorder.  Matmul operators run in fp32, uniform int8,
 uniform int4, or mixed 4/8-bit precision; everything else runs in 32-bit
 float.  The engine is pure: a prepared model is immutable during a call
 and outputs are deterministic.  Each matmul layer's ``QuantState`` keeps
-its float weight and calibrated ranges and builds its codes, scales and
-extraction plan on first read, so only what a call reads is ever built.  A
-quantized run calls the kernels straight from each layer's state; in mixed
-mode the state also memoizes, per prepared set of group flags and
-extraction mode, the kernel's ``kernels.Lowering``.
+its float weight and calibrated ranges and builds the rest on first read,
+one part at a time: the 8-bit scales and codes, the 4-bit ones, the
+extraction plan and the lowered weights.  So only what a call reads is ever
+built: a mixed forward quantizes no weights to 4 bits and lowers the
+weights of a layer only once its flags set a group.  A quantized run
+calls the kernels straight from each layer's state; in mixed mode the
+state also memoizes, per prepared set of group flags and extraction mode,
+the kernel's ``kernels.Lowering``.
 """
 
 from __future__ import annotations
@@ -58,9 +61,9 @@ class NetworkGraph:
         return [i for i, l in enumerate(self.layers) if l.kind in MATMUL_KINDS]
 
 
-# the derived attributes of a ``QuantState``, per part built on first read
-_UNIFORM_PART = ("act_scale", "act_scale4", "w_scales8", "w_q8", "w_scales4", "w_q4")
-_MIXED_PART = ("plan", "w_lo8")
+# the attributes of a ``QuantState``'s uniform parts, each part built on first read
+_PART8 = ("act_scale", "w_scales8", "w_q8")
+_PART4 = ("act_scale4", "w_scales4", "w_q4")
 
 
 @dataclass(eq=False)
@@ -68,17 +71,22 @@ class QuantState:
     """Calibrated quantization data for one matmul layer.
 
     It keeps only its inputs.  Everything else is built once, on the first
-    read of any of its attributes, in two parts:
+    read of any of its attributes, in four parts, each building only what
+    it reads of the others:
 
-    - uniform: the per-tensor activation scales ``act_scale`` (8-bit) and
-      ``act_scale4`` (4-bit, the uniform-int4 baseline), and the
-      per-output-channel scales ``w_scales8``/``w_scales4`` (1-D float64)
-      with the weight codes ``w_q8``/``w_q4``;
-    - mixed: the extraction ``plan`` and ``w_lo8``, ``w_q8`` with every
-      group lowered per the plan (``kernels.lower_weights``).
+    - 8-bit: the per-tensor activation scale ``act_scale``, the
+      per-output-channel weight scales ``w_scales8`` (1-D float64) and the
+      weight codes ``w_q8``;
+    - 4-bit, for the uniform-int4 baseline: ``act_scale4``, ``w_scales4``
+      and ``w_q4``;
+    - ``plan``, the extraction plan (reads the 8-bit part);
+    - ``w_lo8``, ``w_q8`` with every group lowered per the plan
+      (``kernels.lower_weights``).
 
-    So a stage that reads only the ranges quantizes no weights, and int8 or
-    int4 inference plans no extraction.  ``lowering`` memoizes the one
+    So a stage that reads only the ranges quantizes no weights, int8 and
+    mixed inference quantize no weights to 4 bits, int8 or int4 inference
+    plans no extraction, and a mixed forward lowers only the weights of
+    layers whose flags set a group.  ``lowering`` memoizes the one
     per-call constant of a mixed kernel that is worth keeping.
     """
 
@@ -93,27 +101,28 @@ class QuantState:
         self._lowerings: dict[tuple[bytes, str | None], kernels.Lowering] = {}
 
     def __getattr__(self, name):
-        # reached only while ``name`` is unset: build its whole part
-        if name in _UNIFORM_PART:
-            self.__dict__.update(zip(_UNIFORM_PART, self._uniform_part()))
-        elif name in _MIXED_PART:
-            self.__dict__.update(zip(_MIXED_PART, self._mixed_part()))
+        # reached only while ``name`` is unset: build the part it belongs to
+        if name in _PART8:
+            self.__dict__.update(zip(_PART8, self._uniform_part(8)))
+        elif name in _PART4:
+            self.__dict__.update(zip(_PART4, self._uniform_part(4)))
+        elif name == "plan":
+            self.plan = plan_extraction(self.act_q8_bounds(), self.w_q8, self.group_size,
+                                        mode=self.mode)
+        elif name == "w_lo8":
+            self.w_lo8 = kernels.lower_weights(self.w_q8, self.plan.weight_shifts, self.group_size,
+                                               axis=1)
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         return self.__dict__[name]
 
-    def _uniform_part(self) -> tuple:
+    def _uniform_part(self, bits: int) -> tuple:
+        """(activation scale, weight scales, weight codes) at ``bits``."""
         w = self.weight
-        w_abs = np.abs(w.reshape(w.shape[0], -1)).max(axis=1)
-        s8, s4 = derive_scales(w_abs, 8), derive_scales(w_abs, 4)
+        scales = derive_scales(np.abs(w.reshape(w.shape[0], -1)).max(axis=1), bits)
         channels = (-1,) + (1,) * (w.ndim - 1)  # one scale per output channel
-        act_abs = self.act_range.abs_max().max()
-        return (float(derive_scales(act_abs, 8)), float(derive_scales(act_abs, 4)),
-                s8, quantize(w, s8.reshape(channels), 8), s4, quantize(w, s4.reshape(channels), 4))
-
-    def _mixed_part(self) -> tuple:
-        plan = plan_extraction(self.act_q8_bounds(), self.w_q8, self.group_size, mode=self.mode)
-        return plan, kernels.lower_weights(self.w_q8, plan.weight_shifts, self.group_size, axis=1)
+        act_scale = float(derive_scales(self.act_range.abs_max().max(), bits))
+        return act_scale, scales, quantize(w, scales.reshape(channels), bits)
 
     def lowering(self, flags, extraction: str | None) -> kernels.Lowering | None:
         """The ``kernels.Lowering`` of this layer's 8-bit activation codes
@@ -218,10 +227,12 @@ def _matmul_quant(layer: Layer, state: QuantState, h, mode: str, group_size: int
     if mode != "mixed":
         kernel = kernels.int_conv2d if conv else kernels.int_gemm
         return kernel(codes, w_q, act_scale, scales), None
+    w_lo = None  # an all-8-bit call reads no lowered weights
+    if np.any(flags):
+        w_lo = state.w_lo8 if conv else state.w_lo8.T
     kernel = kernels.mixed_conv2d if conv else kernels.mixed_gemm
     return kernel(codes, w_q, act_scale, scales, state.plan, group_size, group_flags=flags,
-                  extraction=extraction, w_lo=state.w_lo8 if conv else state.w_lo8.T,
-                  lowering=lowering)
+                  extraction=extraction, w_lo=w_lo, lowering=lowering)
 
 
 def run(

@@ -82,19 +82,26 @@ def calibrate_ranges(
     result as ``start``, gives the same bytes as one call over the whole
     stream, and a caller need not keep the batches.  ``coverage_quantile``
     switches min/max to symmetric quantiles over the sampled values.
+
+    Min and max are taken in the batch's own dtype, over all axes but the
+    channel axis, and only the per-channel results are widened to float64
+    (widening commutes with min and max), so a float32 batch is neither
+    widened nor copied.  The quantile path works on a float64 copy.
     """
     if not 0 <= momentum < 1:
         raise ValueError("momentum must be in [0, 1)")
     ema_min, ema_max = (None, None) if start is None else (start.min, start.max)
     for batch in batches:
-        batch = np.asarray(batch, dtype=np.float64)
-        moved = np.moveaxis(batch, 1, 0).reshape(batch.shape[1], -1)
+        batch = np.asarray(batch)
         if coverage_quantile is not None:
+            wide = np.asarray(batch, dtype=np.float64)
+            moved = np.moveaxis(wide, 1, 0).reshape(batch.shape[1], -1)
             lo = np.quantile(moved, 1.0 - coverage_quantile, axis=1)
             hi = np.quantile(moved, coverage_quantile, axis=1)
-        else:
-            lo = moved.min(axis=1)
-            hi = moved.max(axis=1)
+        else:  # exact in the batch's own dtype: only the per-channel results widen
+            others = (0,) + tuple(range(2, batch.ndim))
+            lo = batch.min(axis=others).astype(np.float64)
+            hi = batch.max(axis=others).astype(np.float64)
         if ema_min is None:
             ema_min, ema_max = lo, hi
         else:

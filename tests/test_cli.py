@@ -115,6 +115,15 @@ def test_serve_sim_policies(tmp_path, capsys):
     assert adaptive["windows_over_threshold"] < fixed["windows_over_threshold"]
 
 
+def test_serve_sim_fixed_policy_defaults_to_ratio_0(tmp_path):
+    outputs = []
+    for ratio in ((), ("--ratio", "0")):
+        assert run_cli("serve-sim", "--out", str(tmp_path), "--rate", "300", "--duration", "5",
+                       "--policy", "fixed", *ratio) == 0
+        outputs.append((tmp_path / "serve.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_infer_metrics_consistent(demo_dir, capsys):
     assert run_cli("infer", "--model", str(demo_dir), "--mode", "int8") == 0
     out = capsys.readouterr().out
@@ -322,6 +331,11 @@ def test_manifest_missing_key_exit_4(demo_dir, tmp_path, capsys, path):
     ("serve-sim", "--min-rate", "10", "--peak-factor", "inf", "--duration", "5"),
     ("report-saturation", "--scale", "nan"),
     ("report-saturation", "--scale", "inf"),
+    ("serve-sim", "--policy", "adaptive", "--ratio", "0.5"),  # the adaptive policy ignores it
+    ("select", "--population", "0"),
+    ("select", "--generations", "-2"),
+    ("select", "--elite", "-1"),
+    ("select", "--parents", "0"),
 ])
 def test_non_positive_counts_exit_2(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # the default model and output directory
@@ -494,20 +508,33 @@ def test_infer_conv_model_top1(tmp_path, mode):
 
 
 @pytest.mark.parametrize("flag, value, want", [
-    ("--elite", "-1", "elite must lie in [0, parents) = [0, 6), got -1"),
-    ("--generations", "-2", "generations must be non-negative, got -2"),
-    ("--parents", "1", "parents must be at least 2, got 1"),
+    pytest.param("--parents", "1", "parents must be at least 2, got 1", id="parents-1"),
+    pytest.param("--elite", "6", "elite must lie in [0, parents) = [0, 6), got 6", id="elite-6"),
+    pytest.param("--population", "4", "parents (6) must not exceed population (4)",
+                 id="population-4"),
 ])
-def test_select_bad_evolution_config_exit_4(demo_dir, capsys, flag, value, want):
-    assert run_cli("select", "--model", str(demo_dir), flag, value) == 4
+def test_select_bad_evolution_config_exit_2(tmp_path, capsys, flag, value, want):
+    """The rules that tie the evolution counts together are argument errors,
+    reported before the model is read."""
+    with pytest.raises(SystemExit) as e:
+        run_cli("select", "--model", str(tmp_path), flag, value)
+    assert e.value.code == 2
     assert want in capsys.readouterr().err
+
+
+def test_do_select_still_raises_on_a_bad_evolution_config(tmp_path):
+    with pytest.raises(ValueError, match="parents must be at least 2"):
+        cli.do_select(tmp_path, [0.5], "greedy", 0, dict(parents=1), protect_edges=True,
+                      extraction=None)
 
 
 def test_score_and_layout_loads_build_no_quantized_state(tmp_path, monkeypatch):
     """Loading a model builds no layer state, and scoring reads only the
     ranges: do_score and do_layout's load and layout quantize no weights,
-    plan no extraction and lower no weights.  do_layout's save then quantizes
-    each layer's weights to the 8 and 4 bits of the codes it writes."""
+    plan no extraction and lower no weights.  do_select plans every layer's
+    extraction but lowers only the weights of layers it flags.  do_layout's
+    save then quantizes each layer's weights once, to the 8-bit codes it
+    writes."""
     graph = synth.make_linear_net(3, 4, 16, 8, 4)
     x, y = synth.make_dataset(4, 16, 8, 64)
     modelio.save_model(tmp_path, netsim.PreparedModel(graph, {}))
@@ -533,10 +560,11 @@ def test_score_and_layout_loads_build_no_quantized_state(tmp_path, monkeypatch):
     cfg_kwargs = dict(population=4, generations=1, elite=1, parents=2, fitness_samples=16)
     cli.do_select(tmp_path, [0.5, 1.0], "greedy", 0, cfg_kwargs, protect_edges=True,
                   extraction=None)
-    assert calls.count("plan_extraction") == calls.count("lower_weights") == n
+    assert calls.count("plan_extraction") == n
+    assert calls.count("lower_weights") == n - 2  # the protected edge layers are never flagged
     calls.clear()
     cli.do_layout(tmp_path)
-    assert calls == ["save_model"] + ["quantize"] * (2 * n)
+    assert calls == ["save_model"] + ["quantize"] * n
 
 
 def _layer_edit(rule, layers):

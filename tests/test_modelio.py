@@ -34,6 +34,41 @@ def test_round_trip_preserves_outputs_bit_exactly(tmp_path):
         assert np.array_equal(a, b), (mode, ratio)
 
 
+def test_cold_start_quantizes_each_weight_once_and_lowers_only_flagged_layers(
+        tmp_path, monkeypatch):
+    """A cold start (load, set the lowest ratio, one mixed batch) quantizes
+    each weight once, to 8 bits, builds no 4-bit part and lowers the weights
+    of only the layers that ratio flags."""
+    model, (x_cal, _), (x_ev, _) = small_model(seed=51)
+    cfg = EvoConfig(population=8, generations=2, elite=2, parents=4, fitness_samples=16, seed=0)
+    sel = evoselect.chained_selection(model, scoring.score_groups(model), [0.25, 1.0], cfg,
+                                      x_cal[:16], algo="greedy", protect_edges=True)
+    evoselect.install_selections(model, sel)
+    modelio.save_model(tmp_path, model)
+    loaded = modelio.load_model(tmp_path)
+    states = loaded.states
+    quantized, lowered = [], []
+    quantize, lower_weights = netsim.quantize, netsim.kernels.lower_weights
+
+    def counted_quantize(x, scale, bits):
+        quantized.extend((i, bits) for i, s in states.items() if x is s.weight)
+        return quantize(x, scale, bits)
+
+    def counted_lower_weights(w_q, *args, **kwargs):
+        lowered.extend(i for i, s in states.items() if w_q is vars(s).get("w_q8"))
+        return lower_weights(w_q, *args, **kwargs)
+
+    monkeypatch.setattr(netsim, "quantize", counted_quantize)
+    monkeypatch.setattr(netsim.kernels, "lower_weights", counted_lower_weights)
+    netsim.set_ratio(loaded, 0.25)
+    netsim.run(loaded, x_ev, mode="mixed")
+    flagged = sorted(i for i, flags in loaded.selections[0.25].items() if flags.any())
+    assert 0 < len(flagged) < len(states)
+    assert sorted(quantized) == [(i, 8) for i in sorted(states)]
+    assert sorted(lowered) == flagged
+    assert not any({"act_scale4", "w_scales4", "w_q4"} & set(vars(s)) for s in states.values())
+
+
 def test_round_trip_preserves_metadata(tmp_path):
     model, _ = full_pipeline_model()
     modelio.save_model(tmp_path, model)

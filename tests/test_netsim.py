@@ -93,6 +93,14 @@ def eager_state(weight, act_range, group_size, mode) -> dict:
                 w_scales4=s4, w_q4=q4, plan=plan, w_lo8=w_lo8)
 
 
+# the parts of a QuantState, and what a first read of each attribute builds:
+# its own part and the parts that part reads
+PART8 = ("act_scale", "w_scales8", "w_q8")
+PART4 = ("act_scale4", "w_scales4", "w_q4")
+BUILT_BY_FIRST_READ = {**dict.fromkeys(PART8, PART8), **dict.fromkeys(PART4, PART4),
+                       "plan": PART8 + ("plan",), "w_lo8": PART8 + ("plan", "w_lo8")}
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     conv=st.booleans(),
@@ -108,7 +116,10 @@ def test_lazy_state_equals_the_eager_formula(conv, n_out, n_in, group_size, mode
                                              zero_range, seed):
     """Whichever attribute is read first, a QuantState builds the same arrays,
     scales and plan as the formula that built them all at once, for linear
-    and conv layers, ragged last groups and every extraction mode."""
+    and conv layers, ragged last groups and every extraction mode.  The
+    first read builds exactly the part it belongs to and the parts that part
+    reads: the 8- and 4-bit parts read none, the plan reads the 8-bit part
+    and the lowered weights read the plan."""
     rng = np.random.default_rng(seed)
     shape = (n_out, n_in, 3, 3) if conv else (n_out, n_in)
     weight = (rng.standard_normal(shape) * rng.uniform(0.01, 4.0)).astype(np.float32)
@@ -118,9 +129,7 @@ def test_lazy_state_equals_the_eager_formula(conv, n_out, n_in, group_size, mode
     act_range = ChannelRange(np.zeros(n_in), np.zeros(n_in)) if zero_range else ChannelRange(lo, hi)
     state = netsim.QuantState(weight, act_range, group_size, mode)
     getattr(state, first)
-    # a first read builds its part: the uniform one, and the mixed one on top
-    uniform, mixed = DERIVED[:6], DERIVED[6:]
-    assert set(DERIVED) & set(vars(state)) == set(uniform + (mixed if first in mixed else ()))
+    assert set(DERIVED) & set(vars(state)) == set(BUILT_BY_FIRST_READ[first])
     for name, want in eager_state(weight, act_range, group_size, mode).items():
         assert_same(getattr(state, name), want, f"{name} after {first}")
 

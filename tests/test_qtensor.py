@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,3 +222,21 @@ def test_continuing_from_a_range_updates_on_every_batch():
     assert cr.max.tolist() == [0.99 * 1.0 + 0.01 * 2.0]
     empty = calibrate_ranges([], start=start)  # nothing to fold: the start range
     assert (empty.min.tolist(), empty.max.tolist()) == ([-1.0], [1.0])
+
+
+def test_calibrating_a_float32_batch_neither_widens_nor_copies_it():
+    """Min and max run in the batch's own dtype, so one call on a float32
+    conv activation peaks below the batch's size (it used to widen the batch
+    to float64 and copy it again, 4x its size), with the bytes of the
+    widened formula."""
+    x = np.random.default_rng(3).standard_normal((16, 32, 12, 12)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        cr = calibrate_ranges([x])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes
+    wide = np.moveaxis(x.astype(np.float64), 1, 0).reshape(32, -1)
+    assert cr.min.tobytes() == wide.min(axis=1).tobytes()
+    assert cr.max.tobytes() == wide.max(axis=1).tobytes()
