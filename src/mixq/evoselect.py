@@ -247,11 +247,13 @@ def select_channels(
     protect_edges: bool = False,
     extraction: str | None = None,
     history: list | None = None,
+    ref_logits: np.ndarray | None = None,
 ) -> Chromosome:
     """Evolutionary search for the 4-bit group selection at one ratio.
 
     Deterministic given cfg.seed.  ``history``, if provided, collects the
-    best fitness per generation.
+    best fitness per generation.  ``ref_logits`` are the int8 logits of
+    ``sample_inputs``, computed when not given.
     """
     layers = baseline.layers if baseline else _selectable_layers(model, protect_edges)
     sizes = [model.n_groups(i) for i in layers]
@@ -264,7 +266,8 @@ def select_channels(
 
     rng = np.random.default_rng(cfg.seed)
     smap = _scores_map(scores, layers, sizes)
-    ref_logits = run(model, sample_inputs, mode="int8")
+    if ref_logits is None:
+        ref_logits = run(model, sample_inputs, mode="int8")
     cache: dict[bytes, float] = {}
 
     def fit(c: Chromosome) -> float:
@@ -318,6 +321,10 @@ def chained_selection(
     result: dict[float, Chromosome] = {}
     baseline = None
     rng = np.random.default_rng(cfg.seed)
+    # one int8 reference serves every fitness of the chain
+    ref_logits = None
+    if algo == "evo" or histories is not None:
+        ref_logits = run(model, sample_inputs, mode="int8")
     for i, ratio in enumerate(sorted(ratios)):
         history: list[float] | None = None if histories is None else []
         if algo == "evo":
@@ -325,7 +332,7 @@ def chained_selection(
             c = select_channels(
                 model, scores, ratio, sub, sample_inputs,
                 baseline=baseline, protect_edges=protect_edges, extraction=extraction,
-                history=history,
+                history=history, ref_logits=ref_logits,
             )
         elif algo == "greedy":
             c = select_greedy(model, scores, ratio, baseline=baseline, protect_edges=protect_edges)
@@ -335,7 +342,7 @@ def chained_selection(
             raise ValueError(f"unknown selection algorithm {algo!r}")
         if histories is not None:
             if not history:
-                history = [fitness(model, c, sample_inputs, extraction=extraction)]
+                history = [fitness(model, c, sample_inputs, ref_logits, extraction=extraction)]
             histories[ratio] = history
         result[ratio] = c
         baseline = c

@@ -1,32 +1,45 @@
 """Model directory format: manifest.json plus raw little-endian binaries.
 
-Float tensors are stored as ``<name>.f32bin``, quantized codes as
-``<name>.i8bin``; binary files carry no header, all shapes live in the
-manifest.  Serialization is byte-deterministic: identical inputs always
-produce identical trees.
+Float weights are stored as ``<name>.f32bin``, 8-bit weight codes as
+``<name>.i8bin`` and each quantized layer's calibrated activation range as
+``<name>.range.f64bin``, a float64 [2, n_in] array: the min row, then the
+max row.  Binary files carry no header, all shapes live in the manifest.
+Serialization is byte-deterministic: identical inputs always produce
+identical trees.
 
 The manifest stores the graph (layer kinds, names, weight files, shapes,
 sources, permutations), the group size and input shape, each quantized
-layer's calibrated ``act_min``/``act_max`` and ``codes_file``, each
-layer's extraction mode, the per-ratio group flags, the input permutation
-and the laid-out flag.  Everything else (activation and weight scales,
-the 8- and 4-bit weight codes, the extraction shifts and lowered weights)
-is rebuilt from the float weights and ranges, not on load but on its first
-read (``netsim.QuantState``), one part at a time, so a stage that reads
-only the ranges quantizes no weights and a mixed forward no 4-bit ones;
-keys that older manifests carry for them are ignored.  ``codes_file`` is
-written for readers of the tree and never read back; writing it builds
-each layer's 8-bit part (scales and codes) and nothing else.  Every file
-is written atomically (``write_atomic``), the manifest last, so an
-interrupted save leaves each file whole, old or new.
-``load_model`` checks that each range lists one finite number per input
-channel with min <= max, that each extraction mode is a known one and
-that ``input_perm`` permutes the input channels; a failed check raises a
-``ValueError`` naming the manifest and the key.  It checks the graph the
-same way, naming the layer index: every kind is a known one, a matmul
-layer has a weight, a ``source`` is -1 (the input) or an earlier layer and
-a ``perm`` is a permutation.  A weight with a non-finite value raises one
-naming its ``.f32bin`` file and the layer index.
+layer's ``range_file`` and ``codes_file``, each layer's extraction mode,
+the per-ratio group flags, the input permutation and the laid-out flag; it
+holds no per-channel floats.  Everything else (activation and weight
+scales, the 8- and 4-bit weight codes, the extraction shifts and lowered
+weights) is rebuilt from the float weights and ranges, not on load but on
+its first read (``netsim.QuantState``), one part at a time, so a stage that
+reads only the ranges quantizes no weights and a mixed forward no 4-bit
+ones; keys that older manifests carry for them are ignored.  ``codes_file``
+is written for readers of the tree and never read back; writing it builds
+each layer's 8-bit part (scales and codes) and nothing else.  Every file is
+written atomically (``write_atomic``), the manifest last, so an
+interrupted save leaves each file whole, old or new; a file that already
+holds the bytes to write is left alone, so a stage rewrites only what it
+changed.
+
+``load_model`` checks every manifest field it reads; a failed check raises
+a ``ValueError`` naming the manifest and the key (CLI exit 4).
+``group_size`` must be a positive integer, ``input_shape`` and each
+``shape`` a list of positive integers, ``quant``, ``bit_lowering`` and
+``selections`` objects and ``laid_out`` a boolean.  Each range must hold
+one finite number per input channel in each row with min <= max, each
+extraction mode must be a known one and ``input_perm`` must permute the
+input channels; these messages name the range file or the manifest.  The
+graph is checked the same way, naming the layer index: every kind is a
+known one, a matmul layer has a weight of its kind's rank, a ``source`` is
+-1 (the input) or an earlier layer and a ``perm`` is a permutation.  A
+weight with a non-finite value raises one naming its ``.f32bin`` file and
+the layer index.  A file the manifest names (weight, codes or range) must
+be a file in the model directory: a name that leads out of it is a
+``ValueError``, a missing file or a directory a ``MissingArtifactError``
+(exit 3) naming the file.
 """
 
 from __future__ import annotations
@@ -34,6 +47,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 from pathlib import Path
 
 import numpy as np
@@ -44,27 +58,38 @@ from .netsim import (LAYER_KINDS, MATMUL_KINDS, Layer, NetworkGraph, PreparedMod
 from .qtensor import ChannelRange
 
 MANIFEST = "manifest.json"
-FORMAT = "mixq-model-v1"
+FORMAT = "mixq-model-v2"
+# a matmul layer's weight is [out, in] or [out, in, kh, kw]
+_WEIGHT_RANK = {"linear": 2, "conv2d": 4}
 
 
 class MissingArtifactError(FileNotFoundError):
     """A pipeline stage's prerequisite file is absent."""
 
 
-def _weight_file(idx: int, layer: Layer) -> str:
-    return f"{layer.name or f'layer{idx}'}.f32bin"
+def _file_name(idx: int, layer: Layer, suffix: str) -> str:
+    return f"{layer.name or f'layer{idx}'}{suffix}"
 
 
-def _codes_file(idx: int, layer: Layer) -> str:
-    return f"{layer.name or f'layer{idx}'}.i8bin"
+def _holds(path: Path, data: np.ndarray) -> bool:
+    """Whether the file at ``path`` holds exactly the bytes ``data`` (a uint8
+    array): the sizes are compared first, then the bytes."""
+    try:
+        return (path.stat().st_size == data.size
+                and np.array_equal(np.fromfile(path, dtype=np.uint8), data))
+    except OSError:
+        return False
 
 
 def write_atomic(path, data) -> None:
     """Write ``data`` (bytes, or a C-contiguous array, whose buffer is
     written without a copy) to a temporary sibling of ``path``, then move it
     over ``path``: an interrupted write leaves the previous file, never part
-    of ``data``.  The temporary file is removed when the write fails."""
+    of ``data``.  The temporary file is removed when the write fails.  A file
+    that already holds exactly ``data`` is left alone."""
     path = Path(path)
+    if _holds(path, np.frombuffer(data, dtype=np.uint8)):
+        return
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         tmp.write_bytes(data)
@@ -79,15 +104,17 @@ def write_json(path, obj) -> None:
     write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
+_DTYPES = {"<f4": np.float32, "<f8": np.float64, "i1": np.int8, "<i8": np.int64}
+
+
 def save_array(path: Path, arr: np.ndarray):
-    dtype = {"float32": "<f4", "int8": "i1", "int64": "<i8"}[str(arr.dtype)]
+    dtype = {"float32": "<f4", "float64": "<f8", "int8": "i1", "int64": "<i8"}[str(arr.dtype)]
     write_atomic(path, np.ascontiguousarray(arr, dtype=dtype))
 
 
 def load_array(path: Path, dtype: str, shape) -> np.ndarray:
-    if not path.exists():
+    if not path.is_file():
         raise MissingArtifactError(f"missing binary file {path}")
-    native = {"<f4": np.float32, "i1": np.int8, "<i8": np.int64}[dtype]
     want, size = math.prod(shape), path.stat().st_size
     itemsize = np.dtype(dtype).itemsize
     if size != want * itemsize:
@@ -95,11 +122,12 @@ def load_array(path: Path, dtype: str, shape) -> np.ndarray:
             f"{path}: shape {list(shape)} needs {want} elements, "
             f"found {size // itemsize} ({size} bytes)"
         )
-    return np.fromfile(path, dtype=dtype).astype(native, copy=False).reshape(shape)
+    return np.fromfile(path, dtype=dtype).astype(_DTYPES[dtype], copy=False).reshape(shape)
 
 
 def save_model(path, model: PreparedModel):
-    """Write the manifest and tensor binaries for a (possibly prepared) model."""
+    """Write the manifest and tensor binaries for a (possibly prepared) model;
+    files whose bytes are unchanged are not rewritten."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     graph = model.graph
@@ -109,7 +137,7 @@ def save_model(path, model: PreparedModel):
         if layer.name:
             rec["name"] = layer.name
         if layer.weight is not None:
-            rec["weight_file"] = _weight_file(idx, layer)
+            rec["weight_file"] = _file_name(idx, layer, ".f32bin")
             rec["shape"] = list(layer.weight.shape)
             save_array(path / rec["weight_file"], layer.weight)
         if layer.source is not None:
@@ -121,12 +149,10 @@ def save_model(path, model: PreparedModel):
     quant = {}
     for idx, state in model.states.items():
         layer = graph.layers[idx]
-        quant[str(idx)] = {
-            "act_min": [float(v) for v in state.act_range.min],
-            "act_max": [float(v) for v in state.act_range.max],
-            "codes_file": _codes_file(idx, layer),
-        }
-        save_array(path / _codes_file(idx, layer), state.w_q8)
+        q = quant[str(idx)] = {"codes_file": _file_name(idx, layer, ".i8bin"),
+                               "range_file": _file_name(idx, layer, ".range.f64bin")}
+        save_array(path / q["range_file"], np.stack([state.act_range.min, state.act_range.max]))
+        save_array(path / q["codes_file"], state.w_q8)
 
     manifest = {
         "format": FORMAT,
@@ -152,9 +178,13 @@ def load_model(path) -> PreparedModel:
     on its first read (see ``netsim.QuantState``)."""
     path = Path(path)
     mpath = path / MANIFEST
-    if not mpath.exists():
+    if not mpath.is_file():
         raise MissingArtifactError(f"no {MANIFEST} in {path}; run the generation stage first")
-    manifest = json.loads(mpath.read_text())
+    try:
+        manifest = json.loads(mpath.read_bytes())
+    except ValueError as exc:  # not JSON, or not in a Unicode encoding
+        raise ValueError(f"{mpath} is not a JSON manifest: {exc}") from None
+    _expect(mpath, "the manifest", manifest, "an object")
     if manifest.get("format") != FORMAT:
         raise ValueError(
             f"{mpath} has format {manifest.get('format')!r}, expected {FORMAT!r}"
@@ -165,22 +195,53 @@ def load_model(path) -> PreparedModel:
         raise ValueError(f"{mpath} is missing key {exc.args[0]!r}") from None
 
 
-def _vector(mpath: Path, what: str, value, n: int, kinds: str = "iuf") -> np.ndarray:
-    """A manifest list of ``n`` finite numbers, one per input channel, whose
-    dtype kind is one of ``kinds``."""
+_KINDS = {
+    "an object": lambda v: isinstance(v, dict),
+    "a list": lambda v: isinstance(v, list),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a positive integer": lambda v: type(v) is int and v > 0,
+    "a list of positive integers": lambda v: (isinstance(v, list) and len(v) > 0
+                                              and all(type(d) is int and d > 0 for d in v)),
+    # a name that stays in the model directory
+    "a file name": lambda v: isinstance(v, str) and "/" not in v and v != "..",
+}
+
+
+def _expect(mpath: Path, what: str, value, kind: str):
+    """``value``, if it is ``kind`` (a key of ``_KINDS``); else a ``ValueError``
+    naming the manifest and ``what``."""
+    if not _KINDS[kind](value):
+        raise ValueError(f"{mpath}: {what} must be {kind}, not {reprlib.repr(value)}")
+    return value
+
+
+def _asarray(value) -> np.ndarray:
+    """``value`` as an array; a ragged nesting becomes an object scalar,
+    which no check accepts."""
     try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged nesting
-        arr = np.asarray(None)
-    if arr.dtype.kind not in kinds or arr.shape != (n,):
-        noun = "integers" if kinds == "i" else "numbers"
-        raise ValueError(
-            f"{mpath}: {what} must list {n} {noun}, one per input channel "
-            f"(found {arr.dtype} of shape {list(arr.shape)})"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{mpath}: {what} is not finite at channel {np.argmin(np.isfinite(arr))}")
-    return arr
+        return np.asarray(value)
+    except ValueError:
+        return np.asarray(None)
+
+
+def _is_perm(perm: np.ndarray) -> bool:
+    return (perm.dtype.kind == "i" and perm.ndim == 1
+            and np.array_equal(np.sort(perm), np.arange(perm.size)))
+
+
+def _load_range(rpath: Path, key: str, n: int) -> ChannelRange:
+    """The calibrated range of quant entry ``key`` from its range file: one
+    finite min and max per input channel, min <= max."""
+    lo, hi = load_array(rpath, "<f8", (2, n))
+    for row, values in (("act_min", lo), ("act_max", hi)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(f"{rpath}: quant key {key!r} {row} is not finite "
+                             f"at channel {np.argmin(finite)}")
+    if np.any(lo > hi):
+        raise ValueError(f"{rpath}: quant key {key!r} act_min exceeds act_max "
+                         f"at channel {np.argmax(lo > hi)}")
+    return ChannelRange(lo, hi)
 
 
 def _check_layer(mpath: Path, idx: int, layer: Layer) -> None:
@@ -188,64 +249,76 @@ def _check_layer(mpath: Path, idx: int, layer: Layer) -> None:
     where = f"{mpath}: layer {idx} ({layer.kind!r})"
     if layer.kind not in LAYER_KINDS:
         raise ValueError(f"{where} has an unknown kind (known: {', '.join(LAYER_KINDS)})")
-    if layer.kind in MATMUL_KINDS and layer.weight is None:
-        raise ValueError(f"{where} has no weight_file")
+    if layer.kind in MATMUL_KINDS:
+        if layer.weight is None:
+            raise ValueError(f"{where} has no weight_file")
+        if layer.weight.ndim != _WEIGHT_RANK[layer.kind]:
+            raise ValueError(f"{where} has a weight of shape {list(layer.weight.shape)}, "
+                             f"not of {_WEIGHT_RANK[layer.kind]} dimensions")
     source, perm = layer.source, layer.perm
     bad_source = not (type(source) is int and -1 <= source < idx)
     if bad_source and (source is not None or layer.kind == "residual_add"):
         raise ValueError(f"{where} has source {source!r}, not -1 (the input) or an earlier layer")
-    bad_perm = (perm is None or perm.dtype.kind != "i"
-                or not np.array_equal(np.sort(perm), np.arange(perm.size)))
-    if bad_perm and (perm is not None or layer.kind == "reorder"):
+    if (perm is not None or layer.kind == "reorder") and (perm is None or not _is_perm(perm)):
         raise ValueError(f"{where} has a perm that is not a permutation")
 
 
 def _parse_manifest(path: Path, manifest: dict) -> PreparedModel:
     mpath = path / MANIFEST
     layers = []
-    for idx, rec in enumerate(manifest["layers"]):
+    for idx, rec in enumerate(_expect(mpath, "layers", manifest["layers"], "a list")):
+        _expect(mpath, f"layer {idx}", rec, "an object")
         weight = None
         if "weight_file" in rec:
-            wpath = path / rec["weight_file"]
-            weight = load_array(wpath, "<f4", rec["shape"])
+            shape = _expect(mpath, f"layer {idx} shape", rec["shape"], "a list of positive integers")
+            wpath = path / _expect(mpath, f"layer {idx} weight_file", rec["weight_file"],
+                                   "a file name")
+            weight = load_array(wpath, "<f4", shape)
             finite = np.isfinite(weight)
             if not finite.all():
                 at = tuple(int(i) for i in np.unravel_index(np.argmin(finite), weight.shape))
                 raise ValueError(f"{wpath}: layer {idx} weight is not finite at index {at}")
+        perm = rec.get("perm")
         layers.append(
             Layer(
                 rec["kind"],
-                name=rec.get("name", ""),
+                name=_expect(mpath, f"layer {idx} name", rec.get("name", ""), "a file name"),
                 weight=weight,
                 source=rec.get("source"),
-                perm=None if rec.get("perm") is None else np.asarray(rec["perm"]),
+                perm=None if perm is None else _asarray(perm),
             )
         )
         _check_layer(mpath, idx, layers[-1])
-    graph = NetworkGraph(layers, tuple(manifest["input_shape"]), manifest["group_size"])
+    graph = NetworkGraph(
+        layers,
+        tuple(_expect(mpath, "input_shape", manifest["input_shape"], "a list of positive integers")),
+        _expect(mpath, "group_size", manifest["group_size"], "a positive integer"),
+    )
     input_perm = manifest.get("input_perm")
     if input_perm is not None:
         width = graph.input_shape[0]
-        input_perm = _vector(mpath, "input_perm", input_perm, width, kinds="i").astype(np.int64)
-        if not np.array_equal(np.sort(input_perm), np.arange(width)):
+        input_perm = _asarray(input_perm)
+        if not (_is_perm(input_perm) and input_perm.size == width):
             raise ValueError(f"{mpath}: input_perm is not a permutation of the {width} input channels")
+        input_perm = input_perm.astype(np.int64)
 
     matmuls = {str(i): i for i in graph.matmul_indices()}
+    bit_lowering = _expect(mpath, "bit_lowering", manifest["bit_lowering"], "an object")
     states = {}
-    for key, q in manifest.get("quant", {}).items():
+    for key, q in _expect(mpath, "quant", manifest.get("quant", {}), "an object").items():
         if key not in matmuls:
             raise ValueError(
                 f"{mpath}: quant key {key!r} names no matmul layer "
                 f"(matmul layers: {sorted(matmuls.values())})"
             )
         idx = matmuls[key]
-        lo, hi = (_vector(mpath, f"quant key {key!r} {name}", q[name], graph.layers[idx].n_in)
-                  for name in ("act_min", "act_max"))
-        if np.any(lo > hi):
-            raise ValueError(f"{mpath}: quant key {key!r} act_min exceeds act_max "
-                             f"at channel {np.argmax(lo > hi)}")
-        cr = ChannelRange(lo, hi)
-        mode = manifest["bit_lowering"][key]["mode"]
+        _expect(mpath, f"quant key {key!r}", q, "an object")
+        cpath, rpath = (path / _expect(mpath, f"quant key {key!r} {name}", q[name], "a file name")
+                        for name in ("codes_file", "range_file"))
+        if not cpath.is_file():  # written for readers of the tree, never read back
+            raise MissingArtifactError(f"missing binary file {cpath}")
+        cr = _load_range(rpath, key, graph.layers[idx].n_in)
+        mode = _expect(mpath, f"bit_lowering key {key!r}", bit_lowering[key], "an object")["mode"]
         if mode not in EXTRACTION_MODES:
             raise ValueError(f"{mpath}: bit_lowering key {key!r} has unknown extraction mode "
                              f"{mode!r} (known: {', '.join(EXTRACTION_MODES)})")
@@ -254,16 +327,19 @@ def _parse_manifest(path: Path, manifest: dict) -> PreparedModel:
     n_groups = {key: len(group_slices(graph.layers[i].n_in, graph.group_size))
                 for key, i in matmuls.items()}
     selections = {}
-    for r, sel in manifest.get("selections", {}).items():
+    for r, sel in _expect(mpath, "selections", manifest.get("selections", {}), "an object").items():
         ratio = _selection_ratio(path, r)
         selections[ratio] = {}
-        for key, f in sel.items():
+        for key, f in _expect(mpath, f"selection for ratio {r}", sel, "an object").items():
             if key not in matmuls:
                 raise ValueError(
                     f"{mpath}: selection for ratio {r} names layer {key!r}, "
                     f"no matmul layer (matmul layers: {sorted(matmuls.values())})"
                 )
-            flags = np.asarray(f, dtype=bool)
+            if not (isinstance(f, list) and all(v in (0, 1) for v in f)):
+                raise ValueError(f"{mpath}: selection for ratio {r} layer {key} flags must "
+                                 f"be a list of 0s and 1s")
+            flags = np.array(f, dtype=bool)
             if flags.shape != (n_groups[key],):
                 raise ValueError(
                     f"{mpath}: selection for ratio {r} has {flags.size} group "
@@ -275,7 +351,7 @@ def _parse_manifest(path: Path, manifest: dict) -> PreparedModel:
         states=states,
         selections=selections,
         input_perm=input_perm,
-        laid_out=manifest.get("laid_out", False),
+        laid_out=_expect(mpath, "laid_out", manifest.get("laid_out", False), "a boolean"),
     )
 
 

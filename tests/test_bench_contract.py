@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from mixq import evoselect, scoring
+from mixq import evoselect, modelio, scoring
 from conftest import small_conv_model, small_model
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -36,3 +36,13 @@ def test_check_kernel_passes_on_a_tiny_prepared_net(conv):
     chrom = evoselect.select_greedy(model, scoring.score_groups(model), ratio)
     evoselect.install_selections(model, {ratio: chrom})
     workloads.check_kernel(model, x_ev[:4], conv=conv)
+
+
+def test_saved_bytes_reads_a_fresh_model_directory(tmp_path):
+    """The traced benchmark sizes each save from the files the manifest
+    names: the manifest plus every weight and codes file."""
+    model, _, _ = small_model(seed=4)
+    modelio.save_model(tmp_path, model)
+    want = sum(p.stat().st_size for p in tmp_path.iterdir()
+               if p.name == "manifest.json" or p.suffix in (".f32bin", ".i8bin"))
+    assert tracing._saved_bytes(tmp_path) == want

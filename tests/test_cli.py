@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixq import cli, kernels, modelio, netsim, serve, synth
+from mixq import cli, evoselect, kernels, modelio, netsim, serve, synth
 from conftest import small_conv_model
 
 
@@ -74,13 +74,13 @@ def test_unknown_model_format_exit_4(demo_dir, tmp_path, capsys):
     model_dir = tmp_path / "model"
     model_dir.mkdir()
     for path in demo_dir.iterdir():
-        if path.suffix in (".json", ".f32bin", ".i8bin", ".i64bin"):
+        if path.suffix in (".json", ".f32bin", ".f64bin", ".i8bin", ".i64bin"):
             (model_dir / path.name).write_bytes(path.read_bytes())
     manifest = json.loads((model_dir / "manifest.json").read_text())
-    manifest["format"] = "mixq-model-v2"
+    manifest["format"] = "mixq-model-v1"  # no reader is kept for the JSON ranges of v1
     (model_dir / "manifest.json").write_text(json.dumps(manifest))
     assert run_cli("infer", "--model", str(model_dir), "--mode", "int8") == 4
-    assert "'mixq-model-v2', expected 'mixq-model-v1'" in capsys.readouterr().err
+    assert "'mixq-model-v1', expected 'mixq-model-v2'" in capsys.readouterr().err
 
 
 def test_validation_failure_exit_4(demo_dir):
@@ -294,12 +294,12 @@ def test_reports_run_one_reference_forward(demo_dir, forward_count):
     assert forward_count == ["mixed", "int8"]
 
 
-@pytest.mark.parametrize("path", [("quant", "0", "act_min"), ("bit_lowering",)])
+@pytest.mark.parametrize("path", [("quant", "0", "range_file"), ("bit_lowering",)])
 def test_manifest_missing_key_exit_4(demo_dir, tmp_path, capsys, path):
     model_dir = tmp_path / "model"
     model_dir.mkdir()
     for src in demo_dir.iterdir():
-        if src.suffix in (".json", ".f32bin", ".i8bin", ".i64bin"):
+        if src.suffix in (".json", ".f32bin", ".f64bin", ".i8bin", ".i64bin"):
             (model_dir / src.name).write_bytes(src.read_bytes())
     manifest = json.loads((model_dir / "manifest.json").read_text())
     node = manifest
@@ -348,7 +348,7 @@ def test_manifest_quant_key_out_of_range_exit_4(demo_dir, tmp_path, capsys):
     model_dir = tmp_path / "model"
     model_dir.mkdir()
     for src in demo_dir.iterdir():
-        if src.suffix in (".json", ".f32bin", ".i8bin", ".i64bin"):
+        if src.suffix in (".json", ".f32bin", ".f64bin", ".i8bin", ".i64bin"):
             (model_dir / src.name).write_bytes(src.read_bytes())
     manifest = json.loads((model_dir / "manifest.json").read_text())
     manifest["quant"]["99"] = manifest["quant"]["0"]
@@ -362,22 +362,27 @@ def test_manifest_quant_key_out_of_range_exit_4(demo_dir, tmp_path, capsys):
 @pytest.mark.parametrize("field", ["act_min", "input_perm"])
 def test_manifest_wrong_width_exit_4(demo_dir, tmp_path, capsys, field):
     """A range or input permutation one entry short exits 4 on load, naming
-    manifest and key, instead of failing inside the first forward."""
+    its file (the range file or the manifest) and key, instead of failing
+    inside the first forward."""
     model_dir = tmp_path / "model"
     model_dir.mkdir()
     for src in demo_dir.iterdir():
-        if src.suffix in (".json", ".f32bin", ".i8bin", ".i64bin"):
+        if src.suffix in (".json", ".f32bin", ".f64bin", ".i8bin", ".i64bin"):
             (model_dir / src.name).write_bytes(src.read_bytes())
     manifest = json.loads((model_dir / "manifest.json").read_text())
     if field == "input_perm":
         width = manifest["input_shape"][0]
         manifest["input_perm"] = (manifest["input_perm"] or list(range(width)))[:-1]
     else:
-        manifest["quant"]["0"]["act_min"] = manifest["quant"]["0"]["act_min"][:-1]
+        rpath = model_dir / manifest["quant"]["0"]["range_file"]
+        rpath.write_bytes(rpath.read_bytes()[:-8])  # the max row one channel short
     (model_dir / "manifest.json").write_text(json.dumps(manifest))
     assert run_cli("infer", "--model", str(model_dir), "--mode", "int8") == 4
     err = capsys.readouterr().err
-    assert str(model_dir / "manifest.json") in err and field in err
+    if field == "input_perm":
+        assert str(model_dir / "manifest.json") in err and field in err
+    else:
+        assert f"{rpath}: shape [2, " in err
 
 
 def test_serve_sim_negative_arrival_exit_4(tmp_path, capsys):
@@ -440,7 +445,7 @@ def test_manifest_selection_with_wrong_flag_count_exit_4(demo_dir, tmp_path, cap
     model_dir = tmp_path / "model"
     model_dir.mkdir()
     for src in demo_dir.iterdir():
-        if src.suffix in (".json", ".f32bin", ".i8bin", ".i64bin"):
+        if src.suffix in (".json", ".f32bin", ".f64bin", ".i8bin", ".i64bin"):
             (model_dir / src.name).write_bytes(src.read_bytes())
     manifest = json.loads((model_dir / "manifest.json").read_text())
     sel = manifest["selections"]["0.5"]
@@ -470,7 +475,7 @@ def test_serve_sim_fixed_ratio_outside_unit_interval_exit_2(tmp_path, rate, rati
 def _copy_model(demo_dir, model_dir):
     model_dir.mkdir()
     for src in demo_dir.iterdir():
-        if src.suffix in (".json", ".f32bin", ".i8bin", ".i64bin"):
+        if src.suffix in (".json", ".f32bin", ".f64bin", ".i8bin", ".i64bin"):
             (model_dir / src.name).write_bytes(src.read_bytes())
     return json.loads((model_dir / "manifest.json").read_text())
 
@@ -599,3 +604,72 @@ def test_manifest_graph_checked_on_load_exit_4(demo_dir, tmp_path, capsys, rule)
     assert run_cli("infer", "--model", str(model_dir), "--mode", "int8") == 4
     err = capsys.readouterr().err
     assert f"{model_dir / 'manifest.json'}: layer {idx}" in err and want in err
+
+
+def _field_edit(case, manifest, model_dir):
+    """Break one field of a copy of the demo manifest, or a file that it
+    names; returns the exit code and a part of the message."""
+    mpath = model_dir / "manifest.json"
+    idx = next(i for i, l in enumerate(manifest["layers"]) if "weight_file" in l)
+    if case in ("shape text", "shape negative"):
+        manifest["layers"][idx]["shape"] = "abc" if case == "shape text" else [-32, -32]
+        return 4, f"{mpath}: layer {idx} shape must be a list of positive integers"
+    if case in ("group_size float", "group_size text"):
+        manifest["group_size"] = 2.5 if case == "group_size float" else "8"
+        return 4, f"{mpath}: group_size must be a positive integer"
+    if case in ("quant", "bit_lowering", "selections"):
+        manifest[case] = []
+        return 4, f"{mpath}: {case} must be an object"
+    if case == "laid_out":
+        manifest["laid_out"] = "yes"
+        return 4, f"{mpath}: laid_out must be a boolean"
+    if case == "weight_file dir":
+        manifest["layers"][idx]["weight_file"] = "."
+        return 3, f"missing binary file {model_dir}\n"  # the directory itself
+    key, what = case.split()  # a file of the first quant entry, removed or made a directory
+    fpath = model_dir / manifest["quant"][str(idx)][key]
+    fpath.unlink()
+    if what == "dir":
+        fpath.mkdir()
+    return 3, f"missing binary file {fpath}"
+
+
+@pytest.mark.parametrize("case", [
+    "shape text", "shape negative", "group_size float", "group_size text", "quant",
+    "bit_lowering", "selections", "laid_out", "weight_file dir", "range_file missing",
+    "range_file dir", "codes_file missing", "codes_file dir",
+])
+def test_manifest_field_of_the_wrong_type_exit_3_or_4(demo_dir, tmp_path, capsys, case):
+    """A manifest field of the wrong type exits 4 naming manifest and key,
+    and a file it names that is missing or a directory exits 3 naming the
+    file: once a traceback (exit 1), a silent load or a numpy message."""
+    model_dir = tmp_path / "model"
+    manifest = _copy_model(demo_dir, model_dir)
+    code, want = _field_edit(case, manifest, model_dir)
+    (model_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli("infer", "--model", str(model_dir), "--mode", "int8") == code
+    assert want in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ["evo", "greedy"])
+def test_do_select_runs_one_int8_reference(tmp_path, monkeypatch, algo):
+    """Every fitness of a chained selection, search and history alike,
+    compares against one int8 forward of the fitness samples."""
+    graph = synth.make_linear_net(3, 4, 16, 8, 4)
+    x, y = synth.make_dataset(4, 16, 8, 64)
+    modelio.save_model(tmp_path, netsim.PreparedModel(graph, {}))
+    modelio.save_dataset(tmp_path, "calib", x, y)
+    cli.do_calibrate(tmp_path, 0.99, None, "static", 32)
+    modes = []
+    run = evoselect.run
+
+    def counted(model, x, mode="fp32", **kwargs):
+        modes.append(mode)
+        return run(model, x, mode=mode, **kwargs)
+
+    monkeypatch.setattr(evoselect, "run", counted)
+    cfg_kwargs = dict(population=4, generations=2, elite=1, parents=2, fitness_samples=16)
+    cli.do_select(tmp_path, [0.25, 0.5, 1.0], algo, 0, cfg_kwargs, protect_edges=False,
+                  extraction=None)
+    assert modes.count("int8") == 1
+    assert modes.count("mixed") > 0

@@ -1,14 +1,22 @@
+import copy
 import json
+import os
 import re
 import resource
+import shutil
 import signal
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mixq import cli, evoselect, layout, modelio, netsim, scoring
+from mixq import cli, evoselect, layout, modelio, netsim, scoring, synth
 from mixq.evoselect import EvoConfig
 from mixq.modelio import MissingArtifactError
+from mixq.qtensor import ChannelRange
 from conftest import assert_same, small_model
 
 
@@ -94,7 +102,7 @@ def test_manifest_bytes_deterministic(tmp_path):
     b = (tmp_path / "b" / "manifest.json").read_bytes()
     assert a == b
     meta = json.loads(a)
-    assert meta["format"] == "mixq-model-v1"
+    assert meta["format"] == "mixq-model-v2"
 
 
 def test_weight_binaries_raw_little_endian(tmp_path):
@@ -131,7 +139,7 @@ def test_missing_artifacts_raise(tmp_path):
         modelio.load_model(tmp_path)
 
 
-@pytest.mark.parametrize("found", ["mixq-model-v0", None])
+@pytest.mark.parametrize("found", ["mixq-model-v0", "mixq-model-v1", None])
 def test_load_model_checks_format(tmp_path, found):
     model, _ = full_pipeline_model()
     modelio.save_model(tmp_path, model)
@@ -141,7 +149,7 @@ def test_load_model_checks_format(tmp_path, found):
     else:
         manifest["format"] = found
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=f"format {found!r}, expected 'mixq-model-v1'"):
+    with pytest.raises(ValueError, match=f"format {found!r}, expected 'mixq-model-v2'"):
         modelio.load_model(tmp_path)
 
 
@@ -321,57 +329,211 @@ def test_manifest_with_stored_scales_loads_like_a_fresh_save(tmp_path):
 
 
 def test_quant_entries_hold_only_keys_that_are_read(tmp_path):
-    """A quant entry stores the calibrated range, which load_model reads,
-    and the codes file name, which the benchmark's size count reads."""
+    """A quant entry names the calibrated range's file, which load_model
+    reads, and the codes file, which the benchmark's size count reads."""
     model, _ = full_pipeline_model()
     modelio.save_model(tmp_path, model)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["quant"]
     for q in manifest["quant"].values():
-        assert set(q) == {"act_min", "act_max", "codes_file"}
+        assert set(q) == {"codes_file", "range_file"}
         assert (tmp_path / q["codes_file"]).is_file()
+        assert (tmp_path / q["range_file"]).is_file()
 
 
-def _corrupt(manifest, case):
-    """Break one field of a saved manifest; returns the text the error must hold."""
+def _corrupt(path, manifest, case):
+    """Break one field of a saved model, or its first range file; returns the
+    text the error must hold."""
+    mpath = path / "manifest.json"
     key = min(manifest["quant"], key=int)
     q = manifest["quant"][key]
-    if case == "short_act_min":
-        q["act_min"] = q["act_min"][:3]
-        return f"quant key '{key}' act_min must list"
-    if case == "min_above_max":
-        q["act_min"][1] = q["act_max"][1] + 1.0
-        return f"quant key '{key}' act_min exceeds act_max at channel 1"
-    if case == "nan_act_max":
-        q["act_max"][2] = float("nan")
-        return f"quant key '{key}' act_max is not finite at channel 2"
-    if case == "text_act_max":
-        q["act_max"] = ["0.5"] * len(q["act_max"])
-        return f"quant key '{key}' act_max must list"
-    if case == "ragged_act_min":
-        q["act_min"] = [[0.0]] + q["act_min"][1:]
-        return f"quant key '{key}' act_min must list"
+    rpath = path / q["range_file"]
+    ranges = np.fromfile(rpath, dtype="<f8").reshape(2, -1)
+    n = ranges.shape[1]
+    if case == "short_act_min":  # the range file cut to 3 values
+        rpath.write_bytes(rpath.read_bytes()[:24])
+        return f"{rpath}: shape [2, {n}] needs {2 * n} elements, found 3"
+    if case == "oversized_range":
+        rpath.write_bytes(rpath.read_bytes() + bytes(8))
+        return f"{rpath}: shape [2, {n}] needs {2 * n} elements, found {2 * n + 1}"
+    if case in ("min_above_max", "nan_act_max", "inf_act_min"):
+        row, channel, value, want = {
+            "min_above_max": (0, 1, ranges[1, 1] + 1.0, "act_min exceeds act_max at channel 1"),
+            "nan_act_max": (1, 2, np.nan, "act_max is not finite at channel 2"),
+            "inf_act_min": (0, 0, -np.inf, "act_min is not finite at channel 0"),
+        }[case]
+        ranges[row, channel] = value
+        ranges.tofile(rpath)
+        return f"{rpath}: quant key '{key}' {want}"
+    if case == "no_range_file_key":
+        del q["range_file"]
+        return f"{mpath} is missing key 'range_file'"
+    if case == "range_file_out_of_dir":
+        q["range_file"] = f"../{q['range_file']}"
+        return f"{mpath}: quant key '{key}' range_file must be a file name"
     if case == "bad_mode":
         manifest["bit_lowering"][key]["mode"] = "bogus"
-        return f"bit_lowering key '{key}' has unknown extraction mode 'bogus'"
+        return f"{mpath}: bit_lowering key '{key}' has unknown extraction mode 'bogus'"
     perm = manifest["input_perm"] or list(range(manifest["input_shape"][0]))
     manifest["input_perm"] = {"short_perm": perm[:-1], "repeated_perm": [perm[0]] * len(perm),
                               "float_perm": [float(v) for v in perm]}[case]
-    return "input_perm"
+    return f"{mpath}: input_perm"
 
 
 @pytest.mark.parametrize("case", [
-    "short_act_min", "min_above_max", "nan_act_max", "text_act_max", "ragged_act_min",
-    "bad_mode", "short_perm", "repeated_perm", "float_perm",
+    "short_act_min", "oversized_range", "min_above_max", "nan_act_max", "inf_act_min",
+    "no_range_file_key", "range_file_out_of_dir", "bad_mode", "short_perm", "repeated_perm",
+    "float_perm",
 ])
 def test_malformed_quant_entry_rejected_naming_key(tmp_path, case):
-    """Each quant entry and the input permutation are checked against the
-    graph before any state is built; the error names manifest and key."""
+    """Each quant entry, its range file and the input permutation are
+    checked against the graph before any state is built; the error names
+    the file at fault (range file or manifest) and the key."""
     model, _ = full_pipeline_model()
     modelio.save_model(tmp_path, model)
     mpath = tmp_path / "manifest.json"
     manifest = json.loads(mpath.read_text())
-    want = _corrupt(manifest, case)
+    want = _corrupt(tmp_path, manifest, case)
     mpath.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=re.escape(f"{mpath}: {want}")):
+    with pytest.raises(ValueError, match=re.escape(want)):
         modelio.load_model(tmp_path)
+
+
+def test_missing_range_file_exit_3(tmp_path, capsys):
+    model, _ = full_pipeline_model()
+    modelio.save_model(tmp_path, model)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    key = min(manifest["quant"], key=int)
+    rpath = tmp_path / manifest["quant"][key]["range_file"]
+    rpath.unlink()
+    with pytest.raises(MissingArtifactError, match=re.escape(f"missing binary file {rpath}")):
+        modelio.load_model(tmp_path)
+    assert cli.main(["infer", "--model", str(tmp_path), "--mode", "int8"]) == 3
+    assert str(rpath) in capsys.readouterr().err
+
+
+def test_save_replaces_only_the_files_that_changed(tmp_path, monkeypatch):
+    """A save back to an unchanged directory replaces no file; one that
+    changes only the selections replaces only the manifest.  A file of the
+    same size but other bytes is replaced."""
+    model, _ = full_pipeline_model()
+    modelio.save_model(tmp_path, model)
+    replaced = []
+    replace = os.replace
+
+    def counted(src, dst):
+        replaced.append(Path(dst).name)
+        replace(src, dst)
+
+    monkeypatch.setattr(modelio.os, "replace", counted)
+    modelio.save_model(tmp_path, modelio.load_model(tmp_path))
+    assert replaced == []
+    model.selections.pop(max(model.selections))
+    modelio.save_model(tmp_path, model)
+    assert replaced == ["manifest.json"]
+    replaced.clear()
+    modelio.write_atomic(tmp_path / "x.bin", b"abcd")
+    modelio.write_atomic(tmp_path / "x.bin", np.frombuffer(b"abcd", dtype=np.uint8))
+    modelio.write_atomic(tmp_path / "x.bin", b"abce")
+    assert replaced == ["x.bin", "x.bin"]
+    assert (tmp_path / "x.bin").read_bytes() == b"abce"
+
+
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                               -1.7976931348623157e308, 1.7976931348623157e308, 1e300])
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ranges_round_trip_bit_exactly(data):
+    """Each range file holds the float64 min and max rows bit for bit
+    (signed zeros, subnormals, huge values), and loads back to them."""
+    graph = synth.make_linear_net(0, 2, 8, 4, 4)
+    ranges = {}
+    for i in graph.matmul_indices():
+        pairs = data.draw(st.lists(st.tuples(FINITE, FINITE), min_size=graph.layers[i].n_in,
+                                   max_size=graph.layers[i].n_in))
+        ranges[i] = ChannelRange([min(p) for p in pairs], [max(p) for p in pairs])
+    states = {i: netsim.QuantState(graph.layers[i].weight, cr, graph.group_size, "static")
+              for i, cr in ranges.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        modelio.save_model(tmp, netsim.PreparedModel(graph, states))
+        manifest = json.loads((Path(tmp) / "manifest.json").read_text())
+        loaded = modelio.load_model(tmp)
+        for i, cr in ranges.items():
+            raw = (Path(tmp) / manifest["quant"][str(i)]["range_file"]).read_bytes()
+            assert raw == np.stack([cr.min, cr.max]).astype("<f8").tobytes()
+            got = loaded.states[i].act_range
+            assert got.min.tobytes() == cr.min.tobytes() and got.max.tobytes() == cr.max.tobytes()
+
+
+def test_manifest_holds_no_float_list(tmp_path):
+    """Per-channel floats live in binaries: no list in the manifest holds a
+    float."""
+    model, _ = full_pipeline_model()
+    modelio.save_model(tmp_path, model)
+
+    def lists(node):
+        if isinstance(node, dict):
+            node = list(node.values())
+        if isinstance(node, list):
+            yield node
+            for v in node:
+                yield from lists(v)
+
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["quant"] and manifest["selections"]
+    assert not [l for l in lists(manifest) if any(isinstance(v, float) for v in l)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_template(tmp_path_factory):
+    """A saved, selected and laid-out small model, and its manifest."""
+    path = tmp_path_factory.mktemp("fuzz") / "model"
+    model, _ = full_pipeline_model()
+    modelio.save_model(path, model)
+    return path, json.loads((path / "manifest.json").read_text())
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=8), kids,
+                                                               max_size=4),
+    max_leaves=8,
+)
+
+LAYER_FIELDS = ["kind", "name", "perm", "shape", "source", "weight_file"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_model_directory_loads_or_names_its_path(fuzz_template, data):
+    """With one manifest value (top level, layer field or quant field)
+    replaced by any JSON value, or one binary truncated or extended,
+    load_model loads or raises a ValueError or MissingArtifactError whose
+    message names a path in the directory."""
+    template, manifest = fuzz_template
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model"
+        shutil.copytree(template, path)
+        site = data.draw(st.sampled_from(["top", "layer", "quant", "binary"]))
+        if site == "binary":
+            binaries = sorted(p.name for p in path.iterdir() if p.suffix != ".json")
+            fpath = path / data.draw(st.sampled_from(binaries))
+            raw = fpath.read_bytes()
+            size = data.draw(st.integers(0, len(raw) + 16))
+            fpath.write_bytes(raw[:size] + bytes(max(0, size - len(raw))))
+        else:
+            edited = copy.deepcopy(manifest)
+            node = {"top": edited, "layer": st.sampled_from(edited["layers"]),
+                    "quant": st.sampled_from(list(edited["quant"].values()))}[site]
+            if site != "top":
+                node = data.draw(node)
+            keys = sorted(node) if site != "layer" else LAYER_FIELDS  # a layer may lack some
+            node[data.draw(st.sampled_from(keys))] = data.draw(JSON_VALUES)
+            (path / "manifest.json").write_text(json.dumps(edited))
+        try:
+            modelio.load_model(path)
+        except (ValueError, MissingArtifactError) as exc:
+            assert str(path) in str(exc)
