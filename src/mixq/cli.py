@@ -72,6 +72,8 @@ def _parse_ratios(text: str) -> list[float]:
 def do_calibrate(model_dir, momentum, quantile, extraction, batch_size) -> netsim.PreparedModel:
     model = modelio.load_model(model_dir)
     x, _ = modelio.load_dataset(model_dir, "calib")
+    if model.input_perm is not None:  # a laid-out graph reads its inputs permuted
+        x = x[:, model.input_perm]
     new = netsim.prepare(
         model.graph,
         _batches(x, batch_size),
@@ -456,6 +458,7 @@ def _float_type(ok, requirement: str):
 _positive = _float_type(lambda v: math.isfinite(v) and v > 0, "be finite and positive")
 _finite = _float_type(math.isfinite, "be finite")
 _unit = _float_type(lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+_upper_quantile = _float_type(lambda v: 0.5 <= v <= 1.0, "lie in [0.5, 1]")
 _momentum = _float_type(lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
 _rate = _float_type(lambda v: math.isfinite(v) and v >= 0, "be finite and non-negative")
 
@@ -497,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("calibrate", "calibrate activation ranges on the stored calibration set")
     add_model(sp)
     sp.add_argument("--momentum", type=_momentum, default=0.99)
-    sp.add_argument("--quantile", type=_unit, default=None)
+    sp.add_argument("--quantile", type=_upper_quantile, default=None,
+                    help="calibrate to this upper quantile and its mirror, in [0.5, 1]")
     sp.add_argument("--extraction", choices=bitlower.EXTRACTION_MODES, default="static")
     sp.add_argument("--batch-size", type=_positive_int, default=32)
 
@@ -518,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="allow 4-bit groups in the first/last layer")
     sp.add_argument("--extraction", choices=bitlower.EXTRACTION_MODES, default=None)
 
-    sp = add("layout", "reorder channels so 4-bit groups are contiguous and nested")
+    sp = add("layout", "permute channels so 4-bit groups are contiguous and nested")
     add_model(sp)
 
     sp = add("gemm-check", "verify the mixed kernel against a scalar reference")
@@ -600,8 +604,8 @@ def _dispatch(args) -> int:
             print(f"ratio {r}: {c.set_count()}/{c.total_groups()} groups 4-bit")
     elif cmd == "layout":
         model = do_layout(args.model)
-        reorders = sum(1 for l in model.graph.layers if l.kind == "reorder")
-        print(f"layout applied; {reorders} reorder ops inserted -> {args.model}")
+        permuted = sum(1 for l in model.graph.layers if l.perm is not None)
+        print(f"layout applied; {permuted} residual edges carry a channel order -> {args.model}")
     elif cmd == "gemm-check":
         lines = run_gemm_check(args.cases, args.seed, args.group_size, args.max_dim)
         print("\n".join(lines))

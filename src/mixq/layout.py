@@ -1,13 +1,19 @@
-"""Post-processing layout: reorder channels so 4-bit groups are contiguous.
+"""Post-processing layout: permute channels so 4-bit groups are contiguous.
 
 Groups are placed in order of the ratio at which they first become 4-bit,
 so every prepared ratio's 4-bit flags on each layer's full groups form a
 prefix.  A ragged last group (narrower than the group size) stays last:
 the kernels group channels by position, so moving it would regroup them.
-Steps 1-2 are static weight permutations; step 3
-inserts runtime reorder operators on residual edges whose two sides end
-up in different orders.  The laid-out network is functionally equivalent:
-quantized outputs are bit-identical at every ratio.
+
+The layout inserts no layer.  Each matmul layer's weight is permuted on
+both axes (its input channels to its own order, its output channels to
+the next matmul's), the first matmul's order is folded into the model's
+``input_perm``, and a residual add whose two streams end up in different
+orders gets a ``perm``, the channel order of its side input in the main
+stream's order.  Layer indices, and so the keys of states and
+selections, stay as they were, and a second layout composes with the
+first.  The laid-out network is functionally equivalent: quantized
+outputs are bit-identical at every ratio.
 """
 
 from __future__ import annotations
@@ -69,28 +75,30 @@ def plan_layout(model: PreparedModel) -> dict[int, ChannelPermutation]:
     return plans
 
 
+def _unless_identity(perm: np.ndarray) -> np.ndarray | None:
+    """``perm``, or None if it keeps every channel in place."""
+    return None if np.array_equal(perm, np.arange(perm.size)) else perm
+
+
 def apply_layout(model: PreparedModel, plans: dict[int, ChannelPermutation]) -> PreparedModel:
-    """Produce the laid-out model: permuted weights, prefix selections and
-    reorder operators on residual edges."""
+    """Produce the laid-out model: permuted weights, ranges and selections,
+    the input permutation, and a ``perm`` on each residual add whose two
+    streams end up in different orders.  The graph keeps its layers and
+    their indices, so a laid-out model can be laid out again."""
     graph = model.graph
     matmuls = graph.matmul_indices()
-    n_layers = len(graph.layers)
 
     def order_after(pos: int) -> np.ndarray | None:
-        """Stream channel order in force just after layer ``pos`` (-1 = input)."""
+        """New stream channel order, in the old one, just after layer
+        ``pos`` (-1 = input); None past the last matmul, which keeps it."""
         for m in matmuls:
             if m > pos:
                 return plans[m].perm
-        return None  # past the last matmul: original order
+        return None
 
-    # input permutation = first matmul's input order
-    input_perm = plans[matmuls[0]].perm if matmuls else None
-    if input_perm is not None and np.array_equal(input_perm, np.arange(input_perm.size)):
-        input_perm = None
-
-    new_layers: list[Layer] = []
-    idx_map: dict[int, int] = {-1: -1}
+    layers: list[Layer] = []
     for idx, layer in enumerate(graph.layers):
+        perm = layer.perm
         if layer.kind in MATMUL_KINDS:
             pin = plans[idx].perm
             if pin.size != layer.n_in:
@@ -104,64 +112,42 @@ def apply_layout(model: PreparedModel, plans: dict[int, ChannelPermutation]) -> 
                         f"channels at layer {idx}"
                     )
                 w = w[pout]
-            new_layers.append(Layer(layer.kind, name=layer.name, weight=w))
-        elif layer.kind == "residual_add":
-            src = layer.source
-            o_here = order_after(idx)
-            o_src = input_perm if src == -1 else order_after(src)
-            here = np.arange(_width_at(graph, idx)) if o_here is None else o_here
-            there = np.arange(here.size) if o_src is None else o_src
-            if not np.array_equal(here, there):
-                inv_src = np.argsort(there)
-                new_layers.append(Layer("reorder", source=idx_map[src], perm=inv_src[here]))
-                new_layers.append(Layer("residual_add", source=len(new_layers) - 1))
-            else:
-                new_layers.append(Layer("residual_add", source=idx_map[src]))
-        elif layer.kind == "reorder":
-            new_layers.append(
-                Layer("reorder", source=None if layer.source is None else idx_map[layer.source],
-                      perm=layer.perm)
-            )
-        else:
-            new_layers.append(Layer(layer.kind, name=layer.name, source=None))
-        idx_map[idx] = len(new_layers) - 1
+            layers.append(Layer(layer.kind, name=layer.name, weight=w))
+            continue
+        if layer.kind == "residual_add" and (here := order_after(idx)) is not None:
+            # new stream channel c is old channel here[c], which took old
+            # side channel old[here[c]]; the new side input holds old side
+            # channel there[j] at j
+            old = np.arange(here.size) if perm is None else perm
+            there = order_after(layer.source)
+            perm = _unless_identity(np.argsort(there)[old[here]])
+        layers.append(Layer(layer.kind, name=layer.name, source=layer.source, perm=perm))
 
-    new_graph = NetworkGraph(new_layers, graph.input_shape, graph.group_size)
-    new_matmuls = new_graph.matmul_indices()
+    input_perm, first = model.input_perm, order_after(-1)
+    if first is not None:
+        input_perm = _unless_identity(first if input_perm is None else input_perm[first])
 
     # quantized states of the permuted weights and ranges; they build the
     # original codes and shifts in permuted order exactly
     states = {}
     selections: dict[float, dict[int, np.ndarray]] = {r: {} for r in model.selections}
-    for old_idx, new_idx in zip(matmuls, new_matmuls):
-        plan = plans[old_idx]
-        old_state = model.states[old_idx]
+    for idx in matmuls:
+        plan = plans[idx]
+        old_state = model.states[idx]
         cr = old_state.act_range
         permuted_range = type(cr)(cr.min[plan.perm], cr.max[plan.perm])
-        states[new_idx] = QuantState(
-            new_graph.layers[new_idx].weight, permuted_range, new_graph.group_size, old_state.mode
-        )
+        states[idx] = QuantState(layers[idx].weight, permuted_range, graph.group_size,
+                                 old_state.mode)
         for r in model.selections:
-            flags = model.selections[r].get(old_idx)
+            flags = model.selections[r].get(idx)
             if flags is not None:
-                selections[r][new_idx] = flags[plan.group_order]
+                selections[r][idx] = flags[plan.group_order]
 
     return PreparedModel(
-        graph=new_graph,
+        graph=NetworkGraph(layers, graph.input_shape, graph.group_size),
         states=states,
         selections=selections,
         input_perm=input_perm,
         laid_out=True,
         active_ratio=model.active_ratio,
     )
-
-
-def _width_at(graph: NetworkGraph, pos: int) -> int:
-    """Channel width of the stream at layer position ``pos``."""
-    width = graph.input_shape[0]
-    for idx, layer in enumerate(graph.layers):
-        if idx >= pos:
-            break
-        if layer.kind in MATMUL_KINDS:
-            width = layer.n_out
-    return width

@@ -8,7 +8,8 @@ Serialization is byte-deterministic: identical inputs always produce
 identical trees.
 
 The manifest stores the graph (layer kinds, names, weight files, shapes,
-sources, permutations), the group size and input shape, each quantized
+residual sources and the ``perm`` of each residual add whose side input
+a layout permuted), the group size and input shape, each quantized
 layer's ``range_file`` and ``codes_file``, each layer's extraction mode,
 the per-ratio group flags, the input permutation and the laid-out flag; it
 holds no per-channel floats.  Everything else (activation and weight
@@ -34,12 +35,14 @@ extraction mode must be a known one and ``input_perm`` must permute the
 input channels; these messages name the range file or the manifest.  The
 graph is checked the same way, naming the layer index: every kind is a
 known one, a matmul layer has a weight of its kind's rank, a ``source`` is
--1 (the input) or an earlier layer and a ``perm`` is a permutation.  A
+-1 (the input) or an earlier layer, and only a residual add has a
+``perm``, which must permute the stream's channels at that layer.  A
 weight with a non-finite value raises one naming its ``.f32bin`` file and
 the layer index.  A file the manifest names (weight, codes or range) must
 be a file in the model directory: a name that leads out of it is a
 ``ValueError``, a missing file or a directory a ``MissingArtifactError``
-(exit 3) naming the file.
+(exit 3) naming the file.  ``load_dataset`` checks ``data.json``, the
+dataset index, the same way, naming it in each message.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from .netsim import (LAYER_KINDS, MATMUL_KINDS, Layer, NetworkGraph, PreparedMod
 from .qtensor import ChannelRange
 
 MANIFEST = "manifest.json"
-FORMAT = "mixq-model-v2"
+FORMAT = "mixq-model-v3"
 # a matmul layer's weight is [out, in] or [out, in, kh, kw]
 _WEIGHT_RANK = {"linear": 2, "conv2d": 4}
 
@@ -259,7 +262,9 @@ def _check_layer(mpath: Path, idx: int, layer: Layer) -> None:
     bad_source = not (type(source) is int and -1 <= source < idx)
     if bad_source and (source is not None or layer.kind == "residual_add"):
         raise ValueError(f"{where} has source {source!r}, not -1 (the input) or an earlier layer")
-    if (perm is not None or layer.kind == "reorder") and (perm is None or not _is_perm(perm)):
+    if perm is not None and layer.kind != "residual_add":
+        raise ValueError(f"{where} has a perm, which only a residual_add takes")
+    if perm is not None and not _is_perm(perm):
         raise ValueError(f"{where} has a perm that is not a permutation")
 
 
@@ -294,6 +299,13 @@ def _parse_manifest(path: Path, manifest: dict) -> PreparedModel:
         tuple(_expect(mpath, "input_shape", manifest["input_shape"], "a list of positive integers")),
         _expect(mpath, "group_size", manifest["group_size"], "a positive integer"),
     )
+    width = graph.input_shape[0]  # of the stream, layer by layer
+    for idx, layer in enumerate(graph.layers):
+        if layer.kind in MATMUL_KINDS:
+            width = layer.n_out
+        elif layer.perm is not None and layer.perm.size != width:
+            raise ValueError(f"{mpath}: layer {idx} ({layer.kind!r}) has a perm of "
+                             f"{layer.perm.size} channels, not of the stream's {width}")
     input_perm = manifest.get("input_perm")
     if input_perm is not None:
         width = graph.input_shape[0]
@@ -380,15 +392,27 @@ def save_dataset(path, name: str, x: np.ndarray, y: np.ndarray | None = None):
 
 
 def load_dataset(path, name: str):
+    """Dataset ``name`` of a model directory, as (inputs, labels or None).
+    ``data.json`` is checked as the manifest is: a failed check raises a
+    ``ValueError`` naming it and the key."""
     path = Path(path)
     meta_path = path / "data.json"
     if not meta_path.exists():
         raise MissingArtifactError(f"no data.json in {path}; run the demo/generation stage first")
-    meta = json.loads(meta_path.read_text())
-    if name not in meta:
+    try:
+        meta = json.loads(meta_path.read_bytes())
+    except ValueError as exc:  # not JSON, or not in a Unicode encoding
+        raise ValueError(f"{meta_path} is not a JSON dataset index: {exc}") from None
+    if name not in _expect(meta_path, "the dataset index", meta, "an object"):
         raise MissingArtifactError(f"dataset {name!r} not present in {path}")
-    x = load_array(path / f"{name}_x.f32bin", "<f4", meta[name]["x_shape"])
+    entry = _expect(meta_path, f"dataset {name!r}", meta[name], "an object")
+    x_shape = _expect(meta_path, f"dataset {name!r} x_shape", entry.get("x_shape"),
+                      "a list of positive integers")
+    x = load_array(path / f"{name}_x.f32bin", "<f4", x_shape)
     y = None
-    if "y_shape" in meta[name]:
-        y = load_array(path / f"{name}_y.i64bin", "<i8", meta[name]["y_shape"])
+    if "y_shape" in entry:
+        if entry["y_shape"] != x_shape[:1]:
+            raise ValueError(f"{meta_path}: dataset {name!r} y_shape must be [{x_shape[0]}], "
+                             f"one label per sample, not {reprlib.repr(entry['y_shape'])}")
+        y = load_array(path / f"{name}_y.i64bin", "<i8", x_shape[:1])
     return x, y

@@ -1,10 +1,12 @@
 """Minimal network graph and execution engine.
 
-Supported operators: linear, conv2d (stride 1, same padding), relu, gelu,
-residual_add, and reorder.  Matmul operators run in fp32, uniform int8,
-uniform int4, or mixed 4/8-bit precision; everything else runs in 32-bit
-float.  The engine is pure: a prepared model is immutable during a call
-and outputs are deterministic.  Each matmul layer's ``QuantState`` keeps
+Supported operators: linear, conv2d (stride 1, same padding), relu, gelu
+and residual_add.  A residual_add may carry a ``perm``, the channel order
+of its side input in the main stream's order, which a layout sets where
+the two streams it joins are ordered differently.  Matmul operators run
+in fp32, uniform int8, uniform int4, or mixed 4/8-bit precision;
+everything else runs in 32-bit float.  The engine is pure: a prepared
+model is immutable during a call and outputs are deterministic.  Each matmul layer's ``QuantState`` keeps
 its float weight and calibrated ranges and builds the rest on first read,
 one part at a time: the 8-bit scales and codes, the 4-bit ones, the
 extraction plan and the lowered weights.  So only what a call reads is ever
@@ -27,7 +29,7 @@ from .bitlower import EXTRACTION_MODES, group_bitwidths, group_slices, plan_extr
 from .qtensor import ChannelRange, calibrate_ranges, derive_scales, quantize
 
 MATMUL_KINDS = ("linear", "conv2d")
-LAYER_KINDS = MATMUL_KINDS + ("relu", "gelu", "residual_add", "reorder")
+LAYER_KINDS = MATMUL_KINDS + ("relu", "gelu", "residual_add")
 
 
 @dataclass
@@ -35,8 +37,8 @@ class Layer:
     kind: str
     name: str = ""
     weight: np.ndarray | None = None  # [out, in] or [out, in, kh, kw], float32
-    source: int | None = None  # residual_add / reorder: producer layer index, -1 = input
-    perm: np.ndarray | None = None  # reorder: channel permutation
+    source: int | None = None  # residual_add: producer layer index, -1 = input
+    perm: np.ndarray | None = None  # residual_add: side input channel c is source channel perm[c]
 
     def __post_init__(self):
         if self.weight is not None:
@@ -306,17 +308,10 @@ def run(
             outputs.append(h)
         elif layer.kind == "residual_add":
             src = x0 if layer.source == -1 else outputs[layer.source]
+            if layer.perm is not None:
+                src = src[:, layer.perm]
             h = h + src
             outputs.append(h)
-        elif layer.kind == "reorder":
-            if layer.source is None:
-                h = h[:, layer.perm]
-                outputs.append(h)
-            else:
-                # side operator: reorders a recorded output (residual path),
-                # main stream passes through untouched
-                src = x0 if layer.source == -1 else outputs[layer.source]
-                outputs.append(src[:, layer.perm])
         else:
             raise ValueError(f"unknown layer kind {layer.kind!r}")
     return h
@@ -345,7 +340,9 @@ def prepare(
 ) -> PreparedModel:
     """Calibrate activation ranges on a batch stream and quantize weights.
 
-    Batches are read one at a time: each batch's fp32 forward records every
+    The batches are in ``graph``'s channel order: a laid-out model's
+    inputs indexed by its ``input_perm``, as ``run`` reads them.  Batches
+    are read one at a time: each batch's fp32 forward records every
     matmul layer's input, which is folded into that layer's running range
     (``calibrate_ranges`` continuing from the range so far) before the next
     batch is read.  So memory does not grow with the number of batches.

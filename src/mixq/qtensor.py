@@ -90,6 +90,9 @@ def calibrate_ranges(
     """
     if not 0 <= momentum < 1:
         raise ValueError("momentum must be in [0, 1)")
+    if coverage_quantile is not None and not 0.5 <= coverage_quantile <= 1:
+        raise ValueError(f"coverage_quantile must be in [0.5, 1], got {coverage_quantile}: "
+                         f"below 0.5 the lower quantile lies above the upper")
     ema_min, ema_max = (None, None) if start is None else (start.min, start.max)
     for batch in batches:
         batch = np.asarray(batch)

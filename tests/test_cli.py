@@ -77,10 +77,10 @@ def test_unknown_model_format_exit_4(demo_dir, tmp_path, capsys):
         if path.suffix in (".json", ".f32bin", ".f64bin", ".i8bin", ".i64bin"):
             (model_dir / path.name).write_bytes(path.read_bytes())
     manifest = json.loads((model_dir / "manifest.json").read_text())
-    manifest["format"] = "mixq-model-v1"  # no reader is kept for the JSON ranges of v1
+    manifest["format"] = "mixq-model-v2"  # no reader is kept for the reorder layers of v2
     (model_dir / "manifest.json").write_text(json.dumps(manifest))
     assert run_cli("infer", "--model", str(model_dir), "--mode", "int8") == 4
-    assert "'mixq-model-v1', expected 'mixq-model-v2'" in capsys.readouterr().err
+    assert "'mixq-model-v2', expected 'mixq-model-v3'" in capsys.readouterr().err
 
 
 def test_validation_failure_exit_4(demo_dir):
@@ -336,6 +336,8 @@ def test_manifest_missing_key_exit_4(demo_dir, tmp_path, capsys, path):
     ("select", "--generations", "-2"),
     ("select", "--elite", "-1"),
     ("select", "--parents", "0"),
+    ("calibrate", "--quantile", "0.3"),  # the lower quantile would lie above the upper
+    ("calibrate", "--quantile", "0"),
 ])
 def test_non_positive_counts_exit_2(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # the default model and output directory
@@ -572,6 +574,28 @@ def test_score_and_layout_loads_build_no_quantized_state(tmp_path, monkeypatch):
     assert calls == ["save_model"] + ["quantize"] * n
 
 
+def test_calibrate_reads_a_laid_out_model_s_inputs_in_its_order(tmp_path):
+    """Calibrating a laid-out model again feeds it the calibration set in the
+    order its forward reads inputs: the first layer's ranges stay bit for
+    bit, and so do the int8 logits."""
+    graph = synth.make_linear_net(3, 4, 32, 8, 8)
+    x, y = synth.make_dataset(4, 32, 8, 128)
+    modelio.save_model(tmp_path, netsim.PreparedModel(graph, {}))
+    modelio.save_dataset(tmp_path, "calib", x, y)
+    cli.do_calibrate(tmp_path, 0.99, None, "static", 32)
+    cfg_kwargs = dict(population=4, generations=1, elite=1, parents=2, fitness_samples=16)
+    cli.do_select(tmp_path, [0.5, 1.0], "random", 0, cfg_kwargs, protect_edges=False,
+                  extraction=None)
+    laid = cli.do_layout(tmp_path)
+    assert laid.input_perm is not None
+    again = cli.do_calibrate(tmp_path, 0.99, None, "static", 32)
+    first = graph.matmul_indices()[0]
+    for bound in ("min", "max"):
+        assert (getattr(again.states[first].act_range, bound).tobytes()
+                == getattr(laid.states[first].act_range, bound).tobytes())
+    assert np.array_equal(netsim.run(again, x, mode="int8"), netsim.run(laid, x, mode="int8"))
+
+
 def _layer_edit(rule, layers):
     """Break one graph rule in a copy of the demo manifest's ``layers``;
     returns the index of the broken layer and a part of the message."""
@@ -587,13 +611,19 @@ def _layer_edit(rule, layers):
         source = 99 if rule == "source 99" else relu + 1
         layers[relu] = {"kind": "residual_add", "source": source}
         return relu, f"has source {source}, not -1 (the input) or an earlier layer"
+    if rule == "perm on relu":
+        layers[relu]["perm"] = list(range(32))
+        return relu, "has a perm, which only a residual_add takes"
+    if rule == "perm short":  # a permutation, of half the 32 stream channels
+        layers[relu] = {"kind": "residual_add", "source": -1, "perm": list(range(16))}
+        return relu, "has a perm of 16 channels, not of the stream's 32"
     perm = [99] * 32 if rule == "perm" else [c + 0.5 for c in range(32)]  # not integers
-    layers[relu] = {"kind": "reorder", "perm": perm}
+    layers[relu] = {"kind": "residual_add", "source": -1, "perm": perm}
     return relu, "has a perm that is not a permutation"
 
 
 @pytest.mark.parametrize("rule", ["kind", "weight", "source 99", "source forward", "perm",
-                                  "perm floats"])
+                                  "perm floats", "perm on relu", "perm short"])
 def test_manifest_graph_checked_on_load_exit_4(demo_dir, tmp_path, capsys, rule):
     """A broken graph is rejected on load, naming manifest and layer, not
     with a traceback or a failure inside the first forward."""
@@ -649,6 +679,31 @@ def test_manifest_field_of_the_wrong_type_exit_3_or_4(demo_dir, tmp_path, capsys
     (model_dir / "manifest.json").write_text(json.dumps(manifest))
     assert run_cli("infer", "--model", str(model_dir), "--mode", "int8") == code
     assert want in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case, want", [
+    ("x_shape text", "data.json: dataset 'eval' x_shape must be a list of positive integers, "
+                     "not 'abc'"),
+    ("not JSON", "data.json is not a JSON dataset index: Expecting value"),
+    ("top-level list", "data.json: the dataset index must be an object, not []"),
+    ("y_shape short", "data.json: dataset 'eval' y_shape must be [128], one label per sample"),
+])
+def test_data_json_checked_on_load_exit_4(demo_dir, tmp_path, capsys, case, want):
+    """A malformed data.json exits 4 naming it: once a traceback (exit 1), a
+    JSON message naming no file, or a dataset "not present" (exit 3)."""
+    model_dir = tmp_path / "model"
+    _copy_model(demo_dir, model_dir)
+    meta = json.loads((model_dir / "data.json").read_text())
+    if case == "x_shape text":
+        meta["eval"]["x_shape"] = "abc"
+    elif case == "top-level list":
+        meta = []
+    elif case == "y_shape short":
+        meta["eval"]["y_shape"] = [4]
+    text = "not JSON" if case == "not JSON" else json.dumps(meta)
+    (model_dir / "data.json").write_text(text)
+    assert run_cli("infer", "--model", str(model_dir), "--mode", "int8") == 4
+    assert f"{model_dir / want}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algo", ["evo", "greedy"])

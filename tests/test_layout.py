@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixq import evoselect, layout, netsim, scoring, synth
+from mixq.bitlower import EXTRACTION_MODES
 from mixq.evoselect import EvoConfig
 from conftest import small_conv_model, small_model
 
@@ -87,13 +90,15 @@ def test_layout_fp32_transparent_within_float_tolerance():
     np.testing.assert_allclose(after, before, rtol=1e-5, atol=1e-5)
 
 
-def test_residual_order_mismatch_inserts_reorder_op():
+def test_residual_order_mismatch_sets_a_residual_perm():
     model, (x_cal, _), _ = small_model(seed=36, residual=True)
     prepare_with_selections(model, x_cal, algo="random", seed=4)
     laid = layout.apply_layout(model, layout.plan_layout(model))
     kinds = [l.kind for l in laid.graph.layers]
-    # random selections disagree across the skip, so a reorder is needed
-    assert "reorder" in kinds
+    assert kinds == [l.kind for l in model.graph.layers]  # no layer inserted
+    # random selections disagree across the skip, so the add reorders its side input
+    assert [i for i, l in enumerate(laid.graph.layers) if l.perm is not None] == [
+        kinds.index("residual_add")]
 
 
 def test_non_nested_selections_rejected():
@@ -159,3 +164,51 @@ def test_layout_keeps_a_ragged_last_group_last():
         before = netsim.run(model, x, mode="mixed", ratio=r)
         assert np.array_equal(netsim.run(laid, x, mode="mixed", ratio=r), before), r
     assert netsim.set_ratio(laid, 0.5) == {i: 2 for i in matmuls}
+
+
+def _random_nested_selections(model, protect_edges, data):
+    """One to three nested selections over the selectable layers: one random
+    ranking of all their groups, cut at increasing counts."""
+    matmuls = model.graph.matmul_indices()
+    layers = matmuls[1:-1] if protect_edges and len(matmuls) > 2 else matmuls
+    groups = [(i, g) for i in layers for g in range(model.n_groups(i))]
+    ranking = data.draw(st.permutations(groups))
+    counts = data.draw(st.lists(st.integers(1, len(groups)), min_size=1, max_size=3, unique=True))
+    selections = {}
+    for k in sorted(counts):
+        flags = {i: np.zeros(model.n_groups(i), dtype=bool) for i in layers}
+        for i, g in ranking[:k]:
+            flags[i][g] = True
+        selections[netsim.ratio_key(k / len(groups))] = flags
+    return selections
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), protect_edges=st.booleans(), data=st.data())
+def test_a_second_layout_composes_with_the_first(seed, protect_edges, data):
+    """select -> layout -> select -> layout keeps the int8 outputs of the
+    model never laid out, and the mixed outputs of the second selection at
+    each of its ratios; layer indices, and so the selection keys and the
+    counts set_ratio reports, do not move."""
+    graph = synth.random_net(seed)
+    if len(graph.input_shape) == 1:
+        x, _ = synth.make_dataset(seed, graph.input_shape[0], 8, 32)
+    else:
+        x, _ = synth.make_image_dataset(seed, graph.input_shape[0], graph.input_shape[1], 8, 8)
+    model = netsim.prepare(graph, [x])
+    int8 = netsim.run(model, x, mode="int8")
+    extraction = data.draw(st.sampled_from(EXTRACTION_MODES))
+    for _ in range(2):
+        model.selections = _random_nested_selections(model, protect_edges, data)
+        mixed = {r: netsim.run(model, x, mode="mixed", ratio=r, extraction=extraction)
+                 for r in model.selections}
+        laid = layout.apply_layout(model, layout.plan_layout(model))
+        assert [l.kind for l in laid.graph.layers] == [l.kind for l in graph.layers]
+        assert {r: sorted(s) for r, s in laid.selections.items()} == {
+            r: sorted(s) for r, s in model.selections.items()}
+        for r in model.selections:
+            assert netsim.set_ratio(laid, r) == netsim.set_ratio(model, r)
+            out = netsim.run(laid, x, mode="mixed", ratio=r, extraction=extraction)
+            assert np.array_equal(out, mixed[r]), r
+        assert np.array_equal(netsim.run(laid, x, mode="int8"), int8)
+        model = laid

@@ -102,7 +102,7 @@ def test_manifest_bytes_deterministic(tmp_path):
     b = (tmp_path / "b" / "manifest.json").read_bytes()
     assert a == b
     meta = json.loads(a)
-    assert meta["format"] == "mixq-model-v2"
+    assert meta["format"] == "mixq-model-v3"
 
 
 def test_weight_binaries_raw_little_endian(tmp_path):
@@ -139,7 +139,7 @@ def test_missing_artifacts_raise(tmp_path):
         modelio.load_model(tmp_path)
 
 
-@pytest.mark.parametrize("found", ["mixq-model-v0", "mixq-model-v1", None])
+@pytest.mark.parametrize("found", ["mixq-model-v0", "mixq-model-v1", "mixq-model-v2", None])
 def test_load_model_checks_format(tmp_path, found):
     model, _ = full_pipeline_model()
     modelio.save_model(tmp_path, model)
@@ -149,7 +149,7 @@ def test_load_model_checks_format(tmp_path, found):
     else:
         manifest["format"] = found
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match=f"format {found!r}, expected 'mixq-model-v2'"):
+    with pytest.raises(ValueError, match=f"format {found!r}, expected 'mixq-model-v3'"):
         modelio.load_model(tmp_path)
 
 
@@ -537,3 +537,52 @@ def test_fuzzed_model_directory_loads_or_names_its_path(fuzz_template, data):
             modelio.load_model(path)
         except (ValueError, MissingArtifactError) as exc:
             assert str(path) in str(exc)
+
+
+@pytest.fixture(scope="module")
+def dataset_template(tmp_path_factory):
+    """A directory holding a labelled and an unlabelled dataset, and its
+    data.json."""
+    path = tmp_path_factory.mktemp("datasets")
+    x = np.arange(24, dtype=np.float32).reshape(6, 4)
+    modelio.save_dataset(path, "calib", x, np.arange(6))
+    modelio.save_dataset(path, "eval", x[:3])
+    return path, json.loads((path / "data.json").read_text())
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_dataset_loads_or_names_its_path(dataset_template, data):
+    """With data.json, one dataset entry or one of its fields replaced by
+    any JSON value, data.json not JSON, or one binary truncated or extended,
+    load_dataset loads or raises a ValueError or MissingArtifactError whose
+    message names a path in the directory."""
+    template, meta = dataset_template
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model"
+        shutil.copytree(template, path)
+        site = data.draw(st.sampled_from(["top", "entry", "field", "text", "binary"]))
+        if site == "binary":
+            fpath = path / data.draw(st.sampled_from(
+                sorted(p.name for p in path.iterdir() if p.suffix != ".json")))
+            raw = fpath.read_bytes()
+            size = data.draw(st.integers(0, len(raw) + 16))
+            fpath.write_bytes(raw[:size] + bytes(max(0, size - len(raw))))
+        elif site == "text":
+            (path / "data.json").write_bytes(data.draw(st.binary(max_size=16)))
+        else:
+            edited = copy.deepcopy(meta)
+            name = data.draw(st.sampled_from(sorted(edited)))
+            if site == "top":
+                edited = data.draw(JSON_VALUES)
+            elif site == "entry":
+                edited[name] = data.draw(JSON_VALUES)
+            else:
+                edited[name][data.draw(st.sampled_from(["x_shape", "y_shape"]))] = data.draw(
+                    JSON_VALUES)
+            (path / "data.json").write_text(json.dumps(edited))
+        for name in ("calib", "eval"):
+            try:
+                modelio.load_dataset(path, name)
+            except (ValueError, MissingArtifactError) as exc:
+                assert str(path) in str(exc)

@@ -517,7 +517,7 @@ def test_record_holds_one_entry_per_matmul_layer():
     )
     evoselect.install_selections(model, sel)
     laid = layout.apply_layout(model, layout.plan_layout(model))
-    assert "reorder" in [l.kind for l in laid.graph.layers]
+    assert any(l.perm is not None for l in laid.graph.layers)  # a residual edge is reordered
     matmuls = laid.graph.matmul_indices()
     for extraction in ("static", "dynamic"):
         rec = {}

@@ -116,6 +116,14 @@ def test_coverage_quantile_tightens_range():
     assert clipped.min[0] > full.min[0]
 
 
+@pytest.mark.parametrize("quantile", [0.3, 0.0, 1.5])
+def test_coverage_quantile_outside_its_range_named(quantile):
+    """Below 0.5 the lower quantile lies above the upper one: once this
+    failed only in ChannelRange, with "channel range min exceeds max"."""
+    with pytest.raises(ValueError, match=f"coverage_quantile must be in \\[0.5, 1\\], got {quantile}"):
+        calibrate_ranges([np.zeros((4, 2))], coverage_quantile=quantile)
+
+
 def test_derive_scales_symmetric_absmax():
     cr = ChannelRange(np.array([-3.0, -0.5]), np.array([1.0, 2.0]))
     assert np.allclose(derive_scales(cr.abs_max(), 8), [3.0 / 127.0, 2.0 / 127.0])
