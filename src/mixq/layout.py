@@ -114,12 +114,16 @@ def apply_layout(model: PreparedModel, plans: dict[int, ChannelPermutation]) -> 
                 w = w[pout]
             layers.append(Layer(layer.kind, name=layer.name, weight=w))
             continue
-        if layer.kind == "residual_add" and (here := order_after(idx)) is not None:
-            # new stream channel c is old channel here[c], which took old
-            # side channel old[here[c]]; the new side input holds old side
-            # channel there[j] at j
-            old = np.arange(here.size) if perm is None else perm
-            there = order_after(layer.source)
+        if layer.kind == "residual_add" and (there := order_after(layer.source)) is not None:
+            # the new side input holds old side channel there[j] at j; new
+            # stream channel c is old channel here[c] (the main stream keeps
+            # its order past the last matmul), which took old side channel
+            # old[here[c]].  With no matmul after the source there is none
+            # after the add either, and the old perm still holds.
+            identity = np.arange(there.size)
+            here = order_after(idx)
+            here = identity if here is None else here
+            old = identity if perm is None else perm
             perm = _unless_identity(np.argsort(there)[old[here]])
         layers.append(Layer(layer.kind, name=layer.name, source=layer.source, perm=perm))
 

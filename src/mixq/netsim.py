@@ -1,20 +1,20 @@
 """Minimal network graph and execution engine.
 
-Supported operators: linear, conv2d (stride 1, same padding), relu, gelu
-and residual_add.  A residual_add may carry a ``perm``, the channel order
-of its side input in the main stream's order, which a layout sets where
-the two streams it joins are ordered differently.  Matmul operators run
-in fp32, uniform int8, uniform int4, or mixed 4/8-bit precision;
-everything else runs in 32-bit float.  The engine is pure: a prepared
-model is immutable during a call and outputs are deterministic.  Each matmul layer's ``QuantState`` keeps
-its float weight and calibrated ranges and builds the rest on first read,
-one part at a time: the 8-bit scales and codes, the 4-bit ones, the
+Supported operators: linear, conv2d (stride 1, same padding), relu, gelu and
+residual_add.  A residual_add may carry a ``perm``, the channel order of its
+side input in the main stream's order, which a layout sets where the two
+streams it joins are ordered differently.  Matmul operators run in fp32,
+uniform int8, uniform int4, or mixed 4/8-bit precision; everything else runs
+in 32-bit float.  The engine is pure: a prepared model is immutable during a
+call and outputs are deterministic.  Each matmul layer's ``QuantState``
+keeps its float weight and calibrated ranges and builds the rest on first
+read, one part at a time: the 8-bit scales and codes, the 4-bit ones, the
 extraction plan and the lowered weights.  So only what a call reads is ever
-built: a mixed forward quantizes no weights to 4 bits and lowers the
-weights of a layer only once its flags set a group.  A quantized run
-calls the kernels straight from each layer's state; in mixed mode the
-state also memoizes, per prepared set of group flags and extraction mode,
-the kernel's ``kernels.Lowering``.
+built: a mixed forward quantizes no weights to 4 bits and lowers the weights
+of a layer only once its flags set a group.  A quantized run calls the
+kernels straight from each layer's state; in mixed mode the state also
+memoizes, per prepared set of group flags and extraction mode, the kernel's
+``kernels.Lowering``.
 """
 
 from __future__ import annotations

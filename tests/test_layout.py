@@ -212,3 +212,30 @@ def test_a_second_layout_composes_with_the_first(seed, protect_edges, data):
             assert np.array_equal(out, mixed[r]), r
         assert np.array_equal(netsim.run(laid, x, mode="int8"), int8)
         model = laid
+
+
+@pytest.mark.parametrize("source", [-1, 1])
+def test_a_residual_add_after_the_last_matmul_keeps_its_outputs(source):
+    """An add past the last matmul, whose side stream comes from before it:
+    the side stream is laid out, the main stream keeps its order, and the
+    add's perm must map one to the other, once laid out and twice."""
+    rng = np.random.default_rng(40 + source)
+    layers = [
+        netsim.Layer("linear", name="fc0", weight=rng.standard_normal((32, 32))),
+        netsim.Layer("relu"),
+        netsim.Layer("linear", name="fc1", weight=rng.standard_normal((32, 32))),
+        netsim.Layer("residual_add", source=source),
+    ]
+    graph = netsim.NetworkGraph(layers, (32,), group_size=8)
+    x, _ = synth.make_dataset(source + 2, 32, 8, 32)
+    model = netsim.prepare(graph, [x])
+    fp32 = netsim.run(model, x, mode="fp32")
+    int8 = netsim.run(model, x, mode="int8")
+    for seed in range(2):
+        model.selections = {0.5: {i: rng.permutation(4) < 2 for i in (0, 2)}}
+        mixed = netsim.run(model, x, mode="mixed", ratio=0.5)
+        model = layout.apply_layout(model, layout.plan_layout(model))
+        assert model.graph.layers[3].perm is not None, seed
+        np.testing.assert_allclose(netsim.run(model, x, mode="fp32"), fp32, rtol=1e-5, atol=1e-5)
+        assert np.array_equal(netsim.run(model, x, mode="int8"), int8), seed
+        assert np.array_equal(netsim.run(model, x, mode="mixed", ratio=0.5), mixed), seed
