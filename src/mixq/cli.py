@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bitlower, evoselect, kernels, layout, modelio, netsim, oracle, scoring, serve, synth
+from . import (bitlower, evoselect, kernels, layout, modelio, netsim, oracle, qtensor, scoring,
+               serve, synth)
 from .modelio import MissingArtifactError
 
 DEFAULT_RATIOS = (0.25, 0.5, 0.75, 1.0)
@@ -72,6 +73,10 @@ def _parse_ratios(text: str) -> list[float]:
 def do_calibrate(model_dir, momentum, quantile, extraction, batch_size) -> netsim.PreparedModel:
     model = modelio.load_model(model_dir)
     x, _ = modelio.load_dataset(model_dir, "calib")
+    # checked in the stored channel order, which a laid-out model's prepare does not see
+    if (at := qtensor.first_non_finite(x)) is not None:
+        raise ValueError(f"{model_dir}: calibration set 'calib' sample {at[0]} is not finite "
+                         f"at index {at[1:]}")
     if model.input_perm is not None:  # a laid-out graph reads its inputs permuted
         x = x[:, model.input_perm]
     new = netsim.prepare(
@@ -89,10 +94,10 @@ def do_calibrate(model_dir, momentum, quantile, extraction, batch_size) -> netsi
     return new
 
 
-def do_score(model_dir, out_name="score.csv") -> list[scoring.ErrorScore]:
+def do_score(model_dir) -> list[scoring.ErrorScore]:
     model = modelio.load_model(model_dir)
     scores = scoring.score_groups(model)
-    modelio.write_atomic(Path(model_dir) / out_name, scoring.scores_to_csv(scores).encode())
+    modelio.write_atomic(Path(model_dir) / "score.csv", scoring.scores_to_csv(scores).encode())
     return scores
 
 
@@ -190,7 +195,7 @@ def do_infer(model_dir, mode, ratio, extraction, dataset):
     return metrics
 
 
-def do_report_bits(model_dir, out_name="bits.csv"):
+def do_report_bits(model_dir):
     model = modelio.load_model(model_dir)
     report = netsim.unused_bit_report(model)
     rows = []
@@ -201,22 +206,23 @@ def do_report_bits(model_dir, out_name="bits.csv"):
                  float(report[idx]["weight"][unused]),
                  float(report[idx]["activation"][unused])]
             )
-    _write_csv(Path(model_dir) / out_name, ["layer", "unused_bits", "weight_frac", "act_frac"], rows)
+    _write_csv(Path(model_dir) / "bits.csv", ["layer", "unused_bits", "weight_frac", "act_frac"],
+               rows)
     return report
 
 
-def do_report_saturation(model_dir, ratio, extraction, scale, dataset, out_name="saturation.csv"):
+def do_report_saturation(model_dir, ratio, extraction, scale, dataset):
     model = modelio.load_model(model_dir)
     x, _ = modelio.load_dataset(model_dir, dataset)
     if ratio is None:
         ratio = _top_ratio(model)
     report = netsim.saturation_report(model, x * scale, ratio, extraction=extraction)
     rows = [[idx, float(report[idx])] for idx in sorted(report)]
-    _write_csv(Path(model_dir) / out_name, ["layer", "saturated_pct"], rows)
+    _write_csv(Path(model_dir) / "saturation.csv", ["layer", "saturated_pct"], rows)
     return report
 
 
-def do_report_l2(model_dir, dataset, extraction, out_name="l2.csv"):
+def do_report_l2(model_dir, dataset, extraction):
     model = modelio.load_model(model_dir)
     x, _ = modelio.load_dataset(model_dir, dataset)
     ref_rec: dict[int, netsim.LayerRecord] = {}
@@ -229,7 +235,7 @@ def do_report_l2(model_dir, dataset, extraction, out_name="l2.csv"):
             drift = netsim.relative_l2(rec[idx].output, ref_rec[idx].output)
             rows.append([_fmt(ratio), idx, drift])
         rows.append([_fmt(ratio), "logits", netsim.relative_l2(out, ref)])
-    _write_csv(Path(model_dir) / out_name, ["ratio", "layer", "rel_l2_to_int8"], rows)
+    _write_csv(Path(model_dir) / "l2.csv", ["ratio", "layer", "rel_l2_to_int8"], rows)
     return rows
 
 
@@ -252,9 +258,9 @@ def _read_arrivals(trace_file) -> np.ndarray:
     return np.sort(arrivals)
 
 
-def do_serve_sim(seed, out_dir, policy_name, fixed_ratio, quality=None, out_name="serve.csv",
-                 rate=None, min_rate=None, peak_factor=3.0, duration=None,
-                 threshold=None, window=None, trace_file=None):
+def do_serve_sim(seed, out_dir, policy_name, fixed_ratio, quality=None, rate=None,
+                 min_rate=None, peak_factor=3.0, duration=None, threshold=None, window=None,
+                 trace_file=None):
     sources = {"trace_file": trace_file, "rate": rate, "min_rate": min_rate}
     given = [name for name, value in sources.items() if value is not None]
     if len(given) > 1:
@@ -299,7 +305,7 @@ def do_serve_sim(seed, out_dir, policy_name, fixed_ratio, quality=None, out_name
     ]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / out_name, ["t", "rate", "ratio", "median", "p90", "n"], rows)
+    _write_csv(out_dir / "serve.csv", ["t", "rate", "ratio", "median", "p90", "n"], rows)
     over = sum(1 for w in result.windows if w["median"] > policy.threshold)
     summary = {
         "policy": policy_name,
@@ -333,6 +339,15 @@ def demo_config(seed: int) -> dict:
     }
 
 
+def _demo_inputs(cfg: dict):
+    """The demo's net and its (inputs, labels) calibration and eval sets."""
+    seed, features, classes = cfg["seed"], cfg["features"], cfg["n_classes"]
+    graph = synth.make_linear_net(stage_seed(seed, "net"), cfg["n_layers"], features, classes,
+                                  cfg["group_size"])
+    return (graph, synth.make_dataset(stage_seed(seed, "calib"), features, classes, 256),
+            synth.make_dataset(stage_seed(seed, "eval"), features, classes, 128))
+
+
 def run_demo(out_dir, seed: int, algo: str = "evo", verbose=print) -> dict:
     """Full pipeline on a synthetic model; byte-identical for a fixed seed."""
     out = Path(out_dir)
@@ -340,11 +355,7 @@ def run_demo(out_dir, seed: int, algo: str = "evo", verbose=print) -> dict:
     cfg = demo_config(seed)
 
     verbose("[demo] generating synthetic model and datasets")
-    graph = synth.make_linear_net(
-        stage_seed(seed, "net"), cfg["n_layers"], cfg["features"], cfg["n_classes"], cfg["group_size"]
-    )
-    x_cal, y_cal = synth.make_dataset(stage_seed(seed, "calib"), cfg["features"], cfg["n_classes"], 256)
-    x_eval, y_eval = synth.make_dataset(stage_seed(seed, "eval"), cfg["features"], cfg["n_classes"], 128)
+    graph, (x_cal, y_cal), (x_eval, y_eval) = _demo_inputs(cfg)
     modelio.save_model(out, netsim.PreparedModel(graph, {}))
     modelio.save_dataset(out, "calib", x_cal, y_cal)
     modelio.save_dataset(out, "eval", x_eval, y_eval)
@@ -401,13 +412,10 @@ def run_demo(out_dir, seed: int, algo: str = "evo", verbose=print) -> dict:
 
 
 def run_ablate(seed: int, verbose=print) -> list[tuple[str, float]]:
-    """Quality ladder at a 75% 4-bit ratio on a synthetic model."""
-    cfg = demo_config(seed)
-    graph = synth.make_linear_net(
-        stage_seed(seed, "net"), cfg["n_layers"], cfg["features"], cfg["n_classes"], cfg["group_size"]
-    )
-    x_cal, _ = synth.make_dataset(stage_seed(seed, "calib"), cfg["features"], cfg["n_classes"], 256)
-    x_eval, _ = synth.make_dataset(stage_seed(seed, "eval"), cfg["features"], cfg["n_classes"], 128)
+    """Quality ladder at a 75% 4-bit ratio on the demo's synthetic model:
+    each rung is ``evoselect.fitness`` on the eval set, the mean per-sample
+    logit L2 distance to 8-bit that the evolutionary search minimises."""
+    graph, (x_cal, _), (x_eval, _) = _demo_inputs(demo_config(seed))
     model = netsim.prepare(graph, _batches(x_cal, 32))
     scores = scoring.score_groups(model)
     ref = netsim.run(model, x_eval, mode="int8")
@@ -417,21 +425,16 @@ def run_ablate(seed: int, verbose=print) -> list[tuple[str, float]]:
         fitness_samples=64, seed=stage_seed(seed, "ablate"),
     )
     rng = np.random.default_rng(stage_seed(seed, "ablate-random"))
-
-    def measure(chrom, extraction):
-        out = netsim.run(model, x_eval, mode="mixed", flags_override=chrom.as_override(),
-                         extraction=extraction)
-        return netsim.l2_distance(out, ref)
-
     rnd = evoselect.select_random(model, ratio, rng, protect_edges=True)
     greedy = evoselect.select_greedy(model, scores, ratio, protect_edges=True)
     evo = evoselect.select_channels(model, scores, ratio, evo_cfg, x_cal[:64], protect_edges=True)
     ladder = [
-        ("random selection, naive extraction", measure(rnd, "naive")),
-        ("random selection, static extraction", measure(rnd, "static")),
-        ("greedy selection, static extraction", measure(greedy, "static")),
-        ("evolutionary selection, static extraction", measure(evo, "static")),
-        ("evolutionary selection, dynamic extraction", measure(evo, "dynamic")),
+        (f"{name} selection, {extraction} extraction",
+         evoselect.fitness(model, chrom, x_eval, ref, extraction))
+        for name, chrom, extraction in [
+            ("random", rnd, "naive"), ("random", rnd, "static"), ("greedy", greedy, "static"),
+            ("evolutionary", evo, "static"), ("evolutionary", evo, "dynamic"),
+        ]
     ]
     verbose(f"mean logit L2 distance to 8-bit at {int(ratio * 100)}% 4-bit ratio (lower is better):")
     for name, value in ladder:

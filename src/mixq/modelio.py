@@ -33,16 +33,14 @@ a ``ValueError`` naming the manifest and the key (CLI exit 4).
 one finite number per input channel in each row with min <= max, each
 extraction mode must be a known one and ``input_perm`` must permute the
 input channels; these messages name the range file or the manifest.  The
-graph is checked the same way, naming the layer index: every kind is a
-known one, a matmul layer has a weight of its kind's rank, a ``source`` is
--1 (the input) or an earlier layer, and only a residual add has a
-``perm``, which must permute the stream's channels at that layer.  A
-weight with a non-finite value raises one naming its ``.f32bin`` file and
-the layer index.  A file the manifest names (weight, codes or range) must
-be a file in the model directory: a name that leads out of it is a
-``ValueError``, a missing file or a directory a ``MissingArtifactError``
-(exit 3) naming the file.  ``load_dataset`` checks ``data.json``, the
-dataset index, the same way, naming it in each message.
+graph checks itself (``netsim.NetworkGraph``); its message follows the
+manifest's path.  A weight with a non-finite value raises one naming its
+``.f32bin`` file and the layer index.  A file the manifest names (weight,
+codes or range) must be a file in the model directory: a name that leads
+out of it is a ``ValueError``, a missing file or a directory a
+``MissingArtifactError`` (exit 3) naming the file.  ``save_dataset`` and
+``load_dataset`` check ``data.json``, the dataset index, the same way,
+naming it in each message.
 """
 
 from __future__ import annotations
@@ -56,14 +54,12 @@ from pathlib import Path
 import numpy as np
 
 from .bitlower import EXTRACTION_MODES, group_slices
-from .netsim import (LAYER_KINDS, MATMUL_KINDS, Layer, NetworkGraph, PreparedModel, QuantState,
+from .netsim import (MATMUL_KINDS, Layer, NetworkGraph, PreparedModel, QuantState, is_permutation,
                      ratio_key)
-from .qtensor import ChannelRange
+from .qtensor import ChannelRange, first_non_finite
 
 MANIFEST = "manifest.json"
 FORMAT = "mixq-model-v3"
-# a matmul layer's weight is [out, in] or [out, in, kh, kw]
-_WEIGHT_RANK = {"linear": 2, "conv2d": 4}
 
 
 class MissingArtifactError(FileNotFoundError):
@@ -227,45 +223,17 @@ def _asarray(value) -> np.ndarray:
         return np.asarray(None)
 
 
-def _is_perm(perm: np.ndarray) -> bool:
-    return (perm.dtype.kind == "i" and perm.ndim == 1
-            and np.array_equal(np.sort(perm), np.arange(perm.size)))
-
-
 def _load_range(rpath: Path, key: str, n: int) -> ChannelRange:
     """The calibrated range of quant entry ``key`` from its range file: one
     finite min and max per input channel, min <= max."""
     lo, hi = load_array(rpath, "<f8", (2, n))
     for row, values in (("act_min", lo), ("act_max", hi)):
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise ValueError(f"{rpath}: quant key {key!r} {row} is not finite "
-                             f"at channel {np.argmin(finite)}")
+        if (at := first_non_finite(values)) is not None:
+            raise ValueError(f"{rpath}: quant key {key!r} {row} is not finite at channel {at[0]}")
     if np.any(lo > hi):
         raise ValueError(f"{rpath}: quant key {key!r} act_min exceeds act_max "
                          f"at channel {np.argmax(lo > hi)}")
     return ChannelRange(lo, hi)
-
-
-def _check_layer(mpath: Path, idx: int, layer: Layer) -> None:
-    """The graph rules ``netsim.run`` relies on, for layer ``idx``."""
-    where = f"{mpath}: layer {idx} ({layer.kind!r})"
-    if layer.kind not in LAYER_KINDS:
-        raise ValueError(f"{where} has an unknown kind (known: {', '.join(LAYER_KINDS)})")
-    if layer.kind in MATMUL_KINDS:
-        if layer.weight is None:
-            raise ValueError(f"{where} has no weight_file")
-        if layer.weight.ndim != _WEIGHT_RANK[layer.kind]:
-            raise ValueError(f"{where} has a weight of shape {list(layer.weight.shape)}, "
-                             f"not of {_WEIGHT_RANK[layer.kind]} dimensions")
-    source, perm = layer.source, layer.perm
-    bad_source = not (type(source) is int and -1 <= source < idx)
-    if bad_source and (source is not None or layer.kind == "residual_add"):
-        raise ValueError(f"{where} has source {source!r}, not -1 (the input) or an earlier layer")
-    if perm is not None and layer.kind != "residual_add":
-        raise ValueError(f"{where} has a perm, which only a residual_add takes")
-    if perm is not None and not _is_perm(perm):
-        raise ValueError(f"{where} has a perm that is not a permutation")
 
 
 def _parse_manifest(path: Path, manifest: dict) -> PreparedModel:
@@ -274,14 +242,14 @@ def _parse_manifest(path: Path, manifest: dict) -> PreparedModel:
     for idx, rec in enumerate(_expect(mpath, "layers", manifest["layers"], "a list")):
         _expect(mpath, f"layer {idx}", rec, "an object")
         weight = None
+        if rec.get("kind") in MATMUL_KINDS and "weight_file" not in rec:
+            raise ValueError(f"{mpath}: layer {idx} ({rec['kind']!r}) has no weight_file")
         if "weight_file" in rec:
             shape = _expect(mpath, f"layer {idx} shape", rec["shape"], "a list of positive integers")
             wpath = path / _expect(mpath, f"layer {idx} weight_file", rec["weight_file"],
                                    "a file name")
             weight = load_array(wpath, "<f4", shape)
-            finite = np.isfinite(weight)
-            if not finite.all():
-                at = tuple(int(i) for i in np.unravel_index(np.argmin(finite), weight.shape))
+            if (at := first_non_finite(weight)) is not None:
                 raise ValueError(f"{wpath}: layer {idx} weight is not finite at index {at}")
         perm = rec.get("perm")
         layers.append(
@@ -293,24 +261,18 @@ def _parse_manifest(path: Path, manifest: dict) -> PreparedModel:
                 perm=None if perm is None else _asarray(perm),
             )
         )
-        _check_layer(mpath, idx, layers[-1])
-    graph = NetworkGraph(
-        layers,
-        tuple(_expect(mpath, "input_shape", manifest["input_shape"], "a list of positive integers")),
-        _expect(mpath, "group_size", manifest["group_size"], "a positive integer"),
-    )
-    width = graph.input_shape[0]  # of the stream, layer by layer
-    for idx, layer in enumerate(graph.layers):
-        if layer.kind in MATMUL_KINDS:
-            width = layer.n_out
-        elif layer.perm is not None and layer.perm.size != width:
-            raise ValueError(f"{mpath}: layer {idx} ({layer.kind!r}) has a perm of "
-                             f"{layer.perm.size} channels, not of the stream's {width}")
+    input_shape = tuple(_expect(mpath, "input_shape", manifest["input_shape"],
+                                "a list of positive integers"))
+    group_size = _expect(mpath, "group_size", manifest["group_size"], "a positive integer")
+    try:
+        graph = NetworkGraph(layers, input_shape, group_size)
+    except ValueError as exc:
+        raise ValueError(f"{mpath}: {exc}") from None
     input_perm = manifest.get("input_perm")
     if input_perm is not None:
         width = graph.input_shape[0]
         input_perm = _asarray(input_perm)
-        if not (_is_perm(input_perm) and input_perm.size == width):
+        if not (is_permutation(input_perm) and input_perm.size == width):
             raise ValueError(f"{mpath}: input_perm is not a permutation of the {width} input channels")
         input_perm = input_perm.astype(np.int64)
 
@@ -378,11 +340,22 @@ def _selection_ratio(path: Path, text: str) -> float:
     return ratio_key(ratio)
 
 
+def _read_index(meta_path: Path) -> dict:
+    """``data.json``, the dataset index: a JSON object, else a ``ValueError``
+    naming it."""
+    try:
+        meta = json.loads(meta_path.read_bytes())
+    except ValueError as exc:  # not JSON, or not in a Unicode encoding
+        raise ValueError(f"{meta_path} is not a JSON dataset index: {exc}") from None
+    return _expect(meta_path, "the dataset index", meta, "an object")
+
+
 def save_dataset(path, name: str, x: np.ndarray, y: np.ndarray | None = None):
-    """Store a dataset next to the model; shapes go into data.json."""
+    """Store a dataset next to the model; shapes go into data.json, whose
+    other entries are kept."""
     path = Path(path)
     meta_path = path / "data.json"
-    meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
+    meta = _read_index(meta_path) if meta_path.exists() else {}
     save_array(path / f"{name}_x.f32bin", x.astype(np.float32))
     meta[name] = {"x_shape": list(x.shape)}
     if y is not None:
@@ -399,11 +372,8 @@ def load_dataset(path, name: str):
     meta_path = path / "data.json"
     if not meta_path.exists():
         raise MissingArtifactError(f"no data.json in {path}; run the demo/generation stage first")
-    try:
-        meta = json.loads(meta_path.read_bytes())
-    except ValueError as exc:  # not JSON, or not in a Unicode encoding
-        raise ValueError(f"{meta_path} is not a JSON dataset index: {exc}") from None
-    if name not in _expect(meta_path, "the dataset index", meta, "an object"):
+    meta = _read_index(meta_path)
+    if name not in meta:
         raise MissingArtifactError(f"dataset {name!r} not present in {path}")
     entry = _expect(meta_path, f"dataset {name!r}", meta[name], "an object")
     x_shape = _expect(meta_path, f"dataset {name!r} x_shape", entry.get("x_shape"),

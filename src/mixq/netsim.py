@@ -3,18 +3,20 @@
 Supported operators: linear, conv2d (stride 1, same padding), relu, gelu and
 residual_add.  A residual_add may carry a ``perm``, the channel order of its
 side input in the main stream's order, which a layout sets where the two
-streams it joins are ordered differently.  Matmul operators run in fp32,
-uniform int8, uniform int4, or mixed 4/8-bit precision; everything else runs
-in 32-bit float.  The engine is pure: a prepared model is immutable during a
-call and outputs are deterministic.  Each matmul layer's ``QuantState``
-keeps its float weight and calibrated ranges and builds the rest on first
-read, one part at a time: the 8-bit scales and codes, the 4-bit ones, the
-extraction plan and the lowered weights.  So only what a call reads is ever
-built: a mixed forward quantizes no weights to 4 bits and lowers the weights
-of a layer only once its flags set a group.  A quantized run calls the
-kernels straight from each layer's state; in mixed mode the state also
-memoizes, per prepared set of group flags and extraction mode, the kernel's
-``kernels.Lowering``.
+streams it joins are ordered differently.  A ``NetworkGraph`` checks on
+construction, in one walk, every rule a forward relies on: kinds, weight
+ranks, stream kind and channel counts, sources and perms.  Matmul operators
+run in fp32, uniform int8, uniform int4, or mixed 4/8-bit precision;
+everything else runs in 32-bit float.  The engine is pure: a prepared model
+is immutable during a call and outputs are deterministic.  Each matmul
+layer's ``QuantState`` keeps its float weight and calibrated ranges and
+builds the rest on first read, one part at a time: the 8-bit scales and
+codes, the 4-bit ones, the extraction plan and the lowered weights.  So only
+what a call reads is ever built: a mixed forward quantizes no weights to 4
+bits and lowers the weights of a layer only once its flags set a group.  A
+quantized run calls the kernels straight from each layer's state; in mixed
+mode the state also memoizes, per prepared set of group flags and extraction
+mode, the kernel's ``kernels.Lowering``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from .bitlower import EXTRACTION_MODES, group_bitwidths, group_slices, plan_extraction
-from .qtensor import ChannelRange, calibrate_ranges, derive_scales, quantize
+from .qtensor import ChannelRange, calibrate_ranges, derive_scales, first_non_finite, quantize
 
 MATMUL_KINDS = ("linear", "conv2d")
 LAYER_KINDS = MATMUL_KINDS + ("relu", "gelu", "residual_add")
@@ -53,11 +55,61 @@ class Layer:
         return self.weight.shape[0]
 
 
+def is_permutation(perm: np.ndarray) -> bool:
+    """Whether ``perm`` is a 1-D integer array holding 0..n-1 once each."""
+    return (perm.dtype.kind == "i" and perm.ndim == 1
+            and np.array_equal(np.sort(perm), np.arange(perm.size)))
+
+
 @dataclass
 class NetworkGraph:
+    """Layers run in order on one stream, a vector or an image per sample.
+    Construction checks every rule ``run`` relies on: a ``ValueError`` names
+    the input shape or ``layer N ('kind')`` that breaks one."""
+
     layers: list[Layer]
     input_shape: tuple[int, ...]  # (features,) or (channels, height, width)
     group_size: int = 32
+
+    def __post_init__(self):
+        shape = tuple(self.input_shape)
+        if len(shape) not in (1, 3):
+            raise ValueError(f"input shape {list(shape)} is neither (features,) nor "
+                             f"(channels, height, width)")
+        stream = "an image" if len(shape) == 3 else "a vector"
+        widths = [shape[0]]  # channels of the input, then of each layer's output
+        for idx, layer in enumerate(self.layers):
+            where, width = f"layer {idx} ({layer.kind!r})", widths[-1]
+            if layer.kind not in LAYER_KINDS:
+                raise ValueError(f"{where} has an unknown kind (known: {', '.join(LAYER_KINDS)})")
+            if layer.kind in MATMUL_KINDS:
+                rank, takes = (2, "a vector") if layer.kind == "linear" else (4, "an image")
+                if layer.weight is None:
+                    raise ValueError(f"{where} has no weight")
+                if layer.weight.ndim != rank:
+                    raise ValueError(f"{where} has a weight of shape {list(layer.weight.shape)}, "
+                                     f"not of {rank} dimensions")
+                if takes != stream or layer.n_in != width:
+                    raise ValueError(f"{where} takes {layer.n_in} channels of {takes} stream, "
+                                     f"not the {width} of {stream} stream")
+                width = layer.n_out
+            source, perm = layer.source, layer.perm
+            bad_source = not (type(source) is int and -1 <= source < idx)
+            if bad_source and (source is not None or layer.kind == "residual_add"):
+                raise ValueError(f"{where} has source {source!r}, not -1 (the input) or an "
+                                 f"earlier layer")
+            if perm is not None and layer.kind != "residual_add":
+                raise ValueError(f"{where} has a perm, which only a residual_add takes")
+            if perm is not None and not is_permutation(perm):
+                raise ValueError(f"{where} has a perm that is not a permutation")
+            if layer.kind == "residual_add":
+                if widths[source + 1] != width:
+                    raise ValueError(f"{where} adds {widths[source + 1]} channels from source "
+                                     f"{source} to a stream of {width}")
+                if perm is not None and perm.size != width:
+                    raise ValueError(f"{where} has a perm of {perm.size} channels, not of the "
+                                     f"stream's {width}")
+            widths.append(width)
 
     def matmul_indices(self) -> list[int]:
         return [i for i, l in enumerate(self.layers) if l.kind in MATMUL_KINDS]
@@ -255,9 +307,11 @@ def run(
     layer without flags runs all-8-bit.  The kernels' lowerings of a
     prepared selection come from each state's memo
     (``QuantState.lowering``); those of ``flags_override`` are planned per
-    call and not kept.  If ``record`` is given, it gets a ``LayerRecord``
-    per matmul layer index: the layer's float input and output, and in
-    mixed mode the flags used and the kernel's stats.
+    call and not kept.  A layer calibrated with naive extraction takes no
+    other ``extraction``: its plan holds shift 4 for every group.  If
+    ``record`` is given, it gets a ``LayerRecord`` per matmul layer index:
+    the layer's float input and output, and in mixed mode the flags used
+    and the kernel's stats.
     """
     if mode not in ("fp32", "int8", "int4", "mixed"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -287,6 +341,9 @@ def run(
             else:
                 state, lowering = model.states[idx], None
                 if mode == "mixed":
+                    if state.mode == "naive" and extraction not in (None, "naive"):
+                        raise ValueError(f"layer {idx} ({layer.kind!r}) was calibrated with naive "
+                                         f"extraction, whose plan holds no {extraction} shifts")
                     flags = flags_by_layer.get(idx)
                     if flags is None:
                         flags = np.zeros(model.n_groups(idx), dtype=bool)
@@ -306,14 +363,12 @@ def run(
         elif layer.kind == "gelu":
             h = gelu(h)
             outputs.append(h)
-        elif layer.kind == "residual_add":
+        else:  # residual_add
             src = x0 if layer.source == -1 else outputs[layer.source]
             if layer.perm is not None:
                 src = src[:, layer.perm]
             h = h + src
             outputs.append(h)
-        else:
-            raise ValueError(f"unknown layer kind {layer.kind!r}")
     return h
 
 
@@ -346,18 +401,22 @@ def prepare(
     matmul layer's input, which is folded into that layer's running range
     (``calibrate_ranges`` continuing from the range so far) before the next
     batch is read.  So memory does not grow with the number of batches.
+    A non-finite value raises a ``ValueError`` naming its sample and index.
     """
     matmuls = graph.matmul_indices()
     ranges: dict[int, ChannelRange | None] = dict.fromkeys(matmuls)
     uncalibrated = PreparedModel(graph, {})
-    n_batches = 0
+    n_samples = 0
     for batch in calib_batches:
+        if (at := first_non_finite(batch)) is not None:
+            raise ValueError(f"calibration sample {n_samples + at[0]} is not finite at index "
+                             f"{at[1:]}")
         rec: dict[int, LayerRecord] = {}
         run(uncalibrated, batch, record=rec)
+        n_samples += len(batch)
         for i in matmuls:
             ranges[i] = calibrate_ranges([rec[i].input], momentum, coverage_quantile, start=ranges[i])
-        n_batches += 1
-    if not n_batches:
+    if not n_samples:
         raise ValueError("calibration stream is empty")
     states = {
         i: QuantState(graph.layers[i].weight, ranges[i], graph.group_size, extraction_mode)

@@ -41,6 +41,14 @@ class ChannelRange:
         return np.maximum(np.abs(self.min), np.abs(self.max))
 
 
+def first_non_finite(x: np.ndarray) -> tuple[int, ...] | None:
+    """The index of the first non-finite value of ``x`` in C order, or None."""
+    finite = np.isfinite(x)
+    if finite.all():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmin(finite), finite.shape))
+
+
 def quantize(x: np.ndarray, scale, bits: int) -> np.ndarray:
     """Map float values to int8 codes: clip(round_half_even(x / scale), q_min, q_max).
 
@@ -52,9 +60,8 @@ def quantize(x: np.ndarray, scale, bits: int) -> np.ndarray:
         raise ValueError(f"unsupported bitwidth {bits}")
     if not (isinstance(x, np.ndarray) and x.dtype in (np.float32, np.float64)):
         x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        bad = np.argwhere(~np.isfinite(x))[0]
-        raise ValueError(f"non-finite input value at index {tuple(int(i) for i in bad)}")
+    if (at := first_non_finite(x)) is not None:
+        raise ValueError(f"non-finite input value at index {at}")
     codes = np.asarray(np.divide(x, scale, dtype=np.float64))  # 0-d input gives a scalar
     np.rint(codes, out=codes)
     np.clip(codes, *qrange(bits), out=codes)

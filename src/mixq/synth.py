@@ -1,8 +1,9 @@
 """Seeded synthetic networks and toy classification sets.
 
-Weight feature channels get log-uniform heterogeneous magnitudes so that
-effective bitwidths vary across groups, which is what the channel
-selection machinery exploits.  Everything is reproducible from a seed.
+Weight input channels get magnitudes log-uniform in [1/32, 1] and dataset
+input channels scales log-uniform in [1/16, 1], so that effective
+bitwidths vary across groups, which is what the channel selection
+machinery exploits.  Everything is reproducible from a seed.
 """
 
 from __future__ import annotations
@@ -12,15 +13,11 @@ import numpy as np
 from .netsim import Layer, NetworkGraph
 
 
-def _hetero_linear(rng: np.random.Generator, n_out: int, n_in: int, span: float = 32.0) -> np.ndarray:
-    """Weights whose per-input-channel magnitude is log-uniform in [1/span, 1]."""
-    chan_scale = np.exp(rng.uniform(np.log(1.0 / span), 0.0, size=n_in))
-    return (rng.standard_normal((n_out, n_in)) * chan_scale[np.newaxis, :]).astype(np.float32)
-
-
-def _hetero_conv(rng: np.random.Generator, n_out: int, n_in: int, k: int, span: float = 32.0) -> np.ndarray:
-    chan_scale = np.exp(rng.uniform(np.log(1.0 / span), 0.0, size=n_in))
-    w = rng.standard_normal((n_out, n_in, k, k)) * chan_scale[np.newaxis, :, np.newaxis, np.newaxis]
+def _hetero(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Weights of ``shape`` [out, in, ...] whose per-input-channel magnitude
+    is log-uniform in [1/32, 1]."""
+    chan_scale = np.exp(rng.uniform(np.log(1.0 / 32.0), 0.0, size=shape[1]))
+    w = rng.standard_normal(shape) * chan_scale.reshape((-1,) + (1,) * (len(shape) - 2))
     return w.astype(np.float32)
 
 
@@ -31,20 +28,18 @@ def make_linear_net(
     n_classes: int = 8,
     group_size: int = 8,
     residual: bool = False,
-    activation: str = "relu",
-    range_span: float = 32.0,
 ) -> NetworkGraph:
-    """Stack of linear layers with activations and an optional skip."""
+    """Stack of linear layers with ReLUs and an optional skip."""
     rng = np.random.default_rng(seed)
     layers: list[Layer] = []
     for i in range(n_layers):
         n_out = n_classes if i == n_layers - 1 else features
-        layers.append(Layer("linear", name=f"fc{i}", weight=_hetero_linear(rng, n_out, features, range_span)))
+        layers.append(Layer("linear", name=f"fc{i}", weight=_hetero(rng, (n_out, features))))
         if i < n_layers - 1:
             if residual and i == n_layers - 2 and n_layers >= 3:
                 # skip from the first block's activation output
                 layers.append(Layer("residual_add", source=1))
-            layers.append(Layer(activation))
+            layers.append(Layer("relu"))
     return NetworkGraph(layers, (features,), group_size)
 
 
@@ -57,17 +52,17 @@ def make_conv_net(
     kernel: int = 3,
     group_size: int = 8,
     residual: bool = False,
-    range_span: float = 32.0,
 ) -> NetworkGraph:
     """Conv stack (stride 1, same padding) ending in a 1x1 projection."""
     rng = np.random.default_rng(seed)
     layers: list[Layer] = []
     for i in range(n_layers - 1):
-        layers.append(Layer("conv2d", name=f"conv{i}", weight=_hetero_conv(rng, channels, channels, kernel, range_span)))
+        w = _hetero(rng, (channels, channels, kernel, kernel))
+        layers.append(Layer("conv2d", name=f"conv{i}", weight=w))
         if residual and i == n_layers - 2 and n_layers >= 3:
             layers.append(Layer("residual_add", source=1))
         layers.append(Layer("relu"))
-    layers.append(Layer("conv2d", name="head", weight=_hetero_conv(rng, n_classes, channels, 1, range_span)))
+    layers.append(Layer("conv2d", name="head", weight=_hetero(rng, (n_classes, channels, 1, 1))))
     return NetworkGraph(layers, (channels, hw, hw), group_size)
 
 
@@ -88,19 +83,17 @@ def make_dataset(
     n_features: int,
     n_classes: int = 8,
     n_samples: int = 256,
-    n_modes: int = 4,
-    channel_span: float = 16.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian-mixture inputs with a planted linear-teacher labeling.
+    """Four-mode Gaussian-mixture inputs with a planted linear-teacher labeling.
 
-    Input channels get heterogeneous scales so activation ranges vary per
-    channel, mirroring what calibration sees in real models.
+    Input channels get log-uniform scales in [1/16, 1] so activation ranges
+    vary per channel, mirroring what calibration sees in real models.
     """
     rng = np.random.default_rng(seed)
-    centers = rng.standard_normal((n_modes, n_features)) * 0.5
-    assign = rng.integers(0, n_modes, size=n_samples)
+    centers = rng.standard_normal((4, n_features)) * 0.5
+    assign = rng.integers(0, 4, size=n_samples)
     x = centers[assign] + rng.standard_normal((n_samples, n_features)) * 0.5
-    chan_scale = np.exp(rng.uniform(np.log(1.0 / channel_span), 0.0, size=n_features))
+    chan_scale = np.exp(rng.uniform(np.log(1.0 / 16.0), 0.0, size=n_features))
     x = (x * chan_scale[np.newaxis, :]).astype(np.float32)
     teacher = rng.standard_normal((n_classes, n_features)).astype(np.float32)
     y = np.argmax(x @ teacher.T, axis=1)

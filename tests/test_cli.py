@@ -284,7 +284,7 @@ def forward_count(monkeypatch):
 
 def test_reports_run_one_reference_forward(demo_dir, forward_count):
     n_ratios = len(modelio.load_model(demo_dir).selections)
-    cli.do_report_l2(demo_dir, "eval", None, out_name="l2_count.csv")
+    cli.do_report_l2(demo_dir, "eval", None)
     assert forward_count == ["int8"] + ["mixed"] * n_ratios
     forward_count.clear()
     cli.do_infer(demo_dir, "int8", None, None, "eval")
@@ -636,6 +636,42 @@ def test_manifest_graph_checked_on_load_exit_4(demo_dir, tmp_path, capsys, rule)
     assert f"{model_dir / 'manifest.json'}: layer {idx}" in err and want in err
 
 
+def _stream_edit(rule, manifest):
+    """Break one stream rule in a copy of the demo manifest; returns the
+    message, less the manifest's path."""
+    layers = manifest["layers"]
+    if rule == "matmul width":  # a [32, 32] and the [8, 32] linear swapped
+        layers[4], layers[6] = layers[6], layers[4]
+        return "layer 6 ('linear') takes 32 channels of a vector stream, not the 8"
+    if rule == "residual width":  # the 32-channel input added to the 8 logits
+        layers.append({"kind": "residual_add", "source": -1})
+        return "layer 7 ('residual_add') adds 32 channels from source -1 to a stream of 8"
+    if rule == "linear on image":
+        manifest["input_shape"] = [32, 2, 2]
+        return "layer 0 ('linear') takes 32 channels of a vector stream, not the 32 of an image"
+    if rule == "conv on vector":
+        layers[0].update(kind="conv2d", shape=[32, 32, 1, 1])
+        return "layer 0 ('conv2d') takes 32 channels of an image stream, not the 32 of a vector"
+    manifest["input_shape"] = [32, 1]
+    return "input shape [32, 1] is neither (features,) nor (channels, height, width)"
+
+
+@pytest.mark.parametrize("rule", ["matmul width", "residual width", "linear on image",
+                                  "conv on vector", "input rank"])
+def test_manifest_stream_checked_on_load_exit_4(demo_dir, tmp_path, capsys, rule):
+    """A graph whose stream does not fit a layer is rejected on load, naming
+    the manifest and the layer or the input shape.  Each once loaded: the
+    swapped linears then failed in infer with numpy's matmul message, the
+    residual add broadcast 32 channels over 8, and the others ran to
+    another message or to an output of the wrong shape."""
+    model_dir = tmp_path / "model"
+    manifest = _copy_model(demo_dir, model_dir)
+    want = _stream_edit(rule, manifest)
+    (model_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli("infer", "--model", str(model_dir), "--mode", "int8") == 4
+    assert f"{model_dir / 'manifest.json'}: {want}" in capsys.readouterr().err
+
+
 def _field_edit(case, manifest, model_dir):
     """Break one field of a copy of the demo manifest, or a file that it
     names; returns the exit code and a part of the message."""
@@ -728,3 +764,61 @@ def test_do_select_runs_one_int8_reference(tmp_path, monkeypatch, algo):
                   extraction=None)
     assert modes.count("int8") == 1
     assert modes.count("mixed") > 0
+
+
+@pytest.mark.parametrize("laid_out", [False, True])
+def test_non_finite_calibration_sample_exit_4_changes_no_file(tmp_path, capsys, laid_out):
+    """A NaN in the calibration set once calibrated to a NaN range file,
+    which the next stage rejected naming that file.  The message counts in
+    the stored channel order, also where a layout permuted the inputs."""
+    graph = synth.make_linear_net(3, 4, 32, 8, 8)
+    x, y = synth.make_dataset(4, 32, 8, 128)
+    modelio.save_model(tmp_path, netsim.PreparedModel(graph, {}))
+    modelio.save_dataset(tmp_path, "calib", x, y)
+    channel = 5
+    if laid_out:
+        cli.do_calibrate(tmp_path, 0.99, None, "static", 32)
+        cfg_kwargs = dict(population=4, generations=1, elite=1, parents=2, fitness_samples=16)
+        cli.do_select(tmp_path, [0.5, 1.0], "random", 0, cfg_kwargs, protect_edges=False,
+                      extraction=None)
+        perm = cli.do_layout(tmp_path).input_perm
+        channel = next(c for c in range(32) if perm[c] != c)  # read at another position
+    x[3, channel] = np.nan
+    modelio.save_dataset(tmp_path, "calib", x, y)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run_cli("calibrate", "--model", str(tmp_path)) == 4
+    want = f"{tmp_path}: calibration set 'calib' sample 3 is not finite at index ({channel},)"
+    assert want in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_demo_over_a_data_json_that_is_not_json_exit_4(tmp_path, capsys):
+    """save_dataset reads data.json as load_dataset does; it once exited 4
+    with json's "Expecting value", naming no file."""
+    (tmp_path / "data.json").write_text("not JSON")
+    assert run_cli("demo", "--out", str(tmp_path)) == 4
+    want = f"{tmp_path / 'data.json'} is not a JSON dataset index: Expecting value"
+    assert want in capsys.readouterr().err
+
+
+def test_ablate_rungs_are_the_search_s_fitness_on_the_eval_set(monkeypatch):
+    """Each rung is evoselect.fitness, the mean per-sample logit L2 to 8-bit,
+    of its selection and extraction on the 128 eval samples; the rungs
+    were once the total L2 over all samples."""
+    calls = []
+    fitness = evoselect.fitness
+
+    def recording(model, chrom, x, ref_logits=None, extraction=None):
+        if len(x) == 128:  # not the search's own calls, on 64 calibration samples
+            calls.append((model, chrom, x, extraction))
+        return fitness(model, chrom, x, ref_logits, extraction)
+
+    monkeypatch.setattr(evoselect, "fitness", recording)
+    ladder = cli.run_ablate(5, verbose=lambda *args: None)
+    assert [c[3] for c in calls] == ["naive", "static", "static", "static", "dynamic"]
+    for (name, value), (model, chrom, x, extraction) in zip(ladder, calls):
+        assert name.endswith(f", {extraction} extraction")
+        out = netsim.run(model, x, mode="mixed", flags_override=chrom.as_override(),
+                         extraction=extraction)
+        diff = out.astype(np.float64) - netsim.run(model, x, mode="int8")
+        assert value == np.linalg.norm(diff, axis=1).mean()

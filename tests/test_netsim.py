@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -627,3 +628,117 @@ def test_kernels_patched_after_a_forward_are_called(monkeypatch):
                 m.setattr(kernels, f"{name}_{kind}", patched)
                 run(model, x, mode=mode, ratio=0.5)
             assert len(calls) == len(matmuls), (kind, mode)
+
+
+def _w(*shape):
+    return np.ones(shape, dtype=np.float32)
+
+
+@pytest.mark.parametrize("layers, shape, want", [
+    # the stream rules
+    ([Layer("linear", weight=_w(5, 4)), Layer("linear", weight=_w(3, 6))], (4,),
+     "layer 1 ('linear') takes 6 channels of a vector stream, not the 5 of a vector stream"),
+    ([Layer("linear", weight=_w(1, 4)), Layer("linear", weight=_w(4, 1)),
+      Layer("residual_add", source=0)], (4,),
+     "layer 2 ('residual_add') adds 1 channels from source 0 to a stream of 4"),
+    ([Layer("linear", weight=_w(5, 6))], (3, 2, 6),
+     "layer 0 ('linear') takes 6 channels of a vector stream, not the 3 of an image stream"),
+    ([Layer("conv2d", weight=_w(5, 4, 3, 3))], (4,),
+     "layer 0 ('conv2d') takes 4 channels of an image stream, not the 4 of a vector stream"),
+    ([Layer("linear", weight=_w(5, 4))], (4, 4),
+     "input shape [4, 4] is neither (features,) nor (channels, height, width)"),
+    # the rules a loaded manifest was held to before a graph checked itself
+    ([Layer("softmax")], (4,), "layer 0 ('softmax') has an unknown kind"),
+    ([Layer("linear")], (4,), "layer 0 ('linear') has no weight"),
+    ([Layer("conv2d", weight=_w(5, 4))], (4, 3, 3),
+     "layer 0 ('conv2d') has a weight of shape [5, 4], not of 4 dimensions"),
+    ([Layer("relu"), Layer("residual_add", source=1)], (4,),
+     "layer 1 ('residual_add') has source 1, not -1 (the input) or an earlier layer"),
+    ([Layer("relu", perm=np.arange(4))], (4,),
+     "layer 0 ('relu') has a perm, which only a residual_add takes"),
+    ([Layer("residual_add", source=-1, perm=np.array([0, 0, 1, 2]))], (4,),
+     "layer 0 ('residual_add') has a perm that is not a permutation"),
+    ([Layer("residual_add", source=-1, perm=np.arange(3))], (4,),
+     "layer 0 ('residual_add') has a perm of 3 channels, not of the stream's 4"),
+], ids=["matmul width", "residual width", "linear on image", "conv on vector", "input rank",
+        "kind", "no weight", "weight rank", "source", "perm on relu", "perm values",
+        "perm short"])
+def test_graph_built_in_code_is_checked(layers, shape, want):
+    """A graph built in code is held to the rules a loaded one is; the
+    stream rules once let a broken graph run to numpy's own error, or to a
+    broadcast output of the wrong shape."""
+    with pytest.raises(ValueError, match=re.escape(want)):
+        NetworkGraph(layers, shape)
+
+
+MUTATIONS = ["none", "swap", "source", "kind", "perm", "input shape"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**16), mutation=st.sampled_from(MUTATIONS), data=st.data())
+def test_a_mutated_graph_is_rejected_or_runs(seed, mutation, data):
+    """A random net with at most one mutation either fails construction,
+    naming a layer or the input shape, or runs fp32 and int8 to the output
+    shape its last matmul layer implies."""
+    base = synth.random_net(seed, group_size=4)
+    layers, shape = [dataclasses.replace(l) for l in base.layers], tuple(base.input_shape)
+    residuals = [i for i, l in enumerate(layers) if l.kind == "residual_add"]
+    if mutation == "swap":
+        a, b = data.draw(st.lists(st.sampled_from(base.matmul_indices()), min_size=2,
+                                  max_size=2, unique=True))
+        layers[a], layers[b] = layers[b], layers[a]
+    elif mutation == "source":
+        source = data.draw(st.integers(-2, len(layers)))
+        if residuals:
+            layers[residuals[0]].source = source
+        else:
+            layers.insert(data.draw(st.integers(0, len(layers))),
+                          Layer("residual_add", source=source))
+    elif mutation == "kind":
+        idx = data.draw(st.integers(0, len(layers) - 1))
+        layers[idx].kind = data.draw(st.sampled_from(netsim.LAYER_KINDS + ("softmax",)))
+    elif mutation == "perm":  # a permutation of fewer channels than the stream's
+        idx = residuals[0] if residuals else data.draw(st.integers(0, len(layers) - 1))
+        layers[idx].perm = np.arange(data.draw(st.integers(0, shape[0] - 1)))
+    elif mutation == "input shape":
+        shape = tuple(data.draw(st.lists(st.sampled_from([1, 5, 8, 16, 24, 32]), min_size=1,
+                                         max_size=4)))
+    try:
+        graph = NetworkGraph(layers, shape, base.group_size)
+    except ValueError as exc:
+        assert re.match(r"layer \d+ \(|input shape \[", str(exc)), str(exc)
+        return
+    x = np.random.default_rng(seed).standard_normal((3,) + shape).astype(np.float32)
+    model = netsim.prepare(graph, [x])
+    want = (3, graph.layers[graph.matmul_indices()[-1]].n_out) + shape[1:]
+    for mode in ("fp32", "int8"):
+        assert run(model, x, mode=mode).shape == want
+
+
+def test_calibration_sample_not_finite_named():
+    """prepare names the first non-finite calibration value, counting
+    samples over the batch stream; it once calibrated NaN ranges."""
+    graph = synth.make_linear_net(3, 2, 8, 4, 4)
+    x, _ = synth.make_dataset(4, 8, 4, 16)
+    x[5, 6] = np.inf
+    with pytest.raises(ValueError, match=re.escape("calibration sample 5 is not finite at "
+                                                   "index (6,)")):
+        netsim.prepare(graph, [x[:4], x[4:]])
+
+
+def test_naive_calibrated_layer_takes_no_other_extraction():
+    """A naive plan holds shift 4 for every group: a static override once
+    returned the naive logits and a dynamic one mixed each batch's
+    activation shifts with shift-4 weights."""
+    graph = synth.make_linear_net(3, 4, 32, 8, 8)
+    x, _ = synth.make_dataset(4, 32, 8, 64)
+    model = netsim.prepare(graph, [x], extraction_mode="naive")
+    flags = {i: np.ones(model.n_groups(i), dtype=bool) for i in graph.matmul_indices()}
+    naive = run(model, x, mode="mixed", flags_override=flags)
+    assert np.array_equal(run(model, x, mode="mixed", flags_override=flags, extraction="naive"),
+                          naive)
+    for extraction in ("static", "dynamic"):
+        want = (f"layer 0 ('linear') was calibrated with naive extraction, whose plan holds "
+                f"no {extraction} shifts")
+        with pytest.raises(ValueError, match=re.escape(want)):
+            run(model, x, mode="mixed", flags_override=flags, extraction=extraction)
