@@ -124,10 +124,8 @@ def do_select(model_dir, ratios, algo, seed, cfg_kwargs, protect_edges, extracti
         for gen, best in enumerate(histories[r])
     ]
     _write_csv(Path(model_dir) / "fitness.csv", ["ratio", "generation", "best_fitness"], fit_rows)
-    summary = {
-        _fmt(r): {str(i): int(f.sum()) for i, f in zip(c.layers, c.flags)}
-        for r, c in selections.items()
-    }
+    summary = {_fmt(r): {str(i): int(f.sum()) for i, f in sel.items()}
+               for r, sel in selections.items()}
     modelio.write_json(Path(model_dir) / "selection.json", summary)
     return selections
 
@@ -603,8 +601,9 @@ def _dispatch(args) -> int:
         selections = do_select(args.model, ratios, args.algo, args.seed, _evo_kwargs(args),
                                protect_edges=not args.no_protect_edges, extraction=args.extraction)
         for r in sorted(selections):
-            c = selections[r]
-            print(f"ratio {r}: {c.set_count()}/{c.total_groups()} groups 4-bit")
+            flags = selections[r].values()
+            print(f"ratio {r}: {sum(int(f.sum()) for f in flags)}/{sum(f.size for f in flags)} "
+                  "groups 4-bit")
     elif cmd == "layout":
         model = do_layout(args.model)
         permuted = sum(1 for l in model.graph.layers if l.perm is not None)

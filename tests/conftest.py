@@ -27,6 +27,20 @@ def small_conv_model(seed=0, channels=8, hw=5, group_size=2, residual=False):
     return model, (x_cal, y_cal), (x_ev, y_ev)
 
 
+def set_count(selection):
+    """4-bit groups of a ``{layer: flags}`` selection."""
+    return sum(int(f.sum()) for f in selection.values())
+
+
+def total_groups(selection):
+    return sum(f.size for f in selection.values())
+
+
+def includes(outer, inner):
+    """Every group ``inner`` flags is flagged in ``outer``."""
+    return list(outer) == list(inner) and all(np.all(outer[i] | ~inner[i]) for i in inner)
+
+
 @pytest.fixture(scope="session")
 def prepared_model():
     return small_model(seed=7)

@@ -27,7 +27,7 @@ from mixq.evoselect import EvoConfig
 from mixq.kernels import int_gemm, mixed_conv2d, mixed_gemm
 from mixq.netsim import LossInputs, run, total_loss
 from mixq.qtensor import quantize
-from conftest import small_model
+from conftest import includes, set_count, small_model, total_groups
 
 
 @contextlib.contextmanager
@@ -174,8 +174,8 @@ def test_criterion_5_inclusivity_and_switching():
         ratios = [0.0, 0.25, 0.5, 0.75, 1.0]
         sel = evoselect.chained_selection(model, scores, ratios, cfg, x_cal[:32])
         for lo, hi in zip(ratios, ratios[1:]):
-            assert sel[hi].includes(sel[lo]), (lo, hi)
-            assert sel[lo].set_count() == evoselect.target_count(lo, sel[lo].total_groups())
+            assert includes(sel[hi], sel[lo]), (lo, hi)
+            assert set_count(sel[lo]) == evoselect.target_count(lo, total_groups(sel[lo]))
         evoselect.install_selections(model, sel)
         laid = layout.apply_layout(model, layout.plan_layout(model))
         netsim.set_ratio(laid, 0.0)
@@ -187,7 +187,7 @@ def test_criterion_5_inclusivity_and_switching():
         assert np.array_equal(out0, run(laid, x_ev, mode="mixed"))
 
 
-def test_criterion_6_selection_quality():
+def test_criterion_6_selection_quality(monkeypatch):
     with criterion(6, "evolutionary <= greedy <= random over 10 seeds; tiny-net optimum"):
         start = time.time()
         ratios = [0.25, 0.5, 0.75]
@@ -229,19 +229,19 @@ def test_criterion_6_selection_quality():
         scores = scoring.score_groups(model)
         samples = x_cal[:32]
         cfg = EvoConfig(population=30, generations=30, elite=2, parents=10,
-                        mutation_prob=0.05, fitness_samples=32, seed=1)
+                        fitness_samples=32, seed=1)
+        monkeypatch.setattr(evoselect, "MUTATION_PROB", 0.05)
         evo = evoselect.select_channels(model, scores, 0.5, cfg, samples)
-        layers = evo.layers
+        layers = tuple(evo)
         sizes = [model.n_groups(i) for i in layers]
         slots = [(li, g) for li, n in enumerate(sizes) for g in range(n)]
         assert len(slots) <= 12
         ref = run(model, samples, mode="int8")
         best = np.inf
         for combo in itertools.combinations(slots, len(slots) // 2):
-            flags = [np.zeros(n, dtype=bool) for n in sizes]
+            c = {i: np.zeros(n, dtype=bool) for i, n in zip(layers, sizes)}
             for li, g in combo:
-                flags[li][g] = True
-            c = evoselect.Chromosome(layers, tuple(flags), 0.5)
+                c[layers[li]][g] = True
             best = min(best, evoselect.fitness(model, c, samples, ref))
         assert evoselect.fitness(model, evo, samples, ref) <= best + 1e-9
         assert time.time() - start < 600.0

@@ -818,7 +818,7 @@ def test_ablate_rungs_are_the_search_s_fitness_on_the_eval_set(monkeypatch):
     assert [c[3] for c in calls] == ["naive", "static", "static", "static", "dynamic"]
     for (name, value), (model, chrom, x, extraction) in zip(ladder, calls):
         assert name.endswith(f", {extraction} extraction")
-        out = netsim.run(model, x, mode="mixed", flags_override=chrom.as_override(),
+        out = netsim.run(model, x, mode="mixed", flags_override=chrom,
                          extraction=extraction)
         diff = out.astype(np.float64) - netsim.run(model, x, mode="int8")
         assert value == np.linalg.norm(diff, axis=1).mean()

@@ -5,20 +5,22 @@ import numpy as np
 import pytest
 
 from mixq import evoselect, netsim, scoring
-from mixq.evoselect import Chromosome, EvoConfig, crossover, mutate, target_count
-from conftest import small_model
+from mixq.evoselect import EvoConfig, crossover, mutate, target_count
+from conftest import includes, set_count, small_model, total_groups
 
 
-def make_chrom(sizes, set_idx, ratio=0.5, layers=None):
+def make_selection(sizes, set_idx, layers=None):
+    """A ``{layer: flags}`` selection with the (layer position, group) pairs
+    of ``set_idx`` set."""
     layers = layers or tuple(range(len(sizes)))
-    flags = []
+    flags = {}
     for li, n in enumerate(sizes):
         f = np.zeros(n, dtype=bool)
         for (lj, g) in set_idx:
             if lj == li:
                 f[g] = True
-        flags.append(f)
-    return Chromosome(tuple(layers), tuple(flags), ratio)
+        flags[layers[li]] = f
+    return flags
 
 
 def test_target_count_rounding():
@@ -34,34 +36,34 @@ def test_target_count_rejects_unrepresentable():
 
 
 def test_crossover_swaps_layer_suffix():
-    a = make_chrom([2, 2, 2], [(0, 0), (1, 0), (2, 0)])
-    b = make_chrom([2, 2, 2], [(0, 1), (1, 1), (2, 1)])
+    a = make_selection([2, 2, 2], [(0, 0), (1, 0), (2, 0)])
+    b = make_selection([2, 2, 2], [(0, 1), (1, 1), (2, 1)])
     rng = np.random.default_rng(0)
     c1, c2 = crossover(a, b, rng)
     # every layer of each child comes wholesale from one parent
     for child in (c1, c2):
         for li in range(3):
             assert (
-                child.flags[li].tolist() == a.flags[li].tolist()
-                or child.flags[li].tolist() == b.flags[li].tolist()
+                child[li].tolist() == a[li].tolist()
+                or child[li].tolist() == b[li].tolist()
             )
     # the two children partition the parents' layers
     for li in range(3):
         assert sorted(
-            [c1.flags[li].tolist(), c2.flags[li].tolist()]
-        ) == sorted([a.flags[li].tolist(), b.flags[li].tolist()])
+            [c1[li].tolist(), c2[li].tolist()]
+        ) == sorted([a[li].tolist(), b[li].tolist()])
 
 
 def test_crossover_single_layer_is_identity():
-    a = make_chrom([4], [(0, 0)])
-    b = make_chrom([4], [(0, 1)])
+    a = make_selection([4], [(0, 0)])
+    b = make_selection([4], [(0, 1)])
     c1, c2 = crossover(a, b, np.random.default_rng(0))
     assert c1 is a and c2 is b
 
 
 def test_crossover_layer_mismatch_rejected():
-    a = make_chrom([2], [(0, 0)], layers=(1,))
-    b = make_chrom([2], [(0, 0)], layers=(2,))
+    a = make_selection([2], [(0, 0)], layers=(1,))
+    b = make_selection([2], [(0, 0)], layers=(2,))
     with pytest.raises(ValueError):
         crossover(a, b, np.random.default_rng(0))
 
@@ -79,22 +81,22 @@ def test_mutate_preserves_target_count():
         k = int(rng.integers(0, 11))
         idx = [(int(li), int(g)) for li in range(3) for g in range(sizes[li])]
         rng.shuffle(idx)
-        chrom = make_chrom(sizes, idx[:k])
+        chrom = make_selection(sizes, idx[:k])
         target = int(rng.integers(0, 11))
         out = mutate(chrom, smap, 0.3, rng, target)
-        assert out.set_count() == target
+        assert set_count(out) == target
 
 
 def test_mutate_never_unsets_baseline():
     rng = np.random.default_rng(2)
     sizes = [4, 4]
     smap = scores_map(sizes)
-    baseline = make_chrom(sizes, [(0, 1), (1, 2)])
-    chrom = make_chrom(sizes, [(0, 1), (1, 2), (0, 0), (1, 0)])
+    baseline = make_selection(sizes, [(0, 1), (1, 2)])
+    chrom = make_selection(sizes, [(0, 1), (1, 2), (0, 0), (1, 0)])
     for _ in range(200):
         out = mutate(chrom, smap, 0.5, rng, 4, baseline=baseline)
-        assert out.includes(baseline)
-        assert out.set_count() == 4
+        assert includes(out, baseline)
+        assert set_count(out) == 4
 
 
 def test_mutate_repair_direction_follows_scores():
@@ -102,27 +104,26 @@ def test_mutate_repair_direction_follows_scores():
     sizes = [4]
     smap = {0: np.array([1.0, 2.0, 3.0, 4.0])}
     rng = np.random.default_rng(3)
-    over = make_chrom(sizes, [(0, 0), (0, 1), (0, 2), (0, 3)])
+    over = make_selection(sizes, [(0, 0), (0, 1), (0, 2), (0, 3)])
     out = mutate(over, smap, 1e-12, rng, 2)
-    assert out.flags[0].tolist() == [True, True, False, False]  # drops highest scores
-    under = make_chrom(sizes, [])
+    assert out[0].tolist() == [True, True, False, False]  # drops highest scores
+    under = make_selection(sizes, [])
     out = mutate(under, smap, 1e-12, rng, 2)
-    assert out.flags[0].tolist() == [True, True, False, False]  # adds lowest scores
+    assert out[0].tolist() == [True, True, False, False]  # adds lowest scores
 
 
 def test_greedy_matches_sorted_score_oracle():
     model, (x_cal, _), _ = small_model(seed=21)
     scores = scoring.score_groups(model)
     chrom = evoselect.select_greedy(model, scores, 0.5)
-    layers = chrom.layers
-    pos = {idx: li for li, idx in enumerate(layers)}
+    pos = {idx: li for li, idx in enumerate(chrom)}
     ranked = sorted(
         (s for s in scores if s.layer in pos), key=lambda s: (s.score, s.layer, s.group)
     )
     want = set()
-    for s in ranked[: target_count(0.5, chrom.total_groups())]:
+    for s in ranked[: target_count(0.5, total_groups(chrom))]:
         want.add((s.layer, s.group))
-    got = {(idx, g) for idx, f in zip(layers, chrom.flags) for g in np.flatnonzero(f)}
+    got = {(idx, g) for idx, f in chrom.items() for g in np.flatnonzero(f)}
     assert got == want
 
 
@@ -158,7 +159,8 @@ def test_chained_selection_is_pinned(algo, protect_edges):
                                       algo=algo, protect_edges=protect_edges, histories=histories)
     h = hashlib.sha256()
     for ratio in sorted(sel):
-        h.update(repr((ratio, sel[ratio].layers, histories[ratio])).encode() + sel[ratio].key())
+        h.update(repr((ratio, tuple(sel[ratio]), histories[ratio])).encode()
+                 + evoselect._key(sel[ratio]))
     assert h.hexdigest() == SELECTION_PINS[algo, protect_edges]
 
 
@@ -178,7 +180,7 @@ def test_evo_not_worse_than_greedy_and_deterministic():
     samples = x_cal[:32]
     evo = evoselect.select_channels(model, scores, 0.5, cfg, samples)
     evo2 = evoselect.select_channels(model, scores, 0.5, cfg, samples)
-    assert evo.key() == evo2.key()
+    assert evoselect._key(evo) == evoselect._key(evo2)
     greedy = evoselect.select_greedy(model, scores, 0.5)
     f_evo = evoselect.fitness(model, evo, samples)
     f_greedy = evoselect.fitness(model, greedy, samples)
@@ -193,13 +195,13 @@ def test_evo_matches_exhaustive_on_tiny_net():
     cfg = EvoConfig(population=12, generations=10, elite=2, parents=6,
                     fitness_samples=32, seed=9)
     evo = evoselect.select_channels(model, scores, ratio, cfg, samples)
-    layers = evo.layers
+    layers = tuple(evo)
     sizes = [model.n_groups(i) for i in layers]
     slots = [(li, g) for li, n in enumerate(sizes) for g in range(n)]
     ref = netsim.run(model, samples, mode="int8")
     best = np.inf
     for combo in itertools.combinations(slots, evoselect.target_count(ratio, len(slots))):
-        chrom = make_chrom(sizes, list(combo), ratio, layers=layers)
+        chrom = make_selection(sizes, list(combo), layers=layers)
         best = min(best, evoselect.fitness(model, chrom, samples, ref))
     assert evoselect.fitness(model, evo, samples, ref) <= best + 1e-9
 
@@ -212,8 +214,8 @@ def test_chained_selection_is_nested():
     sel = evoselect.chained_selection(model, scores, [0.25, 0.5, 0.75, 1.0], cfg, x_cal[:32])
     ratios = sorted(sel)
     for lo, hi in zip(ratios, ratios[1:]):
-        assert sel[hi].includes(sel[lo])
-        assert sel[lo].set_count() == target_count(lo, sel[lo].total_groups())
+        assert includes(sel[hi], sel[lo])
+        assert set_count(sel[lo]) == target_count(lo, total_groups(sel[lo]))
 
 
 def test_ratio_shortcuts():
@@ -222,16 +224,14 @@ def test_ratio_shortcuts():
     cfg = EvoConfig(population=8, generations=2, elite=2, parents=4,
                     fitness_samples=16, seed=1)
     empty = evoselect.select_channels(model, scores, 0.0, cfg, x_cal[:16])
-    assert empty.set_count() == 0
+    assert set_count(empty) == 0
     full = evoselect.select_channels(model, scores, 1.0, cfg, x_cal[:16])
-    assert full.set_count() == full.total_groups()
+    assert set_count(full) == total_groups(full)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         EvoConfig(population=4, parents=8)
-    with pytest.raises(ValueError):
-        EvoConfig(mutation_prob=0.0)
     for bad in (dict(elite=-1), dict(parents=1, elite=0), dict(generations=-2)):
         with pytest.raises(ValueError, match=next(iter(bad))):
             EvoConfig(**bad)

@@ -149,7 +149,7 @@ def test_mixed_ratio_zero_equals_int8():
     model, (x_cal, _), (x_ev, _) = small_model(seed=42)
     scores = scoring.score_groups(model)
     chrom = evoselect.select_greedy(model, scores, 0.0)
-    out = run(model, x_ev, mode="mixed", flags_override=chrom.as_override())
+    out = run(model, x_ev, mode="mixed", flags_override=chrom)
     assert np.array_equal(out, run(model, x_ev, mode="int8"))
 
 
@@ -577,10 +577,8 @@ def test_replaced_flags_are_never_served_stale(tmp_path, extraction):
         netsim.set_ratio(model, r)
         run(model, x, mode="mixed", extraction=extraction)
 
-    def replace_by_chromosome():
-        new = random_flags()
-        chrom = evoselect.Chromosome(tuple(matmuls), tuple(new[i] for i in matmuls), 0.5)
-        evoselect.install_selections(model, {0.5: chrom})
+    def replace_by_install():
+        evoselect.install_selections(model, {0.5: random_flags()})
 
     def replace_one_array():
         model.selections[0.5][matmuls[1]] = ~model.selections[0.5][matmuls[1]]
@@ -588,7 +586,7 @@ def test_replaced_flags_are_never_served_stale(tmp_path, extraction):
     def flip_in_place():
         model.selections[0.5][matmuls[2]][0] ^= True
 
-    for replace in (replace_by_chromosome, replace_one_array, flip_in_place):
+    for replace in (replace_by_install, replace_one_array, flip_in_place):
         replace()
         netsim.set_ratio(model, 0.25)
         run(model, x, mode="mixed", extraction=extraction)
