@@ -56,14 +56,12 @@ def _top_ratio(model: netsim.PreparedModel) -> float:
     return max(model.selections)
 
 
-def _parse_ratios(text: str) -> list[float]:
-    try:
-        ratios = [float(t) for t in text.split(",") if t.strip()]
-    except ValueError:
-        raise ValueError(f"could not parse ratio list {text!r}")
-    if not ratios or any(not 0.0 <= r <= 1.0 for r in ratios):
-        raise ValueError("ratios must lie in [0, 1]")
-    return sorted(ratios)
+def _load_calibrated(model_dir) -> netsim.PreparedModel:
+    """The model of ``model_dir``, for a stage that needs its 8-bit states."""
+    model = modelio.load_model(model_dir)
+    if not model.states:
+        raise ValueError(f"{model_dir}: model is not calibrated; run mixq calibrate first")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +93,7 @@ def do_calibrate(model_dir, momentum, quantile, extraction, batch_size) -> netsi
 
 
 def do_score(model_dir) -> list[scoring.ErrorScore]:
-    model = modelio.load_model(model_dir)
+    model = _load_calibrated(model_dir)
     scores = scoring.score_groups(model)
     modelio.write_atomic(Path(model_dir) / "score.csv", scoring.scores_to_csv(scores).encode())
     return scores
@@ -103,7 +101,7 @@ def do_score(model_dir) -> list[scoring.ErrorScore]:
 
 def do_select(model_dir, ratios, algo, seed, cfg_kwargs, protect_edges, extraction):
     cfg = evoselect.EvoConfig(seed=stage_seed(seed, "select"), **cfg_kwargs)
-    model = modelio.load_model(model_dir)
+    model = _load_calibrated(model_dir)
     scores = scoring.score_groups(model)
     x, _ = modelio.load_dataset(model_dir, "calib")
     samples = x[: cfg.fitness_samples]
@@ -176,7 +174,7 @@ def run_gemm_check(cases: int, seed: int, group_size: int, max_dim: int) -> list
 
 
 def do_infer(model_dir, mode, ratio, extraction, dataset):
-    model = modelio.load_model(model_dir)
+    model = _load_calibrated(model_dir)  # every mode reports its drift to int8
     x, y = modelio.load_dataset(model_dir, dataset)
     if mode == "mixed" and ratio is None:
         ratio = _top_ratio(model)
@@ -194,7 +192,7 @@ def do_infer(model_dir, mode, ratio, extraction, dataset):
 
 
 def do_report_bits(model_dir):
-    model = modelio.load_model(model_dir)
+    model = _load_calibrated(model_dir)
     report = netsim.unused_bit_report(model)
     rows = []
     for idx in sorted(report):
@@ -210,18 +208,24 @@ def do_report_bits(model_dir):
 
 
 def do_report_saturation(model_dir, ratio, extraction, scale, dataset):
-    model = modelio.load_model(model_dir)
+    model = _load_calibrated(model_dir)
     x, _ = modelio.load_dataset(model_dir, dataset)
     if ratio is None:
         ratio = _top_ratio(model)
-    report = netsim.saturation_report(model, x * scale, ratio, extraction=extraction)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by sample
+        x = x * scale
+    if (at := qtensor.first_non_finite(x)) is not None:
+        raise ValueError(f"{model_dir}: dataset {dataset!r} sample {at[0]} times --scale {scale} "
+                         f"is not finite at index {at[1:]}")
+    report = netsim.saturation_report(model, x, ratio, extraction=extraction)
     rows = [[idx, float(report[idx])] for idx in sorted(report)]
     _write_csv(Path(model_dir) / "saturation.csv", ["layer", "saturated_pct"], rows)
     return report
 
 
 def do_report_l2(model_dir, dataset, extraction):
-    model = modelio.load_model(model_dir)
+    model = _load_calibrated(model_dir)
+    _top_ratio(model)  # raises when no selection is prepared
     x, _ = modelio.load_dataset(model_dir, dataset)
     ref_rec: dict[int, netsim.LayerRecord] = {}
     ref = netsim.run(model, x, mode="int8", record=ref_rec)
@@ -480,6 +484,21 @@ _positive_int = _int_type(1, "positive")
 _non_negative_int = _int_type(0, "non-negative")
 
 
+def _ratio_list(text: str) -> list[float]:
+    """An argparse type: comma-separated ratios in [0, 1], sorted; else exit
+    2 naming the bad entry or the empty list."""
+    entries = [t for t in text.split(",") if t.strip()]
+    if not entries:
+        raise argparse.ArgumentTypeError(f"must list at least one ratio, got {text!r}")
+    ratios = []
+    for t in entries:
+        try:
+            ratios.append(_unit(t))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"entry {t.strip()!r} is not a number") from None
+    return sorted(ratios)
+
+
 def _evo_kwargs(args) -> dict:
     """The ``evoselect.EvoConfig`` fields that ``select`` takes as flags."""
     return dict(population=args.population, generations=args.generations, elite=args.elite,
@@ -511,7 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("select", "search 4-bit group selections for each ratio")
     add_model(sp)
-    sp.add_argument("--ratios", default=",".join(map(str, DEFAULT_RATIOS)))
+    sp.add_argument("--ratios", type=_ratio_list, default=",".join(map(str, DEFAULT_RATIOS)),
+                    help="comma-separated 4-bit ratios, each in [0, 1]")
     sp.add_argument("--algo", choices=("evo", "greedy", "random"), default="evo")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--population", type=_positive_int, default=12)
@@ -597,8 +617,7 @@ def _dispatch(args) -> int:
         for s in scores[:5]:
             print(f"  layer {s.layer} group {s.group}: score {s.score:.6g}")
     elif cmd == "select":
-        ratios = _parse_ratios(args.ratios)
-        selections = do_select(args.model, ratios, args.algo, args.seed, _evo_kwargs(args),
+        selections = do_select(args.model, args.ratios, args.algo, args.seed, _evo_kwargs(args),
                                protect_edges=not args.no_protect_edges, extraction=args.extraction)
         for r in sorted(selections):
             flags = selections[r].values()

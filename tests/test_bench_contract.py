@@ -7,12 +7,13 @@ the benchmark's modules and change none of their files.
 
 import functools
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
-from mixq import evoselect, modelio, scoring
+from mixq import cli, evoselect, modelio, scoring
 from conftest import small_conv_model, small_model
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -20,6 +21,9 @@ sys.path.insert(0, str(PERFBENCH))  # its modules import each other by name
 
 import tracing  # noqa: E402
 import workloads  # noqa: E402
+
+SPECS = {"WIDE": workloads.WIDE, "CONV": workloads.CONV,
+         **{f"TINY[{name}]": spec for name, spec in workloads.TINY.items()}}
 
 
 @pytest.mark.parametrize("module, attr", tracing.SPANNED + tracing.COUNTED,
@@ -46,3 +50,24 @@ def test_saved_bytes_reads_a_fresh_model_directory(tmp_path):
     want = sum(p.stat().st_size for p in tmp_path.iterdir()
                if p.name == "manifest.json" or p.suffix in (".f32bin", ".i8bin"))
     assert tracing._saved_bytes(tmp_path) == want
+
+
+@pytest.mark.parametrize("spec", SPECS.values(), ids=SPECS.keys())
+def test_evo_fields_build_an_evo_config(spec):
+    evoselect.EvoConfig(**dict(spec.evo))
+
+
+@pytest.mark.parametrize("spec", SPECS.values(), ids=SPECS.keys())
+def test_prepare_s_stage_calls_bind_to_the_stage_signatures(spec, monkeypatch, tmp_path):
+    """workloads.prepare's calls to the cli stages, recorded in place of the
+    stages, bind to the stages' signatures."""
+    calls = []
+    for name in ("do_calibrate", "do_score", "do_select", "do_layout"):
+        stage = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, _stage=stage, **kwargs:
+                            calls.append((_stage, args, kwargs)))
+    workloads.prepare(spec, 0, tmp_path)
+    assert [stage.__name__ for stage, _, _ in calls] == [
+        "do_calibrate", "do_score", "do_select", "do_layout"]
+    for stage, args, kwargs in calls:
+        inspect.signature(stage).bind(*args, **kwargs)

@@ -1,8 +1,13 @@
+import argparse
 import json
+import shutil
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mixq import cli, evoselect, kernels, modelio, netsim, serve, synth
 from conftest import small_conv_model
@@ -267,6 +272,28 @@ def test_infer_without_selections_exit_4(tmp_path, capsys):
     assert run_cli("infer", "--model", str(tmp_path)) == 4
     assert "no selections prepared; pass --ratio or run select first" in capsys.readouterr().err
     assert run_cli("infer", "--model", str(tmp_path), "--mode", "int8") == 0
+    # report-l2 once exited 0 with an l2.csv holding only its header
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run_cli("report-l2", "--model", str(tmp_path)) == 4
+    assert "no selections prepared; pass --ratio or run select first" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv", [
+    ("infer", "--mode", "int8"), ("infer", "--mode", "fp32"), ("infer",), ("report-saturation",),
+    ("report-l2",), ("report-bits",), ("score",), ("select", "--algo", "greedy"),
+])
+def test_uncalibrated_model_names_its_directory_and_calibrate_exit_4(tmp_path, capsys, argv):
+    """Once netsim's "run prepare() first" or scoring's bare "model is not
+    calibrated", naming neither the directory nor the stage to run."""
+    graph = synth.make_linear_net(3, 2, 16, 4, 8)
+    x, y = synth.make_dataset(4, 16, 4, 32)
+    modelio.save_model(tmp_path, netsim.PreparedModel(graph, {}))
+    for name in ("calib", "eval"):
+        modelio.save_dataset(tmp_path, name, x, y)
+    assert run_cli(argv[0], "--model", str(tmp_path), *argv[1:]) == 4
+    assert f"{tmp_path}: model is not calibrated; run mixq calibrate first" in (
+        capsys.readouterr().err)
 
 
 @pytest.fixture
@@ -338,6 +365,11 @@ def test_manifest_missing_key_exit_4(demo_dir, tmp_path, capsys, path):
     ("select", "--parents", "0"),
     ("calibrate", "--quantile", "0.3"),  # the lower quantile would lie above the upper
     ("calibrate", "--quantile", "0"),
+    ("select", "--ratios", "abc"),  # once exit 4, "could not parse ratio list"
+    ("select", "--ratios", ","),  # once exit 4, "ratios must lie in [0, 1]"
+    ("select", "--ratios", ""),
+    ("select", "--ratios", "0.5,1.5"),
+    ("select", "--ratios", "0.5,nan"),
 ])
 def test_non_positive_counts_exit_2(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # the default model and output directory
@@ -822,3 +854,127 @@ def test_ablate_rungs_are_the_search_s_fitness_on_the_eval_set(monkeypatch):
                          extraction=extraction)
         diff = out.astype(np.float64) - netsim.run(model, x, mode="int8")
         assert value == np.linalg.norm(diff, axis=1).mean()
+
+
+@pytest.mark.parametrize("ratios, want", [
+    ("0.25,abc", "argument --ratios: entry 'abc' is not a number"),
+    (" , ", "argument --ratios: must list at least one ratio, got ' , '"),
+    ("0.25,1.5", "argument --ratios: must lie in [0, 1], got 1.5"),
+], ids=["not-a-number", "empty", "out-of-range"])
+def test_select_ratio_list_names_its_bad_entry(tmp_path, capsys, ratios, want):
+    with pytest.raises(SystemExit) as e:
+        run_cli("select", "--model", str(tmp_path), "--ratios", ratios)
+    assert e.value.code == 2
+    assert want in capsys.readouterr().err
+
+
+def test_report_saturation_scale_overflowing_float32_is_named(demo_dir, capsys):
+    """--scale 1e39 passes the finite check but overflows the float32
+    inputs; it once warned from numpy and exited 4 with "non-finite input
+    value at index (0, 0)", naming neither the flag nor the dataset."""
+    before = (demo_dir / "saturation.csv").read_bytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("report-saturation", "--model", str(demo_dir), "--scale", "1e39") == 4
+    want = f"{demo_dir}: dataset 'eval' sample 0 times --scale 1e+39 is not finite at index (0,)"
+    assert want in capsys.readouterr().err
+    assert (demo_dir / "saturation.csv").read_bytes() == before
+
+
+# Per-flag values for the fuzzed command line: malformed, empty, negative and
+# non-finite strings, plus in-range ones so that stages also run.  A huge
+# value is in a pool only where it costs nothing (a rate, duration, window,
+# count or group size that large would run for minutes or fill memory).
+# "{dir}" is the example's fresh model directory.
+BAD = ["", "abc", "-1", "0", "nan", "inf", "-inf", "0x10"]
+FLAG_POOLS = {
+    "--model": ["{dir}", "{dir}/void"],
+    "--out": ["{dir}/serve"],
+    "--momentum": BAD + ["0.5", "0.99", "1", "1e39"],
+    "--quantile": BAD + ["0.5", "0.99", "1", "1e39"],
+    "--extraction": ["static", "dynamic", "naive", "bogus"],
+    "--batch-size": BAD + ["1", "3", "1e39", "99999999999999999999"],
+    "--ratios": BAD + ["0.25,0.5", "1,0", ",", "0.3", "1e39", "0.5,abc", "0.25,0.25"],
+    "--algo": ["evo", "greedy", "random", "bogus"],
+    "--seed": BAD + ["3", "99999999999999999999"],
+    "--population": BAD + ["1", "2", "3", "1e39"],
+    "--generations": BAD + ["1", "2", "1e39"],
+    "--elite": BAD + ["1", "2"],
+    "--parents": BAD + ["1", "2", "3"],
+    "--samples": BAD + ["1", "4", "99999999999999999999"],
+    "--cases": BAD + ["1", "2"],
+    "--group-size": BAD + ["1", "4"],
+    "--max-dim": BAD + ["1", "4"],
+    "--mode": ["fp32", "int8", "int4", "mixed", "bogus"],
+    "--ratio": BAD + ["0.25", "0.5", "0.3", "1", "1e39"],
+    "--dataset": ["eval", "calib", "nope", ""],
+    "--scale": BAD + ["1", "1e39", "1e-45", "1e30"],
+    "--policy": ["adaptive", "fixed", "bogus"],
+    "--trace": ["{dir}/trace_" + name for name in ("void", "empty", "abc", "ok", "neg")],
+    "--rate": BAD + ["10", "100"],
+    "--min-rate": BAD + ["10", "100"],
+    "--peak-factor": BAD + ["1", "3"],
+    "--duration": BAD + ["1", "5"],
+    "--threshold": BAD + ["1e-9", "0.005", "1e39"],
+    "--window": BAD + ["2", "10"],
+}
+ALWAYS = {"--model", "--out", "--cases"}  # no write to the working directory; 50 cases take 0.1 s
+
+
+def _commands():
+    """{subcommand: [(flag, takes a value)]} of build_parser(), but demo and
+    ablate, which run whole pipelines."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [(max(a.option_strings, key=len), a.nargs != 0) for a in sp._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)]
+            for name, sp in sub.choices.items() if name not in ("demo", "ablate")}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A subcommand with its ALWAYS flags and up to three others; one bad
+    value in most draws is enough to exit 2, so few flags reach the stages."""
+    name = draw(st.sampled_from(sorted(_commands())))
+    flags = _commands()[name]
+    chosen = [f for f in flags if f[0] in ALWAYS]
+    if optional := [f for f in flags if f[0] not in ALWAYS]:
+        chosen += draw(st.lists(st.sampled_from(optional), max_size=3, unique=True))
+    argv = [name]
+    for flag, takes_value in chosen:
+        argv += [flag, draw(st.sampled_from(FLAG_POOLS[flag]))] if takes_value else [flag]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def tiny_dir(tmp_path_factory):
+    """A calibrated, selected and laid-out 3x16 model directory, plus trace files."""
+    path = tmp_path_factory.mktemp("tiny") / "model"
+    x, y = synth.make_dataset(2, 16, 4, 16)
+    modelio.save_model(path, netsim.PreparedModel(synth.make_linear_net(1, 3, 16, 4, 4), {}))
+    for name in ("calib", "eval"):
+        modelio.save_dataset(path, name, x, y)
+    cli.do_calibrate(path, 0.99, None, "static", 8)
+    cli.do_select(path, list(cli.DEFAULT_RATIOS), "greedy", 0, {}, protect_edges=True,
+                  extraction=None)
+    cli.do_layout(path)
+    for name, text in (("empty", ""), ("abc", "abc\n"), ("ok", "0.5\n1\n1.5\n"), ("neg", "-1\n")):
+        (path / f"trace_{name}").write_text(text)
+    return path
+
+
+@settings(max_examples=120, deadline=None)
+@given(argv=fuzzed_argv())
+def test_fuzzed_command_line_exits_0_2_3_or_4(tiny_dir, argv):
+    """Any subcommand with flags drawn from its parser, on a fresh copy of a
+    prepared directory, exits 0, 2 (bad argument), 3 (missing artifact) or
+    4 (validation failure); no other exception escapes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model"
+        shutil.copytree(tiny_dir, path)
+        argv = [v.format(dir=path) for v in argv]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's exit 2
+            code = exc.code
+        assert code in (0, 2, 3, 4), argv
