@@ -931,12 +931,15 @@ def _commands():
             for name, sp in sub.choices.items() if name not in ("demo", "ablate")}
 
 
+COMMANDS = _commands()
+
+
 @st.composite
 def fuzzed_argv(draw):
-    """A subcommand with its ALWAYS flags and up to three others; one bad
-    value in most draws is enough to exit 2, so few flags reach the stages."""
-    name = draw(st.sampled_from(sorted(_commands())))
-    flags = _commands()[name]
+    """A subcommand with its ALWAYS flags and up to three others: with more,
+    nearly every draw holds a bad value and exits 2 before a stage runs."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = COMMANDS[name]
     chosen = [f for f in flags if f[0] in ALWAYS]
     if optional := [f for f in flags if f[0] not in ALWAYS]:
         chosen += draw(st.lists(st.sampled_from(optional), max_size=3, unique=True))
