@@ -49,11 +49,12 @@ def _batches(x: np.ndarray, batch_size: int):
     return [x[i : i + batch_size] for i in range(0, len(x), batch_size)]
 
 
-def _top_ratio(model: netsim.PreparedModel) -> float:
-    """The highest prepared ratio: what ``--ratio`` defaults to."""
+def _mixed_ratio(model_dir, model: netsim.PreparedModel, ratio: float | None = None) -> float:
+    """``ratio``, by default the highest prepared one.  Without selections
+    no ratio can run mixed, so this raises whatever ``--ratio`` says."""
     if not model.selections:
-        raise ValueError("no selections prepared; pass --ratio or run select first")
-    return max(model.selections)
+        raise ValueError(f"{model_dir}: no selections prepared; run mixq select first")
+    return max(model.selections) if ratio is None else ratio
 
 
 def _load_calibrated(model_dir) -> netsim.PreparedModel:
@@ -176,8 +177,8 @@ def run_gemm_check(cases: int, seed: int, group_size: int, max_dim: int) -> list
 def do_infer(model_dir, mode, ratio, extraction, dataset):
     model = _load_calibrated(model_dir)  # every mode reports its drift to int8
     x, y = modelio.load_dataset(model_dir, dataset)
-    if mode == "mixed" and ratio is None:
-        ratio = _top_ratio(model)
+    if mode == "mixed":
+        ratio = _mixed_ratio(model_dir, model, ratio)
     out = netsim.run(model, x, mode=mode, ratio=ratio, extraction=extraction)
     ref = out if mode == "int8" else netsim.run(model, x, mode="int8")
     metrics = {
@@ -209,9 +210,8 @@ def do_report_bits(model_dir):
 
 def do_report_saturation(model_dir, ratio, extraction, scale, dataset):
     model = _load_calibrated(model_dir)
+    ratio = _mixed_ratio(model_dir, model, ratio)
     x, _ = modelio.load_dataset(model_dir, dataset)
-    if ratio is None:
-        ratio = _top_ratio(model)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, by sample
         x = x * scale
     if (at := qtensor.first_non_finite(x)) is not None:
@@ -225,7 +225,7 @@ def do_report_saturation(model_dir, ratio, extraction, scale, dataset):
 
 def do_report_l2(model_dir, dataset, extraction):
     model = _load_calibrated(model_dir)
-    _top_ratio(model)  # raises when no selection is prepared
+    _mixed_ratio(model_dir, model)  # raises when no selection is prepared
     x, _ = modelio.load_dataset(model_dir, dataset)
     ref_rec: dict[int, netsim.LayerRecord] = {}
     ref = netsim.run(model, x, mode="int8", record=ref_rec)

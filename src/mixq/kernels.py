@@ -8,17 +8,17 @@ group's codes are replaced by clip(q >> p, -8, 7) << p.  So every kernel
 is one lowering step (mixed kernels only) followed by one contraction, a
 plain GEMM or a same-padded conv.
 
-Two per-layer constants of a mixed kernel are built once by the caller
-and passed in (and built per call when omitted): the lowered weight codes
-(``lower_weights``) and, per set of group flags and extraction mode, the
-per-channel shift and clip vectors and the flagged channel runs
-(``plan_lowering``).  ``netsim`` keeps both on each layer's
-``QuantState``.  A call then only lowers the activation codes in one
-vectorized pass, splices the flagged runs of the lowered weights into the
-8-bit codes (on a laid-out model, one leading run of groups), contracts
-and scales.  The contraction's bound comes from the operands' dtypes and
-shapes, and the output scales act_scale * w_scales are fused per call;
-both cost next to nothing.
+The constants of a mixed kernel for one set of group flags and extraction
+mode are planned once by the caller and passed in as one ``Lowering``
+(``plan_lowering``; planned per call when omitted): the per-channel shift
+and clip vectors of the activations, and the weight operand, the 8-bit
+codes with the flagged channels' codes lowered.  ``netsim`` keeps one per
+layer, flags and mode on the layer's ``QuantState``, planned from the
+layer's fully lowered weights (``lower_weights``), which it keeps too.  A
+call then only lowers the activation codes in one vectorized pass,
+contracts them with the planned weights and scales.  The contraction's
+bound comes from the operands' dtypes and shapes, and the output scales
+act_scale * w_scales are fused per call; both cost next to nothing.
 
 The contraction is a float BLAS product of the integer codes, and it is
 exact: every product and partial sum is an integer no larger than
@@ -58,39 +58,30 @@ class KernelStats:
     act_shifts_used: np.ndarray
 
 
-def lower_weights(
-    w_q: np.ndarray, weight_shifts: np.ndarray, group_size: int, axis: int
-) -> np.ndarray:
+def lower_weights(w_q: np.ndarray, weight_shifts: np.ndarray, group_size: int) -> np.ndarray:
     """Weight codes with every group lowered: clip(w >> pw, -8, 7) << pw.
 
-    ``w_q`` has its input channels on ``axis`` and its outputs on the other
-    of its first two axes; ``weight_shifts`` is [n_groups, n_out].  The
-    result has the dtype, shape and memory order of ``w_q``.  Full groups
-    are lowered in one broadcast pass over [.., n_groups, group_size, ..],
-    a ragged last group in a second one.
+    ``w_q`` has its outputs on axis 0 and its input channels on axis 1
+    (a GEMM's [K, N] codes are passed as their transposed view);
+    ``weight_shifts`` is [n_groups, n_out].  The result has the dtype,
+    shape and memory order of ``w_q``.  Full groups are lowered in one
+    broadcast pass over [n_out, n_groups, group_size, ...], a ragged last
+    group in a second one.
     """
     w = np.asarray(w_q)
-    if axis not in (0, 1):
-        raise ValueError(f"channel axis must be 0 or 1, got {axis}")
-    shifts = np.asarray(weight_shifts).astype(w.dtype)  # [n_groups, n_out]
+    shifts = np.asarray(weight_shifts).astype(w.dtype).T  # [n_out, n_groups]
     lowered = np.empty_like(w)
-    C = w.shape[axis]
+    C = w.shape[1]
     full = C - C % group_size
-    index = [slice(None)] * w.ndim
     for start, stop in ((0, full), (full, C)):
         if start == stop:
             continue
         size = min(group_size, stop - start)
-        index[axis] = slice(start, stop)
-        block = w[tuple(index)]
-        p = shifts[start // group_size : -(-stop // group_size)]  # [g, n_out]
-        if axis == 0:  # [g, size, n_out, ...]
-            p = p.reshape(p.shape[0], 1, p.shape[1], *(1,) * (w.ndim - 2))
-        else:  # [n_out, g, size, ...]
-            p = p.T.reshape(p.shape[1], p.shape[0], *(1,) * (w.ndim - 1))
-        split = block.shape[:axis] + (-1, size) + block.shape[axis + 1 :]
-        low = np.clip(block.reshape(split) >> p, Q4_MIN, Q4_MAX) << p
-        lowered[tuple(index)] = low.reshape(block.shape)
+        block = w[:, start:stop]
+        p = shifts[:, start // group_size : -(-stop // group_size)]  # [n_out, g]
+        p = p.reshape(p.shape + (1,) * (w.ndim - 1))
+        split = block.reshape(block.shape[0], -1, size, *block.shape[2:])
+        lowered[:, start:stop] = (np.clip(split >> p, Q4_MIN, Q4_MAX) << p).reshape(block.shape)
     return lowered
 
 
@@ -106,18 +97,20 @@ def _resolve_flags(n_in: int, group_size: int, group_flags) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Lowering:
-    """The per-call constants of lowering one layer's activations and splicing
-    its weights, for one set of group flags, extraction mode and code dtype
-    (built by ``plan_lowering``).
+    """The constants of one layer's mixed contraction for one set of group
+    flags, extraction mode and activation code dtype (built by
+    ``plan_lowering``).
 
     ``shifts`` is the activation shift in force per group, ``px`` the
     per-channel shift (0 on 8-bit channels) and ``mul`` = 2^px, which undoes
     it (x4 * mul == x4 << px, and about 3x faster); in dynamic mode all three
     come from each batch (``px`` and ``mul`` are None).  ``lo``/``hi`` are
     the per-channel clip bounds: [-8, 7] on 4-bit channels, the dtype's
-    range (a no-op) on 8-bit ones.  ``channel_group`` maps each channel to its group, or to
-    ``n_groups`` on 8-bit channels.  ``runs`` are the maximal [start, stop)
-    runs of flagged channels.
+    range (a no-op) on 8-bit ones.  ``channel_group`` maps each channel to
+    its group, or to ``n_groups`` on 8-bit channels.  ``w`` is the read-only
+    weight operand of the contraction: the lowered codes on flagged
+    channels, the 8-bit codes elsewhere, in the shape and memory order of
+    the kernel's ``w_q``.
     """
 
     flags: np.ndarray
@@ -128,7 +121,7 @@ class Lowering:
     mul: np.ndarray | None
     lo: np.ndarray
     hi: np.ndarray
-    runs: tuple[tuple[int, int], ...]
+    w: np.ndarray
 
 
 def _channel_shifts(shifts: np.ndarray, channel_group: np.ndarray, dtype) -> np.ndarray:
@@ -140,85 +133,84 @@ def plan_lowering(
     plan: ExtractionPlan,
     group_size: int,
     group_flags,
-    n_in: int,
+    w_q: np.ndarray,
     mode: str | None = None,
     dtype=np.int8,
-    ndim: int = 2,
+    w_lo: np.ndarray | None = None,
 ) -> Lowering:
-    """The ``Lowering`` of ``n_in`` activation channels of ``dtype`` codes
-    (channels on axis 1 of ``ndim`` axes) under ``group_flags`` and extraction
-    ``mode`` (default: the plan's)."""
+    """The ``Lowering`` of a mixed kernel's call on weight codes ``w_q``
+    (as the kernel takes them: [K, N] or [O, C, kh, kw]) and activation
+    codes of ``dtype``, under ``group_flags`` and extraction ``mode``
+    (default: the plan's).
+
+    ``w_lo`` is ``w_q`` with every group lowered per the plan, as
+    ``lower_weights`` builds it; it is built here when omitted, and with
+    ``MAX_SHIFT`` when naive extraction overrides a plan of another mode.
+    """
+    axis = 1 if w_q.ndim == 4 else 0  # input channels of [O, C, kh, kw] or [K, N]
+    n_in = w_q.shape[axis]
     flags = _resolve_flags(n_in, group_size, group_flags)
     mode = mode or plan.mode
     shifts = plan.act_shifts.copy()
     if mode == "naive":
         shifts[flags] = MAX_SHIFT
+    if w_lo is None or (mode == "naive" and plan.mode != "naive"):
+        w_shifts = plan.weight_shifts
+        w_shifts = np.full_like(w_shifts, MAX_SHIFT) if mode == "naive" else w_shifts
+        w_lo = lower_weights(w_q if axis else w_q.T, w_shifts, group_size)
+        w_lo = w_lo if axis else w_lo.T
     group = np.arange(n_in) // group_size
     on = flags[group]
-    channel_shape = (1, n_in) + (1,) * (ndim - 2)
+    channel_shape = (1, n_in) + (1,) * (w_q.ndim - 2)
     channel_group = np.where(on, group, flags.size).reshape(channel_shape)
     info = np.iinfo(dtype)
     lo = np.where(on, Q4_MIN, info.min).astype(dtype).reshape(channel_shape)
     hi = np.where(on, Q4_MAX, info.max).astype(dtype).reshape(channel_shape)
+    # each run of flagged channels is one slice copy, ~5x faster than a masked
+    # np.copyto; np.copy keeps the memory order of ``w_q``
     padded = np.concatenate(([False], flags, [False]))
     edges = np.minimum(np.flatnonzero(padded[1:] != padded[:-1]) * group_size, n_in)
-    runs = tuple((int(a), int(b)) for a, b in edges.reshape(-1, 2))
+    w, index = np.copy(w_q), [slice(None)] * w_q.ndim
+    for start, stop in edges.reshape(-1, 2):
+        index[axis] = slice(start, stop)
+        w[tuple(index)] = w_lo[tuple(index)]
+    w.flags.writeable = False
     px = mul = None
     if mode != "dynamic":
         px = _channel_shifts(shifts, channel_group, dtype)
         mul = np.left_shift(1, px)
-    return Lowering(flags, mode, shifts, channel_group, px, mul, lo, hi, runs)
+    return Lowering(flags, mode, shifts, channel_group, px, mul, lo, hi, w)
 
 
-def _resolve_lowering(lowering, x, plan, group_size, group_flags, mode) -> Lowering:
+def _resolve_lowering(lowering, x, w, plan, group_size, group_flags, mode) -> Lowering:
     """``lowering`` checked against the call, or planned for it when None."""
-    n_in = x.shape[1]
     if lowering is None:
-        return plan_lowering(plan, group_size, group_flags, n_in, mode, x.dtype, x.ndim)
+        return plan_lowering(plan, group_size, group_flags, w, mode, x.dtype)
     flags = lowering.flags
-    if (lowering.mode != mode or lowering.lo.dtype != x.dtype or lowering.lo.shape[1:2] != (n_in,)
+    if (lowering.mode != mode or lowering.lo.dtype != x.dtype or lowering.w.shape != w.shape
             or (flags is not group_flags and not np.array_equal(flags, group_flags))):
-        raise ValueError("lowering was planned for other group flags, extraction mode or codes")
+        raise ValueError("lowering was planned for other group flags, extraction mode, codes "
+                         "or weight shape")
     return lowering
 
 
-def _lower(x, w, w_lo, w_axis, plan, group_size, lowering):
-    """Activation codes ``x`` (channels on axis 1) and weight codes ``w``
-    (channels on ``w_axis``) with every flagged group lowered, plus the
-    saturated channels and shifts used.
-
-    The activations are lowered in one pass in their own integer dtype,
-    with the per-channel shift and clip bounds of ``lowering``.  The weights
-    are ``w`` with each run of flagged channels copied from its lowered codes
-    ``w_lo``; ``w_lo`` is built here when omitted, and rebuilt with
-    ``MAX_SHIFT`` when naive extraction overrides a plan of another mode.
-    """
+def _lower(x, group_size, lowering) -> tuple[np.ndarray, KernelStats]:
+    """Activation codes ``x`` (channels on axis 1) with every flagged group
+    lowered, in one pass in their own integer dtype with the per-channel
+    shift and clip bounds of ``lowering``, plus the saturated channels and
+    shifts used."""
     shifts_used = lowering.shifts.copy()
-    mode, flags, px, mul = lowering.mode, lowering.flags, lowering.px, lowering.mul
+    px, mul = lowering.px, lowering.mul
     if px is None:  # dynamic: this batch's shifts
+        flags = lowering.flags
         shifts_used[flags] = group_shifts(x, group_size, axis=1)[flags]
         px = _channel_shifts(shifts_used, lowering.channel_group, x.dtype)
         mul = np.left_shift(1, px)
-    if w_lo is None or (mode == "naive" and plan.mode != "naive"):
-        w_shifts = plan.weight_shifts
-        if mode == "naive":
-            w_shifts = np.full_like(w_shifts, MAX_SHIFT)
-        w_lo = lower_weights(w, w_shifts, group_size, w_axis)
-    elif w_lo.shape != w.shape:
-        raise ValueError(f"w_lo shape {w_lo.shape} differs from w_q shape {w.shape}")
-
     shifted = x >> px
     # np.clip with array bounds is ~5x slower
     x4 = np.minimum(np.maximum(shifted, lowering.lo), lowering.hi)
     sat = (shifted != x4).any(axis=tuple(a for a in range(x.ndim) if a != 1))
-
-    if lowering.runs != ((0, x.shape[1]),):
-        w_mixed, w_index = np.copy(w), [slice(None)] * w.ndim
-        for start, stop in lowering.runs:
-            w_index[w_axis] = slice(start, stop)
-            w_mixed[tuple(w_index)] = w_lo[tuple(w_index)]
-        w_lo = w_mixed
-    return x4 * mul, w_lo, KernelStats(sat, shifts_used)
+    return x4 * mul, KernelStats(sat, shifts_used)
 
 
 def _magnitude(q: np.ndarray) -> int:
@@ -284,16 +276,16 @@ def _scale(acc: np.ndarray, act_scale: float, w_scales: np.ndarray) -> np.ndarra
     return np.multiply(acc, scales, out=out, casting="unsafe")
 
 
-def _mixed(x_q, w_q, w_axis, act_scale, w_scales, plan, group_size, group_flags, extraction,
-           w_lo, lowering) -> tuple[np.ndarray, KernelStats]:
+def _mixed(x_q, w_q, act_scale, w_scales, plan, group_size, group_flags, extraction,
+           lowering) -> tuple[np.ndarray, KernelStats]:
     flags = _resolve_flags(x_q.shape[1], group_size, group_flags)
     if flags.any():
         mode = extraction or plan.mode
-        lowering = _resolve_lowering(lowering, x_q, plan, group_size, flags, mode)
-        x_q, w_q, stats = _lower(x_q, w_q, w_lo, w_axis, plan, group_size, lowering)
+        lowering = _resolve_lowering(lowering, x_q, w_q, plan, group_size, flags, mode)
+        (x_q, stats), w_q = _lower(x_q, group_size, lowering), lowering.w
     else:  # all 8-bit: nothing to lower, and no lowering is needed
         stats = KernelStats(np.zeros(x_q.shape[1], dtype=bool), plan.act_shifts.copy())
-    return _scale(_contract(x_q, w_q, conv=w_axis == 1), act_scale, w_scales), stats
+    return _scale(_contract(x_q, w_q, conv=w_q.ndim == 4), act_scale, w_scales), stats
 
 
 def mixed_gemm(
@@ -305,7 +297,6 @@ def mixed_gemm(
     group_size: int,
     group_flags,
     extraction: str | None = None,
-    w_lo: np.ndarray | None = None,
     lowering: Lowering | None = None,
 ) -> tuple[np.ndarray, KernelStats]:
     """Mixed-precision integer GEMM.
@@ -313,13 +304,12 @@ def mixed_gemm(
     x_q: [B, K] int8 activation codes; w_q: [K, N] int8 weight codes with
     per-output-channel scales ``w_scales`` [N].  Groups flagged 4-bit are
     lowered per the plan (or per runtime scan when extraction is
-    "dynamic"); the rest are multiplied as plain 8-bit.  A caller that runs
-    the same layer again passes what it built once (``netsim`` keeps both
-    on the layer's ``QuantState``); each is computed when omitted:
-
-    - ``w_lo``: ``lower_weights(w_q, plan.weight_shifts, group_size, axis=0)``;
-    - ``lowering``: ``plan_lowering(plan, group_size, group_flags, K, extraction)``,
-      read only when some group is flagged.
+    "dynamic"); the rest are multiplied as plain 8-bit.  ``lowering`` is
+    ``plan_lowering(plan, group_size, group_flags, w_q, extraction, x_q.dtype)``,
+    read only when some group is flagged: a caller that runs the same layer
+    again passes the one it planned (``netsim`` keeps one per layer, flags
+    and mode), and its ``w`` is contracted in place of ``w_q``.  When it is
+    omitted the call plans its own, which lowers and copies the weights.
 
     Returns the float32 output [B, N] and extraction stats.
     """
@@ -327,8 +317,8 @@ def mixed_gemm(
     K = x_q.shape[1]
     if w_q.shape[0] != K:
         raise ValueError(f"shape mismatch: x has {K} channels, w has {w_q.shape[0]}")
-    return _mixed(x_q, w_q, 0, act_scale, w_scales, plan, group_size, group_flags, extraction,
-                  w_lo, lowering)
+    return _mixed(x_q, w_q, act_scale, w_scales, plan, group_size, group_flags, extraction,
+                  lowering)
 
 
 def mixed_conv2d(
@@ -340,7 +330,6 @@ def mixed_conv2d(
     group_size: int,
     group_flags,
     extraction: str | None = None,
-    w_lo: np.ndarray | None = None,
     lowering: Lowering | None = None,
 ) -> tuple[np.ndarray, KernelStats]:
     """Mixed-precision 2-D convolution (stride 1, same padding).
@@ -348,15 +337,14 @@ def mixed_conv2d(
     x_q: [B, C, H, W] int8 codes; w_q: [O, C, kh, kw] int8 codes.
     Feature channels are input channels; semantics match an im2col GEMM
     where every spatial tap of a channel shares that channel's group
-    shift.  ``w_lo`` and ``lowering`` are as for ``mixed_gemm``, with
-    ``axis=1`` and ``ndim=4``.
+    shift.  ``lowering`` is as for ``mixed_gemm``.
     """
     x_q, w_q = np.asarray(x_q), np.asarray(w_q)
     C, Cw = x_q.shape[1], w_q.shape[1]
     if Cw != C:
         raise ValueError(f"shape mismatch: x has {C} channels, w has {Cw}")
-    return _mixed(x_q, w_q, 1, act_scale, w_scales, plan, group_size, group_flags, extraction,
-                  w_lo, lowering)
+    return _mixed(x_q, w_q, act_scale, w_scales, plan, group_size, group_flags, extraction,
+                  lowering)
 
 
 def int_gemm(x_q: np.ndarray, w_q: np.ndarray, act_scale: float, w_scales: np.ndarray) -> np.ndarray:

@@ -17,10 +17,9 @@ scales, the 8- and 4-bit weight codes, the extraction shifts and lowered
 weights) is rebuilt from the float weights and ranges, not on load but on
 its first read (``netsim.QuantState``), one part at a time, so a stage that
 reads only the ranges quantizes no weights and a mixed forward no 4-bit
-ones; keys that older manifests carry for them are ignored.  ``codes_file``
-is written for readers of the tree and never read back; writing it builds
-each layer's 8-bit part (scales and codes) and nothing else.  Every file is
-written atomically (``write_atomic``), the manifest last, so an
+ones.  ``codes_file`` is written for readers of the tree and never read
+back; writing it builds each layer's 8-bit part (scales and codes) and
+nothing else.  Every file is written atomically (``write_atomic``), the manifest last, so an
 interrupted save leaves each file whole, old or new; a file that already
 holds the bytes to write is left alone, so a stage rewrites only what it
 changed.

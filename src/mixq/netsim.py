@@ -16,7 +16,7 @@ what a call reads is ever built: a mixed forward quantizes no weights to 4
 bits and lowers the weights of a layer only once its flags set a group.  A
 quantized run calls the kernels straight from each layer's state; in mixed
 mode the state also memoizes, per prepared set of group flags and extraction
-mode, the kernel's ``kernels.Lowering``.
+mode, the kernel's ``kernels.Lowering``, which holds the weight operand.
 """
 
 from __future__ import annotations
@@ -140,8 +140,8 @@ class QuantState:
     So a stage that reads only the ranges quantizes no weights, int8 and
     mixed inference quantize no weights to 4 bits, int8 or int4 inference
     plans no extraction, and a mixed forward lowers only the weights of
-    layers whose flags set a group.  ``lowering`` memoizes the one
-    per-call constant of a mixed kernel that is worth keeping.
+    layers whose flags set a group.  ``lowering`` memoizes the constants
+    of a mixed kernel's call, its weight operand included.
     """
 
     weight: np.ndarray  # the layer's float32 weight
@@ -152,7 +152,7 @@ class QuantState:
     def __post_init__(self):
         if self.mode not in EXTRACTION_MODES:
             raise ValueError(f"unknown extraction mode {self.mode!r}")
-        self._lowerings: dict[tuple[bytes, str | None], kernels.Lowering] = {}
+        self._lowerings: dict[tuple[bytes, str], kernels.Lowering] = {}
 
     def __getattr__(self, name):
         # reached only while ``name`` is unset: build the part it belongs to
@@ -164,8 +164,7 @@ class QuantState:
             self.plan = plan_extraction(self.act_q8_bounds(), self.w_q8, self.group_size,
                                         mode=self.mode)
         elif name == "w_lo8":
-            self.w_lo8 = kernels.lower_weights(self.w_q8, self.plan.weight_shifts, self.group_size,
-                                               axis=1)
+            self.w_lo8 = kernels.lower_weights(self.w_q8, self.plan.weight_shifts, self.group_size)
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         return self.__dict__[name]
@@ -183,23 +182,30 @@ class QuantState:
         under 4-bit group ``flags`` and ``extraction`` (default: the plan's
         mode), or None when no group is flagged.
 
-        It is planned once per (flags, extraction) and holds its own
-        read-only copy of the flags, so changing the caller's array later
-        cannot make it stale.
+        It is planned once per flags and mode (``extraction``, or the plan's
+        when None) and holds its own read-only copy of the flags, so
+        changing the caller's array later cannot make it stale.
         """
         flags = np.asarray(flags, dtype=bool)
         if not flags.any():
             return None
-        key = (flags.tobytes(), extraction)
+        key = (flags.tobytes(), extraction or self.mode)
         lowering = self._lowerings.get(key)
         if lowering is None:
             flags = flags.copy()
             flags.flags.writeable = False
-            lowering = self._lowerings[key] = kernels.plan_lowering(
-                self.plan, self.group_size, flags, self.weight.shape[1], extraction,
-                ndim=self.weight.ndim,
-            )
+            lowering = self._lowerings[key] = self._plan_lowering(flags, extraction)
         return lowering
+
+    def _plan_lowering(self, flags, extraction: str | None) -> kernels.Lowering:
+        """``kernels.plan_lowering`` on this layer's 8-bit and lowered weight
+        codes as the kernel takes them: a GEMM's [K, N] are views of the
+        [N, K] codes."""
+        w_q, w_lo = self.w_q8, self.w_lo8
+        if w_q.ndim == 2:
+            w_q, w_lo = w_q.T, w_lo.T
+        return kernels.plan_lowering(self.plan, self.group_size, flags, w_q, extraction,
+                                     w_lo=w_lo)
 
     def act_q8_bounds(self) -> np.ndarray:
         """[n_channels, 2] int64 (lo, hi) 8-bit activation code bounds of the
@@ -281,12 +287,9 @@ def _matmul_quant(layer: Layer, state: QuantState, h, mode: str, group_size: int
     if mode != "mixed":
         kernel = kernels.int_conv2d if conv else kernels.int_gemm
         return kernel(codes, w_q, act_scale, scales), None
-    w_lo = None  # an all-8-bit call reads no lowered weights
-    if np.any(flags):
-        w_lo = state.w_lo8 if conv else state.w_lo8.T
     kernel = kernels.mixed_conv2d if conv else kernels.mixed_gemm
     return kernel(codes, w_q, act_scale, scales, state.plan, group_size, group_flags=flags,
-                  extraction=extraction, w_lo=w_lo, lowering=lowering)
+                  extraction=extraction, lowering=lowering)
 
 
 def run(
@@ -307,11 +310,11 @@ def run(
     layer without flags runs all-8-bit.  The kernels' lowerings of a
     prepared selection come from each state's memo
     (``QuantState.lowering``); those of ``flags_override`` are planned per
-    call and not kept.  A layer calibrated with naive extraction takes no
-    other ``extraction``: its plan holds shift 4 for every group.  If
-    ``record`` is given, it gets a ``LayerRecord`` per matmul layer index:
-    the layer's float input and output, and in mixed mode the flags used
-    and the kernel's stats.
+    call from the state's lowered weights and not kept.  A layer calibrated
+    with naive extraction takes no other ``extraction``: its plan holds
+    shift 4 for every group.  If ``record`` is given, it gets a
+    ``LayerRecord`` per matmul layer index: the layer's float input and
+    output, and in mixed mode the flags used and the kernel's stats.
     """
     if mode not in ("fp32", "int8", "int4", "mixed"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -351,6 +354,8 @@ def run(
                         lowering = state.lowering(flags, extraction)
                         if lowering is not None:
                             flags = lowering.flags
+                    elif np.any(flags):
+                        lowering = state._plan_lowering(flags, extraction)
                 h, kstats = _matmul_quant(
                     layer, state, h, mode, model.group_size, flags, extraction, lowering
                 )

@@ -11,9 +11,10 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mixq import cli, evoselect, modelio, scoring
+from mixq import cli, evoselect, kernels, modelio, scoring
 from conftest import small_conv_model, small_model
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -33,13 +34,38 @@ def test_traced_names_resolve(module, attr):
     assert callable(functools.reduce(getattr, attr.split("."), mod))
 
 
-@pytest.mark.parametrize("conv", [False, True], ids=["linear", "conv"])
-def test_check_kernel_passes_on_a_tiny_prepared_net(conv):
+def selected_model(conv):
+    """A tiny prepared net with a greedy selection at the ratio check_kernel
+    runs, and four eval samples."""
     model, _, (x_ev, _) = small_conv_model(seed=4) if conv else small_model(seed=4)
     ratio = workloads.RATIOS[1]
     chrom = evoselect.select_greedy(model, scoring.score_groups(model), ratio)
     evoselect.install_selections(model, {ratio: chrom})
-    workloads.check_kernel(model, x_ev[:4], conv=conv)
+    return model, x_ev[:4]
+
+
+@pytest.mark.parametrize("conv", [False, True], ids=["linear", "conv"])
+def test_check_kernel_passes_on_a_tiny_prepared_net(conv):
+    model, x = selected_model(conv)
+    workloads.check_kernel(model, x, conv=conv)
+
+
+@pytest.mark.parametrize("conv", [False, True], ids=["linear", "conv"])
+def test_check_kernel_fails_on_a_kernel_one_ulp_off(conv, monkeypatch):
+    """The oracle slice check still reads the kernel it wraps: a mixed
+    kernel whose every output moved by one float32 ulp fails it."""
+    model, x = selected_model(conv)
+    name = "mixed_conv2d" if conv else "mixed_gemm"
+    kernel = getattr(kernels, name)
+
+    @functools.wraps(kernel)
+    def nudged(*args, **kwargs):
+        out, stats = kernel(*args, **kwargs)
+        return np.nextafter(out, np.float32(np.inf)), stats
+
+    monkeypatch.setattr(kernels, name, nudged)
+    with pytest.raises(workloads.CheckFailed, match="differs from the scalar oracle"):
+        workloads.check_kernel(model, x, conv=conv)
 
 
 def test_saved_bytes_reads_a_fresh_model_directory(tmp_path):

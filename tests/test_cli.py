@@ -265,18 +265,22 @@ def test_ratio_outside_unit_interval_exit_2(demo_dir, capsys, command, ratio):
 
 
 def test_infer_without_selections_exit_4(tmp_path, capsys):
+    """Once "pass --ratio or run select first", though every --ratio then
+    failed with "ratio 0.5 not prepared; available: []" and report-l2
+    takes no --ratio."""
     graph = synth.make_linear_net(3, 2, 16, 4, 8)
     x, y = synth.make_dataset(4, 16, 4, 32)
     modelio.save_model(tmp_path, netsim.prepare(graph, [x]))
     modelio.save_dataset(tmp_path, "eval", x, y)
-    assert run_cli("infer", "--model", str(tmp_path)) == 4
-    assert "no selections prepared; pass --ratio or run select first" in capsys.readouterr().err
-    assert run_cli("infer", "--model", str(tmp_path), "--mode", "int8") == 0
     # report-l2 once exited 0 with an l2.csv holding only its header
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    assert run_cli("report-l2", "--model", str(tmp_path)) == 4
-    assert "no selections prepared; pass --ratio or run select first" in capsys.readouterr().err
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    for argv in [("infer",), ("infer", "--ratio", "0.5"), ("report-saturation",),
+                 ("report-saturation", "--ratio", "0.5"), ("report-l2",)]:
+        assert run_cli(argv[0], "--model", str(tmp_path), *argv[1:]) == 4, argv
+        assert (f"{tmp_path}: no selections prepared; run mixq select first"
+                in capsys.readouterr().err), argv
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert run_cli("infer", "--model", str(tmp_path), "--mode", "int8") == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -202,18 +202,21 @@ def kernel_cases(draw, conv):
 
 
 def check_against_oracle(case, conv):
-    x_q, w_q, bounds, group_size, flags, select, mode, extraction, pass_w_lo = case
+    x_q, w_q, bounds, group_size, flags, select, mode, extraction, pass_lowering = case
     n_out = w_q.shape[0] if conv else w_q.shape[1]
     w_scales = np.linspace(1e-3, 1e-1, n_out)
     plan = plan_extraction(bounds, w_q if conv else w_q.T, group_size, mode=mode)
     kernel = mixed_conv2d if conv else mixed_gemm
     got, stats = kernel(x_q, w_q, 0.02, w_scales, plan, group_size, extraction=extraction, **select)
-    if pass_w_lo:
-        # the lowered weights a caller builds once give byte-identical results,
-        # also where naive extraction overrides the plan and must ignore them
-        w_lo = lower_weights(w_q, plan.weight_shifts, group_size, axis=1 if conv else 0)
+    if pass_lowering:
+        # a lowering planned once from the lowered weights a caller keeps gives
+        # byte-identical results, also where naive extraction overrides the
+        # plan and must lower the weights again
+        w_lo = lower_weights(w_q if conv else w_q.T, plan.weight_shifts, group_size)
+        lowering = plan_lowering(plan, group_size, flags, w_q, extraction, x_q.dtype,
+                                 w_lo=w_lo if conv else w_lo.T)
         cached, cached_stats = kernel(x_q, w_q, 0.02, w_scales, plan, group_size,
-                                      extraction=extraction, w_lo=w_lo, **select)
+                                      extraction=extraction, lowering=lowering, **select)
         assert cached.tobytes() == got.tobytes() and cached.strides == got.strides
         for field in ("saturated_channels", "act_shifts_used"):
             a, b = getattr(cached_stats, field), getattr(stats, field)
@@ -343,7 +346,7 @@ def test_planned_constants_give_the_same_results_and_must_fit_the_call(mode):
         x_q, w_q, act_scale, w_scales, bounds, flags = random_case(rng)
         x8, w8 = x_q.astype(np.int8), w_q.astype(np.int8)
         plan = plan_extraction(bounds, w_q.T.copy(), 4, mode=mode)
-        planned = {"lowering": plan_lowering(plan, 4, flags, x8.shape[1])}
+        planned = {"lowering": plan_lowering(plan, 4, flags, w8)}
         want, want_stats = mixed_gemm(x8, w8, act_scale, w_scales, plan, 4, group_flags=flags)
         got, stats = mixed_gemm(x8, w8, act_scale, w_scales, plan, 4, group_flags=flags, **planned)
         assert got.tobytes() == want.tobytes() and got.strides == want.strides
@@ -355,3 +358,17 @@ def test_planned_constants_give_the_same_results_and_must_fit_the_call(mode):
         for bad in bad_calls:
             with pytest.raises(ValueError, match="lowering was planned"):
                 mixed_gemm(x8, w8, act_scale, w_scales, plan, 4, **bad, **planned)
+
+
+def test_a_lowering_planned_for_another_weight_shape_is_rejected():
+    """A lowering holds the weight operand it was planned for: a call on
+    weights of another shape does not contract it."""
+    rng = np.random.default_rng(13)
+    x_q, w_q, act_scale, w_scales, bounds, flags = random_case(rng)
+    flags[0] = True
+    wider = np.concatenate([w_q, w_q], axis=1)
+    plan = plan_extraction(bounds, w_q.T.copy(), 4)
+    other = plan_lowering(plan_extraction(bounds, wider.T.copy(), 4), 4, flags, wider,
+                          dtype=x_q.dtype)
+    with pytest.raises(ValueError, match="lowering was planned"):
+        mixed_gemm(x_q, w_q, act_scale, w_scales, plan, 4, group_flags=flags, lowering=other)

@@ -89,7 +89,7 @@ def eager_state(weight, act_range, group_size, mode) -> dict:
     hi = np.clip(np.rint(act_range.max / act_scale), -128, 127)
     bounds = np.stack([lo, hi], axis=1).astype(np.int64)
     plan = plan_extraction(bounds, q8, group_size, mode=mode)
-    w_lo8 = kernels.lower_weights(q8, plan.weight_shifts, group_size, axis=1)
+    w_lo8 = kernels.lower_weights(q8, plan.weight_shifts, group_size)
     return dict(act_scale=act_scale, act_scale4=act_scale4, w_scales8=s8, w_q8=q8,
                 w_scales4=s4, w_q4=q4, plan=plan, w_lo8=w_lo8)
 
@@ -457,7 +457,7 @@ def test_mixed_forward_reuses_the_lowered_weights(monkeypatch):
     run(model, x[:4], mode="mixed", flags_override=flags, extraction="naive")
     assert len(lowered) == len(calls) == len(matmuls)
     for (x_q, w_q, act_scale, w_scales, plan, group_size), kwargs, (got, _) in calls:
-        assert plan.mode == "static" and kwargs["w_lo"] is not None
+        assert plan.mode == "static" and kwargs["lowering"].mode == "naive"
         n_groups, n_out = plan.weight_shifts.shape
         naive = ExtractionPlan(np.full(n_groups, MAX_SHIFT), np.full((n_groups, n_out), MAX_SHIFT),
                                mode="naive")
@@ -508,6 +508,47 @@ def test_lowerings_are_planned_once_per_prepared_flags(monkeypatch):
         run(model, x, mode="mixed", flags_override=flags, extraction="dynamic")
     assert len(planned) >= 50
     assert {i: len(model.states[i]._lowerings) for i in matmuls} == sizes
+
+
+def greedy_model():
+    """small_model(seed=4) with a greedy selection at 0.5."""
+    model, _, (x, _) = small_model(seed=4)
+    selection = evoselect.select_greedy(model, scoring.score_groups(model), 0.5)
+    evoselect.install_selections(model, {0.5: selection})
+    return model, selection, x
+
+
+def test_the_plan_mode_and_its_name_share_one_lowering():
+    """On a static plan, extraction None and "static" are one mode, so
+    their forwards keep one lowering, and one weight operand, per flagged
+    layer."""
+    model, selection, x = greedy_model()
+    for extraction in (None, "static", None):
+        run(model, x, mode="mixed", ratio=0.5, extraction=extraction)
+    flagged = [i for i, flags in selection.items() if flags.any()]
+    assert flagged
+    assert {i: len(model.states[i]._lowerings) for i in flagged} == dict.fromkeys(flagged, 1)
+
+
+def test_naive_forwards_at_a_prepared_ratio_lower_the_weights_once(monkeypatch):
+    """Naive extraction on a static plan lowers each flagged layer's weights
+    with shift 4 when its lowering is planned, not again on later calls."""
+    model, selection, x = greedy_model()
+    shifts = []
+    lower_weights = kernels.lower_weights
+
+    def counted(w_q, weight_shifts, *args, **kwargs):
+        shifts.append(weight_shifts)
+        return lower_weights(w_q, weight_shifts, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "lower_weights", counted)
+    for _ in range(3):
+        run(model, x, mode="mixed", ratio=0.5, extraction="naive")
+    naive = [s for s in shifts if np.all(s == MAX_SHIFT)]
+    assert len(naive) == sum(1 for flags in selection.values() if flags.any())
+    shifts.clear()
+    run(model, x, mode="mixed", ratio=0.5, extraction="naive")
+    assert shifts == []
 
 
 def test_record_holds_one_entry_per_matmul_layer():
