@@ -6,29 +6,35 @@ code: x4 = clip(x >> px, -8, 7), and it stands for x4 << px.  Because
 ordinary 8-bit matmul on operands lowered elementwise: each flagged
 group's codes are replaced by clip(q >> p, -8, 7) << p.  So every kernel
 is one lowering step (mixed kernels only) followed by one contraction, a
-plain GEMM or a same-padded conv.
+plain GEMM or a same-padded conv.  A conv contracts as one GEMM over an
+im2col patch matrix (``_conv_gemm``), built and contracted in row blocks
+of at most ``PATCH_BYTES``; ``conv2d_same``, one matmul per kernel tap,
+stays the fp32 path and the tests' reference.
 
 The constants of a mixed kernel for one set of group flags and extraction
 mode are planned once by the caller and passed in as one ``Lowering``
 (``plan_lowering``; planned per call when omitted): the per-channel shift
 and clip vectors of the activations, and the weight operand, the 8-bit
-codes with the flagged channels' codes lowered.  ``netsim`` keeps one per
-layer, flags and mode on the layer's ``QuantState``, planned from the
-layer's fully lowered weights (``lower_weights``), which it keeps too.  A
-call then only lowers the activation codes in one vectorized pass,
-contracts them with the planned weights and scales.  The contraction's
+codes with the flagged channels' codes lowered (with every group flagged,
+a view of the fully lowered codes).  ``netsim`` keeps one per layer,
+flags and mode on the layer's ``QuantState``, planned from the layer's
+fully lowered weights (``lower_weights``), which it keeps too.  A call
+then only lowers the activation codes in one vectorized pass, contracts
+them with the planned weights and scales.  The contraction's
 bound comes from the operands' dtypes and shapes, and the output scales
 act_scale * w_scales are fused per call; both cost next to nothing.
 
 The contraction is a float BLAS product of the integer codes, and it is
 exact: every product and partial sum is an integer no larger than
-K * max|x| * max|w| (K products per output).  float32 holds every integer
-up to 2^24 and float64 every integer up to 2^53, so ``_contract`` runs in
-float32 while that bound is at most 2^24 (K <= 1024 for 8-bit codes) and
-in float64 up to 2^53; beyond that a kernel raises ``OverflowError``.
-BLAS's order of summation cannot change an accumulator.  A lowered code
-still lies in [-128, 127], so 8-bit products stay below K * 2^14, and the
-32-bit accumulator check (also ``OverflowError``) trips long before 2^53.
+K * max|x| * max|w| (K products per output, kh * kw * C for a conv).
+float32 holds every integer up to 2^24 and float64 every integer up to
+2^53, so ``_contract`` runs in float32 while that bound is at most 2^24
+(K <= 1024 for 8-bit codes) and in float64 up to 2^53; beyond that a
+kernel raises ``OverflowError``.  Neither BLAS's order of summation nor
+a conv's tap order or blocking can change an accumulator.  A lowered
+code still lies in [-128, 127], so 8-bit products stay below K * 2^14,
+and the 32-bit accumulator check (also ``OverflowError``) trips long
+before 2^53.
 """
 
 from __future__ import annotations
@@ -37,12 +43,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bitlower import MAX_SHIFT, Q4_MAX, Q4_MIN, ExtractionPlan, group_shifts, group_slices
 
 INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1
 F32_EXACT_LIMIT = 1 << 24  # float32 represents every integer of at most this magnitude
 EXACT_LIMIT = 1 << 53  # float64 represents every integer of at most this magnitude
+# bytes of one block of a conv's patch matrix: ~1 MiB stays in a core's L2
+# between its copy and its GEMM, and was the fastest of 0.5-4 MiB measured
+PATCH_BYTES = 1 << 20
 
 
 @dataclass
@@ -110,7 +120,8 @@ class Lowering:
     its group, or to ``n_groups`` on 8-bit channels.  ``w`` is the read-only
     weight operand of the contraction: the lowered codes on flagged
     channels, the 8-bit codes elsewhere, in the shape and memory order of
-    the kernel's ``w_q``.
+    the kernel's ``w_q``; when every group is flagged, it is a view of the
+    fully lowered codes it was planned from, not a copy.
     """
 
     flags: np.ndarray
@@ -145,7 +156,9 @@ def plan_lowering(
 
     ``w_lo`` is ``w_q`` with every group lowered per the plan, as
     ``lower_weights`` builds it; it is built here when omitted, and with
-    ``MAX_SHIFT`` when naive extraction overrides a plan of another mode.
+    ``MAX_SHIFT`` when naive extraction overrides a plan of another mode
+    (a ``w_lo`` given is then not read).  When every group is flagged, the
+    lowering's ``w`` is a view of ``w_lo``, which must then stay unchanged.
     """
     axis = 1 if w_q.ndim == 4 else 0  # input channels of [O, C, kh, kw] or [K, N]
     n_in = w_q.shape[axis]
@@ -166,14 +179,17 @@ def plan_lowering(
     info = np.iinfo(dtype)
     lo = np.where(on, Q4_MIN, info.min).astype(dtype).reshape(channel_shape)
     hi = np.where(on, Q4_MAX, info.max).astype(dtype).reshape(channel_shape)
-    # each run of flagged channels is one slice copy, ~5x faster than a masked
-    # np.copyto; np.copy keeps the memory order of ``w_q``
-    padded = np.concatenate(([False], flags, [False]))
-    edges = np.minimum(np.flatnonzero(padded[1:] != padded[:-1]) * group_size, n_in)
-    w, index = np.copy(w_q), [slice(None)] * w_q.ndim
-    for start, stop in edges.reshape(-1, 2):
-        index[axis] = slice(start, stop)
-        w[tuple(index)] = w_lo[tuple(index)]
+    if flags.all():  # every channel lowered: the operand is ``w_lo`` itself
+        w = w_lo.view()
+    else:
+        # each run of flagged channels is one slice copy, ~5x faster than a
+        # masked np.copyto; np.copy keeps the memory order of ``w_q``
+        padded = np.concatenate(([False], flags, [False]))
+        edges = np.minimum(np.flatnonzero(padded[1:] != padded[:-1]) * group_size, n_in)
+        w, index = np.copy(w_q), [slice(None)] * w_q.ndim
+        for start, stop in edges.reshape(-1, 2):
+            index[axis] = slice(start, stop)
+            w[tuple(index)] = w_lo[tuple(index)]
     w.flags.writeable = False
     px = mul = None
     if mode != "dynamic":
@@ -222,14 +238,14 @@ def _magnitude(q: np.ndarray) -> int:
 
 
 def _contract(x: np.ndarray, w: np.ndarray, conv: bool) -> np.ndarray:
-    """Integer accumulators of codes ``x`` and ``w`` as one float BLAS GEMM
-    or same-padded conv, checked against the 32-bit accumulator range.
+    """Integer accumulators of codes ``x`` and ``w`` as float BLAS GEMMs,
+    checked against the 32-bit accumulator range.
 
     No partial sum exceeds bound = (products per output) * max|x| * max|w|,
     so the result is exact in float32 while bound <= 2^24 and in float64
     while bound <= 2^53; beyond that it raises.  The GEMM runs as
     (w.T @ x.T).T, which lets BLAS read [N, K] C-ordered weight codes (the
-    layout ``netsim`` holds) without a copy.
+    layout ``netsim`` holds) without a copy; a conv runs as ``_conv_gemm``.
     """
     terms = math.prod(w.shape[1:]) if conv else w.shape[0]
     mx, mw = _magnitude(x), _magnitude(w)
@@ -240,11 +256,47 @@ def _contract(x: np.ndarray, w: np.ndarray, conv: bool) -> np.ndarray:
             f"up to {mx} x {mw} could exceed it"
         )
     dtype = np.float32 if bound <= F32_EXACT_LIMIT else np.float64
-    x, w = x.astype(dtype), w.astype(dtype)
-    acc = conv2d_same(x, w) if conv else (w.T @ x.T).T
+    acc = _conv_gemm(x, w, dtype) if conv else (w.astype(dtype).T @ x.astype(dtype).T).T
     if bound > INT32_MAX and (acc.min(initial=0) < INT32_MIN or acc.max(initial=0) > INT32_MAX):
         raise OverflowError("32-bit accumulator would wrap for this shape")
     return acc
+
+
+def _conv_gemm(x: np.ndarray, w: np.ndarray, dtype) -> np.ndarray:
+    """Same-padded stride-1 conv of codes ``x`` [B, C, H, W] and ``w``
+    [O, C, kh, kw] as GEMMs in float ``dtype`` over an im2col patch matrix.
+
+    Row (b, y, x) of the [B*H*W, kh*kw*C] patch matrix holds the input
+    window of that output pixel in (dy, dx, c) order, read from a
+    zero-padded channels-last copy of ``x`` with the padding offsets of
+    ``conv2d_same``; it is contracted with the [kh*kw*C, O] weight taps.
+    The patches are built in blocks of whole images, or of image rows when
+    one image exceeds ``PATCH_BYTES``, one strided copy and one GEMM each:
+    rows are independent, so blocking cannot change an integer accumulator.
+    Returns [B, O, H, W], a view of a channels-last array.
+    """
+    B, C, H, W = x.shape
+    O, _, kh, kw = w.shape
+    K = kh * kw * C
+    if 0 in (B, H, W, O, K):  # an empty output, or sums of no products
+        return np.zeros((B, H, W, O), dtype).transpose(0, 3, 1, 2)
+    xp = np.zeros((B, H + kh - 1, W + kw - 1, C), dtype)
+    xp[:, kh // 2 : kh // 2 + H, kw // 2 : kw // 2 + W] = x.transpose(0, 2, 3, 1)
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+    taps = np.ascontiguousarray(w.transpose(2, 3, 1, 0), dtype=dtype).reshape(K, O)
+    lines = max(1, PATCH_BYTES // (W * K * xp.itemsize))  # image rows per block
+    rows, images = min(H, lines), max(1, lines // H)
+    # a block is whole images or rows of one image, so it and its output are contiguous
+    patches = np.empty((min(images, B), rows, W, kh, kw, C), dtype)
+    out = np.empty((B, H, W, O), dtype)
+    for b in range(0, B, images):
+        for y in range(0, H, rows):
+            window = windows[b : b + images, y : y + rows]
+            block = patches[: window.shape[0], : window.shape[1]]
+            np.copyto(block, window)
+            acc = out[b : b + images, y : y + rows].reshape(-1, O)
+            np.matmul(block.reshape(-1, K), taps, out=acc)
+    return out.transpose(0, 3, 1, 2)
 
 
 def conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -253,7 +305,10 @@ def conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     x: [B, C, H, W]; w: [O, C, kh, kw]; returns [B, O, H, W] (a view of a
     channels-last array).  Each of the kh * kw taps is one matmul of the
     shifted channels-last input [B*H*W, C] with that tap's [C, O] weights,
-    so float operands run through BLAS; no im2col buffer is built.
+    so float operands run through BLAS.  This is the fp32 path
+    (``netsim._matmul_fp32``) and the tests' reference for ``_conv_gemm``:
+    its fixed per-tap order of float sums keeps fp32 outputs bit-identical,
+    which an im2col GEMM, free to sum in any order, would not.
     """
     B, C, H, W = x.shape
     O, _, kh, kw = w.shape

@@ -200,10 +200,13 @@ class QuantState:
     def _plan_lowering(self, flags, extraction: str | None) -> kernels.Lowering:
         """``kernels.plan_lowering`` on this layer's 8-bit and lowered weight
         codes as the kernel takes them: a GEMM's [K, N] are views of the
-        [N, K] codes."""
-        w_q, w_lo = self.w_q8, self.w_lo8
+        [N, K] codes.  Naive extraction on a plan of another mode reads no
+        ``w_lo8``: ``plan_lowering`` lowers the weights at shift 4 itself."""
+        w_q, w_lo = self.w_q8, None
+        if extraction != "naive" or self.mode == "naive":
+            w_lo = self.w_lo8
         if w_q.ndim == 2:
-            w_q, w_lo = w_q.T, w_lo.T
+            w_q, w_lo = w_q.T, (None if w_lo is None else w_lo.T)
         return kernels.plan_lowering(self.plan, self.group_size, flags, w_q, extraction,
                                      w_lo=w_lo)
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixq import cli, evoselect, kernels, modelio, scoring
+from mixq import cli, evoselect, kernels, modelio, netsim, scoring
 from conftest import small_conv_model, small_model
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -66,6 +66,34 @@ def test_check_kernel_fails_on_a_kernel_one_ulp_off(conv, monkeypatch):
     monkeypatch.setattr(kernels, name, nudged)
     with pytest.raises(workloads.CheckFailed, match="differs from the scalar oracle"):
         workloads.check_kernel(model, x, conv=conv)
+
+
+@pytest.mark.parametrize("conv", [False, True], ids=["linear", "conv"])
+def test_every_quantized_forward_passes_the_traced_coverage_rule(conv):
+    """The traced benchmark's ``coverage_errors`` rule holds on a tiny net:
+    every int8, int4 and mixed ``netsim.run``, at each prepared ratio and
+    with ``flags_override``, makes exactly one kernel call per matmul
+    layer, and no kernel runs outside a forward."""
+    model, _, (x, _) = small_conv_model(seed=4) if conv else small_model(seed=4)
+    scores = scoring.score_groups(model)
+    evoselect.install_selections(
+        model, {r: evoselect.select_greedy(model, scores, r) for r in workloads.RATIOS})
+    rng = np.random.default_rng(0)
+    override = {i: rng.random(model.n_groups(i)) < 0.5 for i in model.graph.matmul_indices()}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for mode in ("int8", "int4"):
+            netsim.run(model, x, mode=mode)
+        for ratio in workloads.RATIOS:
+            netsim.set_ratio(model, ratio)
+            netsim.run(model, x, mode="mixed")
+        netsim.run(model, x, mode="mixed", flags_override=override)
+    finally:
+        tracer.uninstall()
+    kind = "conv2d" if conv else "gemm"
+    assert tracer.coverage_errors([f"kernels.int_{kind}", f"kernels.mixed_{kind}"]) == []
+    assert sum(span[0] == "netsim.run" for span in tracer.spans) == 3 + len(workloads.RATIOS)
 
 
 def test_saved_bytes_reads_a_fresh_model_directory(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixq import oracle
+from mixq import kernels, oracle
 from mixq.bitlower import group_slices, plan_extraction, signed_bitwidth
 from mixq.kernels import (
     accumulator_error_bound,
@@ -333,6 +333,36 @@ def test_conv2d_same_property_matches_direct_reference(shape, kernel, seed):
     assert got.shape == want.shape and np.array_equal(got, want)
     x, w = rng.standard_normal((B, C, H, W)), rng.standard_normal((O, C, kh, kw))
     assert np.allclose(conv2d_same(x, w), conv_reference(x, w).astype(np.float64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(*[st.integers(1, 3)] * 3, st.integers(1, 4), st.integers(1, 4)),
+    kernel=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    bits=st.sampled_from([4, 8]),
+    channels_last=st.booleans(),
+    budget=st.integers(1, 2048),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv_contraction_property_matches_direct_reference(shape, kernel, bits, channels_last,
+                                                            budget, seed):
+    """The im2col contraction of integer codes equals the direct reference
+    and ``conv2d_same`` bit for bit, on 4- and 8-bit code ranges, on the
+    channels-last inputs ``netsim.run`` passes, and with a patch budget
+    small enough to split the patch matrix into many row blocks."""
+    (B, C, O, H, W), (kh, kw) = shape, kernel
+    rng = np.random.default_rng(seed)
+    q = 1 << (bits - 1)
+    x_q = rng.integers(-q, q, size=(B, C, H, W))
+    w_q = rng.integers(-q, q, size=(O, C, kh, kw))
+    if channels_last:
+        x_q = np.ascontiguousarray(x_q.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "PATCH_BYTES", budget)
+        got = kernels._contract(x_q, w_q, conv=True)
+    want = conv_reference(x_q, w_q).astype(np.int64)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(got, conv2d_same(x_q, w_q))
 
 
 @pytest.mark.parametrize("mode", ["static", "dynamic", "naive"])

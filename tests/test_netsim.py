@@ -532,7 +532,9 @@ def test_the_plan_mode_and_its_name_share_one_lowering():
 
 def test_naive_forwards_at_a_prepared_ratio_lower_the_weights_once(monkeypatch):
     """Naive extraction on a static plan lowers each flagged layer's weights
-    with shift 4 when its lowering is planned, not again on later calls."""
+    once, with shift 4, when its lowering is planned: never at the plan's
+    shifts (``w_lo8``, which those forwards do not read), and not again on
+    later calls."""
     model, selection, x = greedy_model()
     shifts = []
     lower_weights = kernels.lower_weights
@@ -542,13 +544,31 @@ def test_naive_forwards_at_a_prepared_ratio_lower_the_weights_once(monkeypatch):
         return lower_weights(w_q, weight_shifts, *args, **kwargs)
 
     monkeypatch.setattr(kernels, "lower_weights", counted)
+    run(model, x, mode="mixed", ratio=0.5, extraction="naive")
+    assert len(shifts) == sum(1 for flags in selection.values() if flags.any())
+    assert all(np.all(s == MAX_SHIFT) for s in shifts)
+    shifts.clear()
     for _ in range(3):
         run(model, x, mode="mixed", ratio=0.5, extraction="naive")
-    naive = [s for s in shifts if np.all(s == MAX_SHIFT)]
-    assert len(naive) == sum(1 for flags in selection.values() if flags.any())
-    shifts.clear()
-    run(model, x, mode="mixed", ratio=0.5, extraction="naive")
     assert shifts == []
+
+
+@pytest.mark.parametrize("conv", [False, True], ids=["linear", "conv"])
+def test_a_fully_flagged_layer_contracts_a_view_of_its_lowered_weights(conv):
+    """With every group flagged, a layer's lowering holds a read-only view
+    of ``w_lo8`` as its weight operand, not a copy; with some group 8-bit,
+    it holds its own copy.  Either way ``w_lo8`` stays writable."""
+    model, _, (x, _) = small_conv_model(seed=4) if conv else small_model(seed=4)
+    matmuls = model.graph.matmul_indices()
+    model.selections = {r: {i: np.arange(model.n_groups(i)) < max(1, r * model.n_groups(i))
+                            for i in matmuls} for r in (0.5, 1.0)}
+    for ratio in (0.5, 1.0):
+        run(model, x, mode="mixed", ratio=ratio)
+        for i in matmuls:
+            state, flags = model.states[i], model.selections[ratio][i]
+            lowering = state.lowering(flags, None)
+            assert np.shares_memory(lowering.w, state.w_lo8) == flags.all()
+            assert not lowering.w.flags.writeable and state.w_lo8.flags.writeable
 
 
 def test_record_holds_one_entry_per_matmul_layer():
