@@ -8,8 +8,7 @@ group's codes are replaced by clip(q >> p, -8, 7) << p.  So every kernel
 is one lowering step (mixed kernels only) followed by one contraction, a
 plain GEMM or a same-padded conv.  A conv contracts as one GEMM over an
 im2col patch matrix (``_conv_gemm``), built and contracted in row blocks
-of at most ``PATCH_BYTES``; ``conv2d_same``, one matmul per kernel tap,
-stays the fp32 path and the tests' reference.
+of at most ``PATCH_BYTES``; it is also the fp32 conv path of ``netsim``.
 
 The constants of a mixed kernel for one set of group flags and extraction
 mode are planned once by the caller and passed in as one ``Lowering``
@@ -263,15 +262,18 @@ def _contract(x: np.ndarray, w: np.ndarray, conv: bool) -> np.ndarray:
 
 
 def _conv_gemm(x: np.ndarray, w: np.ndarray, dtype) -> np.ndarray:
-    """Same-padded stride-1 conv of codes ``x`` [B, C, H, W] and ``w``
+    """Same-padded stride-1 conv of ``x`` [B, C, H, W] and ``w``
     [O, C, kh, kw] as GEMMs in float ``dtype`` over an im2col patch matrix.
+    The operands are integer codes or, for the fp32 path, float32 values,
+    which ``dtype`` float64 multiplies exactly.
 
     Row (b, y, x) of the [B*H*W, kh*kw*C] patch matrix holds the input
-    window of that output pixel in (dy, dx, c) order, read from a
-    zero-padded channels-last copy of ``x`` with the padding offsets of
-    ``conv2d_same``; it is contracted with the [kh*kw*C, O] weight taps.
-    The patches are built in blocks of whole images, or of image rows when
-    one image exceeds ``PATCH_BYTES``, one strided copy and one GEMM each:
+    window of that output pixel in (dy, dx, c) order, read from a copy of
+    ``x`` in ``dtype``, channels-last and zero-padded by kh // 2 rows above
+    and kw // 2 columns left (so an even kernel pads one less below and
+    right); it is contracted with the [kh*kw*C, O] weight taps.  The
+    patches are built in blocks of whole images, or of image rows when one
+    image exceeds ``PATCH_BYTES``, one strided copy and one GEMM each:
     rows are independent, so blocking cannot change an integer accumulator.
     Returns [B, O, H, W], a view of a channels-last array.
     """
@@ -299,32 +301,10 @@ def _conv_gemm(x: np.ndarray, w: np.ndarray, dtype) -> np.ndarray:
     return out.transpose(0, 3, 1, 2)
 
 
-def conv2d_same(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Stride-1, same-padded 2-D convolution in the operands' dtype.
-
-    x: [B, C, H, W]; w: [O, C, kh, kw]; returns [B, O, H, W] (a view of a
-    channels-last array).  Each of the kh * kw taps is one matmul of the
-    shifted channels-last input [B*H*W, C] with that tap's [C, O] weights,
-    so float operands run through BLAS.  This is the fp32 path
-    (``netsim._matmul_fp32``) and the tests' reference for ``_conv_gemm``:
-    its fixed per-tap order of float sums keeps fp32 outputs bit-identical,
-    which an im2col GEMM, free to sum in any order, would not.
-    """
-    B, C, H, W = x.shape
-    O, _, kh, kw = w.shape
-    xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
-    taps = w.transpose(2, 3, 1, 0)  # [kh, kw, C, O]
-    out = np.zeros((B * H * W, O), dtype=np.result_type(x, w))
-    for dy in range(kh):
-        for dx in range(kw):
-            out += xp[:, dy : dy + H, dx : dx + W].reshape(-1, C) @ taps[dy, dx]
-    return out.reshape(B, H, W, O).transpose(0, 3, 1, 2)
-
-
 def _scale(acc: np.ndarray, act_scale: float, w_scales: np.ndarray) -> np.ndarray:
     """Apply the per-output scales act_scale * w_scales (outputs on axis 1)
     in float64 and round once to float32.  A GEMM output is C-ordered; a
-    conv output keeps the channels-last memory order of ``conv2d_same``."""
+    conv output keeps the channels-last memory order of ``_conv_gemm``."""
     scales = float(act_scale) * np.asarray(w_scales, dtype=np.float64)
     scales = scales.reshape((-1,) + (1,) * (acc.ndim - 2))
     out = np.empty_like(acc, dtype=np.float32, order="C" if acc.ndim == 2 else "K")

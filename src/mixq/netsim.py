@@ -22,7 +22,7 @@ mode, the kernel's ``kernels.Lowering``, which holds the weight operand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -184,7 +184,10 @@ class QuantState:
 
         It is planned once per flags and mode (``extraction``, or the plan's
         when None) and holds its own read-only copy of the flags, so
-        changing the caller's array later cannot make it stale.
+        changing the caller's array later cannot make it stale.  The static
+        and dynamic lowerings of one set of flags contract the same weight
+        operand, so the second one planned takes the first one's ``w``; a
+        naive one lowers its weights with shift 4 and keeps its own.
         """
         flags = np.asarray(flags, dtype=bool)
         if not flags.any():
@@ -194,7 +197,12 @@ class QuantState:
         if lowering is None:
             flags = flags.copy()
             flags.flags.writeable = False
-            lowering = self._lowerings[key] = self._plan_lowering(flags, extraction)
+            lowering = self._plan_lowering(flags, extraction)
+            other = {"static": "dynamic", "dynamic": "static"}.get(key[1])
+            twin = self._lowerings.get((key[0], other))
+            if twin is not None:
+                lowering = replace(lowering, w=twin.w)
+            self._lowerings[key] = lowering
         return lowering
 
     def _plan_lowering(self, flags, extraction: str | None) -> kernels.Lowering:
@@ -272,10 +280,9 @@ def gelu(x: np.ndarray) -> np.ndarray:
 
 
 def _matmul_fp32(layer: Layer, h: np.ndarray) -> np.ndarray:
-    w = layer.weight.astype(np.float64)
     if layer.kind == "linear":
-        return (h.astype(np.float64) @ w.T).astype(np.float32)
-    return kernels.conv2d_same(h.astype(np.float64), w).astype(np.float32)
+        return (h.astype(np.float64) @ layer.weight.astype(np.float64).T).astype(np.float32)
+    return kernels._conv_gemm(h, layer.weight, np.float64).astype(np.float32)
 
 
 def _matmul_quant(layer: Layer, state: QuantState, h, mode: str, group_size: int, flags,

@@ -6,6 +6,7 @@ the benchmark's modules and change none of their files.
 """
 
 import functools
+import hashlib
 import importlib
 import inspect
 import sys
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixq import cli, evoselect, kernels, modelio, netsim, scoring
+from mixq import cli, evoselect, kernels, modelio, netsim, scoring, synth
 from conftest import small_conv_model, small_model
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -32,6 +33,29 @@ SPECS = {"WIDE": workloads.WIDE, "CONV": workloads.CONV,
 def test_traced_names_resolve(module, attr):
     mod = importlib.import_module(f"mixq.{module}")
     assert callable(functools.reduce(getattr, attr.split("."), mod))
+
+
+# sha256 of the fp32 outputs of the seed-11 CONV net on its eval set, batch by
+# batch, taken while the fp32 conv still summed one kernel tap at a time
+CONV_FP32_PIN = "d63e279a99a08307c0633b609c70d282e0963b9a5172a7a28818e6c3e75908d7"
+
+
+def test_fp32_outputs_of_the_benchmark_conv_net_are_pinned():
+    """The fp32 conv sums float32 products in float64 in BLAS's order,
+    which could round an output to the other side of a float32 boundary
+    from the order it was pinned in; at the benchmark's size no output of
+    the seed-11 CONV net's eval batches does."""
+    spec, seed = workloads.CONV, 11
+    graph = synth.make_conv_net(cli.stage_seed(seed, "net"), spec.layers, spec.width, spec.hw,
+                                spec.classes, 3, spec.group)
+    x, _ = synth.make_image_dataset(cli.stage_seed(seed, "eval"), spec.width, spec.hw,
+                                    spec.classes, spec.n_eval)
+    model, h = netsim.PreparedModel(graph, {}), hashlib.sha256()
+    for i in range(0, len(x), spec.batch):
+        out = netsim.run(model, x[i : i + spec.batch], mode="fp32")
+        assert out.dtype == np.float32
+        h.update(np.ascontiguousarray(out).tobytes())
+    assert h.hexdigest() == CONV_FP32_PIN
 
 
 def selected_model(conv):

@@ -7,7 +7,6 @@ from mixq import kernels, oracle
 from mixq.bitlower import group_slices, plan_extraction, signed_bitwidth
 from mixq.kernels import (
     accumulator_error_bound,
-    conv2d_same,
     int_conv2d,
     int_gemm,
     lower_weights,
@@ -320,19 +319,35 @@ def conv_reference(x, w):
 @given(
     shape=st.tuples(*[st.integers(1, 3)] * 3, st.integers(1, 4), st.integers(1, 4)),
     kernel=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    channels_last=st.booleans(),
+    budget=st.integers(1, 2048),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_conv2d_same_property_matches_direct_reference(shape, kernel, seed):
+def test_fp32_conv_contraction_property_matches_direct_reference(shape, kernel, channels_last,
+                                                                 budget, seed):
+    """The fp32 conv path, the im2col contraction of float32 values in
+    float64, equals the direct reference bit for bit on integer-valued
+    operands, whose every partial sum is exact in any order, and is close
+    to it on random ones; on the channels-last inputs ``netsim.run``
+    passes, and with patch budgets small enough to split the patch matrix
+    into many row blocks."""
     (B, C, O, H, W), (kh, kw) = shape, kernel
     rng = np.random.default_rng(seed)
     x_q = rng.integers(-128, 128, size=(B, C, H, W))
     w_q = rng.integers(-128, 128, size=(O, C, kh, kw))
-    want = conv_reference(x_q, w_q).astype(np.int64)
-    assert np.array_equal(conv2d_same(x_q, w_q), want)
-    got = conv2d_same(x_q.astype(np.float64), w_q.astype(np.float64))
-    assert got.shape == want.shape and np.array_equal(got, want)
-    x, w = rng.standard_normal((B, C, H, W)), rng.standard_normal((O, C, kh, kw))
-    assert np.allclose(conv2d_same(x, w), conv_reference(x, w).astype(np.float64))
+    x = rng.standard_normal((B, C, H, W)).astype(np.float32)
+    w = rng.standard_normal((O, C, kh, kw)).astype(np.float32)
+    if channels_last:
+        x_q, x = (np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+                  for a in (x_q, x))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "PATCH_BYTES", budget)
+        exact = kernels._conv_gemm(x_q.astype(np.float32), w_q.astype(np.float32), np.float64)
+        close = kernels._conv_gemm(x, w, np.float64)
+    want = conv_reference(x_q, w_q).astype(np.float64)
+    assert exact.dtype == np.float64 and exact.shape == want.shape
+    assert np.array_equal(exact, want)
+    assert close.shape == want.shape and np.allclose(close, conv_reference(x, w).astype(np.float64))
 
 
 @settings(max_examples=60, deadline=None)
@@ -347,9 +362,9 @@ def test_conv2d_same_property_matches_direct_reference(shape, kernel, seed):
 def test_conv_contraction_property_matches_direct_reference(shape, kernel, bits, channels_last,
                                                             budget, seed):
     """The im2col contraction of integer codes equals the direct reference
-    and ``conv2d_same`` bit for bit, on 4- and 8-bit code ranges, on the
-    channels-last inputs ``netsim.run`` passes, and with a patch budget
-    small enough to split the patch matrix into many row blocks."""
+    bit for bit, on 4- and 8-bit code ranges, on the channels-last inputs
+    ``netsim.run`` passes, and with a patch budget small enough to split
+    the patch matrix into many row blocks."""
     (B, C, O, H, W), (kh, kw) = shape, kernel
     rng = np.random.default_rng(seed)
     q = 1 << (bits - 1)
@@ -362,7 +377,6 @@ def test_conv_contraction_property_matches_direct_reference(shape, kernel, bits,
         got = kernels._contract(x_q, w_q, conv=True)
     want = conv_reference(x_q, w_q).astype(np.int64)
     assert got.shape == want.shape and np.array_equal(got, want)
-    assert np.array_equal(got, conv2d_same(x_q, w_q))
 
 
 @pytest.mark.parametrize("mode", ["static", "dynamic", "naive"])

@@ -410,6 +410,33 @@ def test_one_kernel_call_per_matmul_layer(monkeypatch):
     assert nested == []
 
 
+def test_one_conv_contraction_per_conv_layer_in_every_precision(monkeypatch):
+    """Every precision contracts a conv layer through ``kernels._conv_gemm``,
+    once per conv layer and forward: fp32 in float64 on the float values,
+    int8, int4 and mixed on their codes."""
+    model, _, (x, _) = small_conv_model(seed=45)
+    convs = [i for i in model.graph.matmul_indices() if model.graph.layers[i].kind == "conv2d"]
+    assert convs
+    rng = np.random.default_rng(3)
+    flags = {i: rng.random(model.n_groups(i)) < 0.5 for i in convs}
+    for i in convs:
+        flags[i][0] = True
+    calls = []
+    conv_gemm = kernels._conv_gemm
+
+    def counted(x, w, dtype):
+        calls.append(dtype)
+        return conv_gemm(x, w, dtype)
+
+    monkeypatch.setattr(kernels, "_conv_gemm", counted)
+    for mode, override in (("fp32", None), ("int8", None), ("int4", None), ("mixed", flags)):
+        calls.clear()
+        run(model, x, mode=mode, flags_override=override)
+        assert len(calls) == len(convs), mode
+        if mode == "fp32":
+            assert calls == [np.float64] * len(convs)
+
+
 def test_mixed_forward_reuses_the_lowered_weights(monkeypatch):
     """Each flagged layer's weights are lowered exactly once, when the first
     mixed forward builds the mixed part of its state; no uniform forward
@@ -569,6 +596,36 @@ def test_a_fully_flagged_layer_contracts_a_view_of_its_lowered_weights(conv):
             lowering = state.lowering(flags, None)
             assert np.shares_memory(lowering.w, state.w_lo8) == flags.all()
             assert not lowering.w.flags.writeable and state.w_lo8.flags.writeable
+
+
+@pytest.mark.parametrize("conv", [False, True], ids=["linear", "conv"])
+@pytest.mark.parametrize("first", ["static", "dynamic"])
+def test_static_and_dynamic_lowerings_of_one_flag_set_share_their_weight_operand(conv, first):
+    """On a static plan, the static and dynamic lowerings of one set of
+    flags, planned in either order, hold one weight operand between them; a
+    naive one, lowered with shift 4, holds its own.  Every forward returns
+    the bytes of a fresh model whose memo holds only its own lowering."""
+    def fresh():
+        model, _, (x, _) = small_conv_model(seed=4) if conv else small_model(seed=4)
+        matmuls = model.graph.matmul_indices()
+        # some group 4-bit and some 8-bit: an operand of its own, not a view of w_lo8
+        model.selections = {0.5: {i: np.arange(model.n_groups(i)) % 2 == 0 for i in matmuls}}
+        return model, x, matmuls
+
+    order = [first, "dynamic" if first == "static" else "static", "naive"]
+    want = {e: fresh()[0] for e in order}
+    model, x, matmuls = fresh()
+    for extraction in order:
+        got = run(model, x, mode="mixed", ratio=0.5, extraction=extraction)
+        assert got.tobytes() == run(want[extraction], x, mode="mixed", ratio=0.5,
+                                    extraction=extraction).tobytes(), extraction
+    for i in matmuls:
+        state, flags = model.states[i], model.selections[0.5][i]
+        static, dynamic, naive = (state.lowering(flags, e) for e in ("static", "dynamic", "naive"))
+        assert len(state._lowerings) == 3
+        assert np.shares_memory(static.w, dynamic.w) and static.w is dynamic.w
+        assert not np.shares_memory(static.w, state.w_lo8)
+        assert not np.shares_memory(naive.w, static.w)
 
 
 def test_record_holds_one_entry_per_matmul_layer():

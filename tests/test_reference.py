@@ -13,8 +13,9 @@ order, the residual perms and the ragged last groups.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
-from mixq import kernels, layout, netsim, oracle, synth
+from mixq import layout, netsim, oracle, synth
 from mixq.bitlower import EXTRACTION_MODES, MAX_SHIFT, ExtractionPlan, group_slices
 from mixq.qtensor import quantize
 
@@ -28,6 +29,15 @@ def dynamic_shifts(codes: np.ndarray, group_size: int) -> list[int]:
     return [max(0, max((v if v >= 0 else ~v).bit_length() + 1
                        for v in np.unique(flat[:, sl]).tolist()) - 4)
             for sl in group_slices(codes.shape[1], group_size)]
+
+
+def conv_windows(codes: np.ndarray, w_q: np.ndarray) -> np.ndarray:
+    """Same-padded stride-1 conv of int64 codes: an exact int64 einsum of
+    each output pixel's zero-padded input window with the weight taps."""
+    kh, kw = w_q.shape[2:]
+    padded = np.pad(codes, ((0, 0), (0, 0), (kh // 2, (kh - 1) // 2), (kw // 2, (kw - 1) // 2)))
+    windows = sliding_window_view(padded, (kh, kw), axis=(2, 3))  # [B, C, H, W, kh, kw]
+    return np.einsum("bchwij,ocij->bohw", windows, w_q)
 
 
 def reference_matmul(layer, state, h, mode, flags, extraction, group_size):
@@ -50,7 +60,7 @@ def reference_matmul(layer, state, h, mode, flags, extraction, group_size):
                                               flags, act_shifts=shifts)
         return oracle.scalar_mixed_gemm(codes, w_q.T, act_scale, w_scales, plan, group_size,
                                         flags, act_shifts=shifts)
-    acc = kernels.conv2d_same(codes, w_q) if conv else codes @ w_q.T
+    acc = conv_windows(codes, w_q) if conv else codes @ w_q.T
     scales = float(act_scale) * np.asarray(w_scales, dtype=np.float64)
     return (acc * scales.reshape((-1,) + (1,) * (acc.ndim - 2))).astype(np.float32)
 
