@@ -10,16 +10,25 @@ One routine, ``_complete``, fills a baseline up to a group count; a
 selector only chooses which unset groups it sets: greedy the lowest
 scores, random uniform draws, the evolutionary seed population the greedy
 pick plus score-weighted draws, and ``mutate``'s repair greedy's ranking.
+
+A fitness forward runs only the net's tail (``netsim.tail``), from the
+latest cut (a selectable layer no residual crosses) whose entering stream
+a search's memo (``_Prefixes``) holds for the flags set before it; a layer
+with no set flag runs the int8 contraction, so it keys like an absent one.
+The int8 reference seeds every cut, and the memo keeps the population x
+selectable layers streams last used.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
-from .netsim import PreparedModel, run
+from .netsim import PreparedModel, run, tail
 from .scoring import ErrorScore
 
 SCORE_EPS = 1e-12
@@ -80,17 +89,59 @@ def _scores_map(scores: list[ErrorScore], base: dict[int, np.ndarray]) -> dict[i
     return by_layer
 
 
+class _Prefixes:
+    """The streams a search's fitness forwards on ``x`` resume from, per cut
+    and flags set before it; a forward adds the cuts after its own."""
+
+    def __init__(self, model: PreparedModel, x: np.ndarray, layers, extraction: str | None,
+                 population: int):
+        rec: dict = {}
+        self.ref_logits = run(model, x, mode="int8", record=rec)
+        self.model, self.x, self.extraction = model, x, extraction
+        self.bound, self.tails = population * len(layers), {}
+        for i in layers:
+            with suppress(ValueError):  # a residual crosses the cut
+                self.tails[i] = tail(model, i)
+        self.streams = OrderedDict(((i, b""), rec[i].input) for i in self.tails)
+
+    def run(self, selection: dict[int, np.ndarray]) -> np.ndarray:
+        """The mixed output of ``selection``, as a full ``run`` gives it."""
+        cuts, key = [], b""
+        for i, f in sorted(selection.items()):
+            if i in self.tails:
+                cuts.append((i, key))
+            if f.any():
+                key += i.to_bytes(4, "little") + np.packbits(f).tobytes()
+        start, model, x = 0, self.model, self.x
+        if hit := next((cut for cut in reversed(cuts) if cut in self.streams), None):
+            self.streams.move_to_end(hit)
+            start, model, x = hit[0], self.tails[hit[0]], self.streams[hit]
+        rec: dict = {}
+        out = run(model, x, mode="mixed", extraction=self.extraction, record=rec,
+                  flags_override={i - start: f for i, f in selection.items() if i >= start})
+        for cut in cuts:
+            if cut[0] > start and cut not in self.streams:
+                self.streams[cut] = rec[cut[0] - start].input
+                if len(self.streams) > self.bound:
+                    self.streams.popitem(last=False)
+        return out
+
+
 def fitness(
     model: PreparedModel,
     selection: dict[int, np.ndarray],
     sample_inputs: np.ndarray,
     ref_logits: np.ndarray | None = None,
     extraction: str | None = None,
+    prefixes: _Prefixes | None = None,
 ) -> float:
-    """Mean per-sample L2 distance of mixed logits to the 8-bit logits."""
+    """Mean per-sample L2 distance of mixed logits to the 8-bit logits;
+    ``prefixes``, a memo of the same model, samples and extraction, runs
+    only the net's tail and holds the 8-bit logits."""
     if ref_logits is None:
-        ref_logits = run(model, sample_inputs, mode="int8")
-    out = run(model, sample_inputs, mode="mixed", flags_override=selection, extraction=extraction)
+        ref_logits = prefixes.ref_logits if prefixes else run(model, sample_inputs, mode="int8")
+    out = prefixes.run(selection) if prefixes else run(
+        model, sample_inputs, mode="mixed", flags_override=selection, extraction=extraction)
     diff = (out.astype(np.float64) - ref_logits.astype(np.float64)).reshape(out.shape[0], -1)
     return float(np.linalg.norm(diff, axis=1).mean())
 
@@ -224,13 +275,13 @@ def select_channels(
     protect_edges: bool = False,
     extraction: str | None = None,
     history: list | None = None,
-    ref_logits: np.ndarray | None = None,
+    prefixes: _Prefixes | None = None,
 ) -> dict[int, np.ndarray]:
     """Evolutionary search for the 4-bit group selection at one ratio.
 
     Deterministic given cfg.seed.  ``history``, if provided, collects the
-    best fitness per generation.  ``ref_logits`` are the int8 logits of
-    ``sample_inputs``, computed when not given.
+    best fitness per generation.  ``prefixes`` is the memo of a chain's
+    fitness forwards, built for this search when not given.
     """
     base, target = _start(model, ratio, baseline, protect_edges)
     if target in (0, sum(f.size for f in base.values())):  # one candidate
@@ -238,14 +289,14 @@ def select_channels(
 
     rng = np.random.default_rng(cfg.seed)
     smap = _scores_map(scores, base)
-    if ref_logits is None:
-        ref_logits = run(model, sample_inputs, mode="int8")
+    if prefixes is None:
+        prefixes = _Prefixes(model, sample_inputs, list(base), extraction, cfg.population)
     cache: dict[bytes, float] = {}
 
     def fit(sel: dict[int, np.ndarray]) -> float:
         k = _key(sel)
         if k not in cache:
-            cache[k] = fitness(model, sel, sample_inputs, ref_logits, extraction=extraction)
+            cache[k] = fitness(model, sel, sample_inputs, extraction=extraction, prefixes=prefixes)
         return cache[k]
 
     def weighted(unset, need):  # favours low scores
@@ -293,10 +344,12 @@ def chained_selection(
     result: dict[float, dict[int, np.ndarray]] = {}
     baseline = None
     rng = np.random.default_rng(cfg.seed)
-    # one int8 reference serves every fitness of the chain
-    ref_logits = None
+    # one int8 reference, and one memo of the streams it seeds, serve every
+    # fitness of the chain
+    prefixes = None
     if algo == "evo" or histories is not None:
-        ref_logits = run(model, sample_inputs, mode="int8")
+        prefixes = _Prefixes(model, sample_inputs, _selectable_layers(model, protect_edges),
+                             extraction, cfg.population)
     for i, ratio in enumerate(sorted(ratios)):
         history: list[float] | None = None if histories is None else []
         if algo == "evo":
@@ -304,7 +357,7 @@ def chained_selection(
             c = select_channels(
                 model, scores, ratio, sub, sample_inputs,
                 baseline=baseline, protect_edges=protect_edges, extraction=extraction,
-                history=history, ref_logits=ref_logits,
+                history=history, prefixes=prefixes,
             )
         elif algo == "greedy":
             c = select_greedy(model, scores, ratio, baseline=baseline, protect_edges=protect_edges)
@@ -314,7 +367,8 @@ def chained_selection(
             raise ValueError(f"unknown selection algorithm {algo!r}")
         if histories is not None:
             if not history:
-                history = [fitness(model, c, sample_inputs, ref_logits, extraction=extraction)]
+                history = [fitness(model, c, sample_inputs, extraction=extraction,
+                                   prefixes=prefixes)]
             histories[ratio] = history
         result[ratio] = c
         baseline = c

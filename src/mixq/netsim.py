@@ -16,7 +16,9 @@ what a call reads is ever built: a mixed forward quantizes no weights to 4
 bits and lowers the weights of a layer only once its flags set a group.  A
 quantized run calls the kernels straight from each layer's state; in mixed
 mode the state also memoizes, per prepared set of group flags and extraction
-mode, the kernel's ``kernels.Lowering``, which holds the weight operand.
+mode, the kernel's ``kernels.Lowering``, which holds the weight operand.  A
+forward keeps only the tensors a residual_add reads; ``tail`` runs a net
+from a layer no residual crosses.
 """
 
 from __future__ import annotations
@@ -344,8 +346,9 @@ def run(
                          f"shape [batch, {', '.join(map(str, model.graph.input_shape))}]")
     if model.input_perm is not None:
         h = h[:, model.input_perm]
-    x0 = h
-    outputs: list[np.ndarray] = []
+    saved = dict.fromkeys(_sources(model.graph.layers))  # the tensors a residual_add reads
+    if -1 in saved:
+        saved[-1] = h
     for idx, layer in enumerate(model.graph.layers):
         if layer.kind in MATMUL_KINDS:
             h_in, flags, kstats = h, None, None
@@ -371,20 +374,48 @@ def run(
                 )
             if record is not None:
                 record[idx] = LayerRecord(h_in, h, flags, kstats)
-            outputs.append(h)
         elif layer.kind == "relu":
             h = np.maximum(h, 0.0)
-            outputs.append(h)
         elif layer.kind == "gelu":
             h = gelu(h)
-            outputs.append(h)
         else:  # residual_add
-            src = x0 if layer.source == -1 else outputs[layer.source]
+            src = saved[layer.source]
             if layer.perm is not None:
                 src = src[:, layer.perm]
             h = h + src
-            outputs.append(h)
+        if idx in saved:
+            saved[idx] = h
     return h
+
+
+def _sources(layers: list[Layer]) -> set[int]:
+    """What the residual_adds of ``layers`` read: layer outputs, -1 the input."""
+    return {layer.source for layer in layers if layer.kind == "residual_add"}
+
+
+def tail(model: PreparedModel, start: int) -> PreparedModel:
+    """The model of ``model``'s layers from ``start`` on, sharing its
+    ``QuantState`` objects and selections at the tail's layer indices.  Its
+    input is the stream entering layer ``start``: it has no ``input_perm``
+    and a source of ``start - 1`` becomes -1.  A cut a residual crosses (a
+    source below ``start - 1``, the net's input once ``start > 0``) raises."""
+    graph = model.graph
+    if not 0 <= start < len(graph.layers):
+        raise ValueError(f"cut {start} outside the {len(graph.layers)} layers")
+    if min(_sources(graph.layers[start:]), default=start) < start - 1:
+        raise ValueError(f"a residual_add from layer {start} on reads a tensor from before "
+                         f"layer {start - 1}")
+    width = [graph.input_shape[0]] + [l.n_out for l in graph.layers[:start]
+                                      if l.kind in MATMUL_KINDS]
+    layers = [replace(l, source=l.source - start) if l.kind == "residual_add" else l
+              for l in graph.layers[start:]]
+    sub = NetworkGraph(layers, (width[-1], *graph.input_shape[1:]), graph.group_size)
+
+    def shift(by_layer: dict) -> dict:
+        return {i - start: v for i, v in by_layer.items() if i >= start}
+
+    return replace(model, graph=sub, states=shift(model.states), input_perm=None,
+                   selections={r: shift(sel) for r, sel in model.selections.items()})
 
 
 def set_ratio(model: PreparedModel, ratio: float) -> dict[int, int]:

@@ -120,6 +120,29 @@ def test_every_quantized_forward_passes_the_traced_coverage_rule(conv):
     assert sum(span[0] == "netsim.run" for span in tracer.spans) == 3 + len(workloads.RATIOS)
 
 
+@pytest.mark.parametrize("protect_edges", [False, True], ids=["all-layers", "protect-edges"])
+@pytest.mark.parametrize("conv", [False, True], ids=["linear", "conv"])
+def test_a_traced_evo_chain_passes_the_coverage_rule(conv, protect_edges):
+    """A fitness forward that resumes from a memoized stream is a
+    ``netsim.run`` of the tail model, so a whole traced evo chain keeps
+    ``coverage_errors``'s rule, and its fitness forwards make fewer kernel
+    calls than the net has matmul layers."""
+    model, (x, _), _ = small_conv_model(seed=4) if conv else small_model(seed=4)
+    scores = scoring.score_groups(model)
+    cfg = evoselect.EvoConfig(population=6, generations=3, elite=2, parents=4, seed=1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        evoselect.chained_selection(model, scores, workloads.RATIOS, cfg, x[:16],
+                                    protect_edges=protect_edges, histories={})
+    finally:
+        tracer.uninstall()
+    kind = "conv2d" if conv else "gemm"
+    assert tracer.coverage_errors(["evoselect.fitness", f"kernels.mixed_{kind}"]) == []
+    per_fitness = tracer.layer_metrics()["evoselect.kernel_calls_per_fitness"]
+    assert 0 < per_fitness < len(model.graph.matmul_indices())
+
+
 def test_saved_bytes_reads_a_fresh_model_directory(tmp_path):
     """The traced benchmark sizes each save from the files the manifest
     names: the manifest plus every weight and codes file."""

@@ -574,8 +574,9 @@ def test_do_select_still_raises_on_a_bad_evolution_config(tmp_path):
 def test_score_and_layout_loads_build_no_quantized_state(tmp_path, monkeypatch):
     """Loading a model builds no layer state, and scoring reads only the
     ranges: do_score and do_layout's load and layout quantize no weights,
-    plan no extraction and lower no weights.  do_select plans every layer's
-    extraction but lowers only the weights of layers it flags.  do_layout's
+    plan no extraction and lower no weights.  do_select's fitness forwards
+    resume at the first selectable layer, so it plans the extraction of
+    every later layer and lowers only the weights of layers it flags.  do_layout's
     save then quantizes each layer's weights once, to the 8-bit codes it
     writes."""
     graph = synth.make_linear_net(3, 4, 16, 8, 4)
@@ -603,7 +604,7 @@ def test_score_and_layout_loads_build_no_quantized_state(tmp_path, monkeypatch):
     cfg_kwargs = dict(population=4, generations=1, elite=1, parents=2, fitness_samples=16)
     cli.do_select(tmp_path, [0.5, 1.0], "greedy", 0, cfg_kwargs, protect_edges=True,
                   extraction=None)
-    assert calls.count("plan_extraction") == n
+    assert calls.count("plan_extraction") == n - 1  # the protected first layer runs no mixed
     assert calls.count("lower_weights") == n - 2  # the protected edge layers are never flagged
     calls.clear()
     cli.do_layout(tmp_path)
@@ -844,10 +845,10 @@ def test_ablate_rungs_are_the_search_s_fitness_on_the_eval_set(monkeypatch):
     calls = []
     fitness = evoselect.fitness
 
-    def recording(model, chrom, x, ref_logits=None, extraction=None):
+    def recording(model, chrom, x, ref_logits=None, extraction=None, prefixes=None):
         if len(x) == 128:  # not the search's own calls, on 64 calibration samples
             calls.append((model, chrom, x, extraction))
-        return fitness(model, chrom, x, ref_logits, extraction)
+        return fitness(model, chrom, x, ref_logits, extraction, prefixes)
 
     monkeypatch.setattr(evoselect, "fitness", recording)
     ladder = cli.run_ablate(5, verbose=lambda *args: None)

@@ -1,10 +1,11 @@
+import csv
 import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from mixq import evoselect, netsim, scoring
+from mixq import cli, evoselect, kernels, modelio, netsim, scoring, synth
 from mixq.evoselect import EvoConfig, crossover, mutate, target_count
 from conftest import includes, set_count, small_model, total_groups
 
@@ -236,3 +237,83 @@ def test_config_validation():
         with pytest.raises(ValueError, match=next(iter(bad))):
             EvoConfig(**bad)
     EvoConfig(population=2, parents=2, elite=0, generations=0)  # the least a search takes
+
+
+def test_no_fitness_forward_contracts_a_protected_first_layer(monkeypatch):
+    """With protect_edges no candidate flags the first matmul layer, so every
+    fitness forward of an evo chain resumes after it from the int8
+    reference's stream: no kernel under ``evoselect.fitness`` contracts its
+    weights (the int8 reference forward, outside any fitness, does)."""
+    model, (x_cal, _), _ = small_model(seed=5, n_layers=4)
+    first = model.states[model.graph.matmul_indices()[0]]
+    inside, calls = [False], []
+    fitness = evoselect.fitness
+
+    def flagged(*args, **kwargs):
+        inside[0] = True
+        try:
+            return fitness(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(evoselect, "fitness", flagged)
+    for name in ("mixed_gemm", "int_gemm"):
+        def counted(x_q, w_q, *args, _kernel=getattr(kernels, name), **kwargs):
+            if inside[0]:
+                calls.append(np.shares_memory(w_q, first.w_q8))
+            return _kernel(x_q, w_q, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, counted)
+    cfg = EvoConfig(population=6, generations=3, elite=2, parents=4, seed=2)
+    evoselect.chained_selection(model, scoring.score_groups(model), [0.25, 0.5, 0.75, 1.0],
+                                cfg, x_cal[:32], protect_edges=True, histories={})
+    assert calls and not any(calls)
+
+
+def test_the_prefix_memo_stays_within_its_bound(monkeypatch):
+    """The memo of a chain's fitness forwards holds at most population x
+    selectable layers streams, and on this search it fills up."""
+    model, (x_cal, _), _ = small_model(seed=5, n_layers=6)
+    sizes = []
+    resume = evoselect._Prefixes.run
+
+    def watched(self, selection):
+        out = resume(self, selection)
+        sizes.append((len(self.streams), self.bound))
+        return out
+
+    monkeypatch.setattr(evoselect._Prefixes, "run", watched)
+    cfg = EvoConfig(population=4, generations=6, elite=1, parents=2, seed=1)
+    evoselect.chained_selection(model, scoring.score_groups(model), [0.25, 0.5, 0.75], cfg,
+                                x_cal[:32])
+    bound = cfg.population * len(model.graph.matmul_indices())
+    assert {b for _, b in sizes} == {bound}
+    assert max(n for n, _ in sizes) == bound
+
+
+@pytest.mark.parametrize("protect_edges", [False, True])
+def test_every_fitness_csv_entry_is_the_fitness_of_a_full_forward(tmp_path, monkeypatch,
+                                                                   protect_edges):
+    """Each fitness the search computes from a resumed forward equals the
+    fitness of a full forward, and fitness.csv holds only such values."""
+    graph = synth.make_linear_net(3, 5, 16, 8, 4, residual=True)
+    x, y = synth.make_dataset(4, 16, 8, 64)
+    modelio.save_model(tmp_path, netsim.PreparedModel(graph, {}))
+    modelio.save_dataset(tmp_path, "calib", x, y)
+    cli.do_calibrate(tmp_path, 0.99, None, "static", 32)
+    values = set()
+    fitness = evoselect.fitness
+
+    def checked(model, selection, samples, ref_logits=None, extraction=None, prefixes=None):
+        value = fitness(model, selection, samples, ref_logits, extraction, prefixes)
+        assert value == fitness(model, selection, samples, extraction=extraction)
+        values.add(value)
+        return value
+
+    monkeypatch.setattr(evoselect, "fitness", checked)
+    cfg_kwargs = dict(population=6, generations=3, elite=2, parents=4, fitness_samples=32)
+    cli.do_select(tmp_path, [0.25, 0.5, 1.0], "evo", 0, cfg_kwargs,
+                  protect_edges=protect_edges, extraction="dynamic")
+    with open(tmp_path / "fitness.csv") as fh:
+        entries = [float(row["best_fitness"]) for row in csv.DictReader(fh)]
+    assert len(entries) == 2 * 4 + 1 and set(entries) <= values

@@ -858,3 +858,54 @@ def test_naive_calibrated_layer_takes_no_other_extraction():
                 f"no {extraction} shifts")
         with pytest.raises(ValueError, match=re.escape(want)):
             run(model, x, mode="mixed", flags_override=flags, extraction=extraction)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), calib_mode=st.sampled_from(["static", "dynamic"]),
+       laid_out=st.booleans())
+def test_a_tail_resumes_every_forward_bit_for_bit(seed, calib_mode, laid_out):
+    """On a random net, ``tail`` raises exactly on the cuts a residual
+    crosses, and at every matmul cut it accepts, the tail's run on the
+    stream entering the cut equals the whole forward bit for bit: int8,
+    int4, and mixed at a prepared ratio and with ``flags_override``, under
+    static and dynamic extraction, laid out or not."""
+    graph = synth.random_net(seed, 4)
+    if len(graph.input_shape) == 1:
+        x, _ = synth.make_dataset(seed, graph.input_shape[0], 4, 10)
+    else:
+        x, _ = synth.make_image_dataset(seed, graph.input_shape[0], graph.input_shape[1], 4, 9)
+    model = netsim.prepare(graph, [x[:8]], extraction_mode=calib_mode)
+    rng = np.random.default_rng(seed)
+    matmuls = graph.matmul_indices()
+    ranks = {i: rng.permutation(model.n_groups(i)) for i in matmuls}
+    model.selections = {r: {i: rank < round(r * rank.size) for i, rank in ranks.items()}
+                        for r in (0.25, 0.5)}
+    if laid_out:
+        model = layout.apply_layout(model, layout.plan_layout(model))
+    override = {i: rng.random(model.n_groups(i)) < 0.5 for i in matmuls}
+    runs = [("int8", {}), ("int4", {})] + [
+        ("mixed", {"extraction": e, **kw}) for e in ("static", "dynamic")
+        for kw in ({"ratio": 0.5}, {"flags_override": override})]
+    layers = model.graph.layers
+    for outside in (-1, len(layers)):
+        with pytest.raises(ValueError, match=f"cut {outside} outside the {len(layers)} layers"):
+            netsim.tail(model, outside)
+    for start in range(len(layers)):
+        crossed = any(l.kind == "residual_add" and l.source < start - 1 for l in layers[start:])
+        if crossed:
+            with pytest.raises(ValueError, match="reads a tensor from before"):
+                netsim.tail(model, start)
+            continue
+        part = netsim.tail(model, start)
+        assert part.input_perm is None and all(part.states[i - start] is model.states[i]
+                                               for i in matmuls if i >= start)
+        if start not in matmuls:
+            continue
+        for mode, kw in runs:
+            rec = {}
+            want = run(model, x[8:], mode, record=rec, **kw)
+            if "flags_override" in kw:
+                kw = {**kw, "flags_override": {i - start: f for i, f in override.items()
+                                               if i >= start}}
+            got = run(part, rec[start].input, mode, **kw)
+            assert got.tobytes() == want.tobytes(), (start, mode, kw)
