@@ -10,16 +10,17 @@ plain GEMM or a same-padded conv.  A conv contracts as one GEMM over an
 im2col patch matrix (``_conv_gemm``), built and contracted in row blocks
 of at most ``PATCH_BYTES``; it is also the fp32 conv path of ``netsim``.
 
-The constants of a mixed kernel for one set of group flags and extraction
-mode are planned once by the caller and passed in as one ``Lowering``
-(``plan_lowering``; planned per call when omitted): the per-channel shift
-and clip vectors of the activations, and the weight operand, the 8-bit
-codes with the flagged channels' codes lowered (with every group flagged,
-a view of the fully lowered codes).  ``netsim`` keeps one per layer,
-flags and mode on the layer's ``QuantState``, planned from the layer's
-fully lowered weights (``lower_weights``), which it keeps too.  A call
-then only lowers the activation codes in one vectorized pass, contracts
-them with the planned weights and scales.  The contraction's
+The constants of a mixed kernel for one set of group flags and weight rule
+(the plan's shifts, or shift 4 for naive extraction) are planned once by
+the caller and passed in as one ``Lowering`` (``plan_lowering``; planned
+per call when omitted): the per-channel shift and clip vectors of the
+activations, and the weight operand, the 8-bit codes with the flagged
+channels' codes lowered (with every group flagged, a view of the fully
+lowered codes).  ``netsim`` keeps one per layer, flags and weight rule on
+the layer's ``QuantState``, planned from the layer's fully lowered weights
+(``lower_weights``), which it keeps too.  A call then only lowers the
+activation codes in one vectorized pass, contracts them with the planned
+weights and scales.  The contraction's
 bound comes from the operands' dtypes and shapes, and the output scales
 act_scale * w_scales are fused per call; both cost next to nothing.
 
@@ -107,28 +108,29 @@ def _resolve_flags(n_in: int, group_size: int, group_flags) -> np.ndarray:
 @dataclass(frozen=True)
 class Lowering:
     """The constants of one layer's mixed contraction for one set of group
-    flags, extraction mode and activation code dtype (built by
+    flags, weight rule and activation code dtype (built by
     ``plan_lowering``).
 
-    ``shifts`` is the activation shift in force per group, ``px`` the
-    per-channel shift (0 on 8-bit channels) and ``mul`` = 2^px, which undoes
-    it (x4 * mul == x4 << px, and about 3x faster); in dynamic mode all three
-    come from each batch (``px`` and ``mul`` are None).  ``lo``/``hi`` are
-    the per-channel clip bounds: [-8, 7] on 4-bit channels, the dtype's
-    range (a no-op) on 8-bit ones.  ``channel_group`` maps each channel to
-    its group, or to ``n_groups`` on 8-bit channels.  ``w`` is the read-only
-    weight operand of the contraction: the lowered codes on flagged
-    channels, the 8-bit codes elsewhere, in the shape and memory order of
-    the kernel's ``w_q``; when every group is flagged, it is a view of the
-    fully lowered codes it was planned from, not a copy.
+    ``naive`` marks shift 4 on flagged groups, else the plan's shifts serve
+    static and dynamic calls alike.  ``shifts`` is the activation shift per
+    group, ``px`` the per-channel shift (0 on 8-bit channels) and ``mul`` =
+    2^px, which undoes it (x4 * mul == x4 << px, and about 3x faster); a
+    dynamic call takes all three from its batch.  ``lo``/``hi`` are the
+    per-channel clip bounds: [-8, 7] on 4-bit channels, the dtype's range (a
+    no-op) on 8-bit ones.  ``channel_group`` maps each channel to its group,
+    or to ``n_groups`` on 8-bit channels.  ``w`` is the read-only weight
+    operand of the contraction: the lowered codes on flagged channels, the
+    8-bit codes elsewhere, in the shape and memory order of the kernel's
+    ``w_q``; when every group is flagged, it is a view of the fully lowered
+    codes it was planned from, not a copy.
     """
 
     flags: np.ndarray
-    mode: str
+    naive: bool
     shifts: np.ndarray
     channel_group: np.ndarray
-    px: np.ndarray | None
-    mul: np.ndarray | None
+    px: np.ndarray
+    mul: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     w: np.ndarray
@@ -148,27 +150,26 @@ def plan_lowering(
     dtype=np.int8,
     w_lo: np.ndarray | None = None,
 ) -> Lowering:
-    """The ``Lowering`` of a mixed kernel's call on weight codes ``w_q``
+    """The ``Lowering`` of a mixed kernel's calls on weight codes ``w_q``
     (as the kernel takes them: [K, N] or [O, C, kh, kw]) and activation
-    codes of ``dtype``, under ``group_flags`` and extraction ``mode``
-    (default: the plan's).
+    codes of ``dtype``, under ``group_flags``: naive if extraction ``mode``
+    (default: the plan's) is, else planned, for static and dynamic calls.
 
     ``w_lo`` is ``w_q`` with every group lowered per the plan, as
-    ``lower_weights`` builds it; it is built here when omitted, and with
-    ``MAX_SHIFT`` when naive extraction overrides a plan of another mode
-    (a ``w_lo`` given is then not read).  When every group is flagged, the
-    lowering's ``w`` is a view of ``w_lo``, which must then stay unchanged.
+    ``lower_weights`` builds it; it is built here when omitted, and not read
+    by a naive lowering, which lowers with ``MAX_SHIFT``.  When every group
+    is flagged, ``w`` is a view of the fully lowered codes, which must then
+    stay unchanged.
     """
     axis = 1 if w_q.ndim == 4 else 0  # input channels of [O, C, kh, kw] or [K, N]
     n_in = w_q.shape[axis]
     flags = _resolve_flags(n_in, group_size, group_flags)
-    mode = mode or plan.mode
+    naive = (mode or plan.mode) == "naive"
     shifts = plan.act_shifts.copy()
-    if mode == "naive":
+    if naive:
         shifts[flags] = MAX_SHIFT
-    if w_lo is None or (mode == "naive" and plan.mode != "naive"):
-        w_shifts = plan.weight_shifts
-        w_shifts = np.full_like(w_shifts, MAX_SHIFT) if mode == "naive" else w_shifts
+    if w_lo is None or naive:
+        w_shifts = np.full_like(plan.weight_shifts, MAX_SHIFT) if naive else plan.weight_shifts
         w_lo = lower_weights(w_q if axis else w_q.T, w_shifts, group_size)
         w_lo = w_lo if axis else w_lo.T
     group = np.arange(n_in) // group_size
@@ -190,11 +191,8 @@ def plan_lowering(
             index[axis] = slice(start, stop)
             w[tuple(index)] = w_lo[tuple(index)]
     w.flags.writeable = False
-    px = mul = None
-    if mode != "dynamic":
-        px = _channel_shifts(shifts, channel_group, dtype)
-        mul = np.left_shift(1, px)
-    return Lowering(flags, mode, shifts, channel_group, px, mul, lo, hi, w)
+    px = _channel_shifts(shifts, channel_group, dtype)
+    return Lowering(flags, naive, shifts, channel_group, px, np.left_shift(1, px), lo, hi, w)
 
 
 def _resolve_lowering(lowering, x, w, plan, group_size, group_flags, mode) -> Lowering:
@@ -202,21 +200,22 @@ def _resolve_lowering(lowering, x, w, plan, group_size, group_flags, mode) -> Lo
     if lowering is None:
         return plan_lowering(plan, group_size, group_flags, w, mode, x.dtype)
     flags = lowering.flags
-    if (lowering.mode != mode or lowering.lo.dtype != x.dtype or lowering.w.shape != w.shape
+    if (lowering.naive != (mode == "naive") or lowering.lo.dtype != x.dtype
+            or lowering.w.shape != w.shape
             or (flags is not group_flags and not np.array_equal(flags, group_flags))):
         raise ValueError("lowering was planned for other group flags, extraction mode, codes "
                          "or weight shape")
     return lowering
 
 
-def _lower(x, group_size, lowering) -> tuple[np.ndarray, KernelStats]:
+def _lower(x, group_size, lowering, dynamic) -> tuple[np.ndarray, KernelStats]:
     """Activation codes ``x`` (channels on axis 1) with every flagged group
     lowered, in one pass in their own integer dtype with the per-channel
-    shift and clip bounds of ``lowering``, plus the saturated channels and
-    shifts used."""
+    shift and clip bounds of ``lowering`` (a ``dynamic`` call's shifts from
+    its batch), plus the saturated channels and shifts used."""
     shifts_used = lowering.shifts.copy()
     px, mul = lowering.px, lowering.mul
-    if px is None:  # dynamic: this batch's shifts
+    if dynamic:
         flags = lowering.flags
         shifts_used[flags] = group_shifts(x, group_size, axis=1)[flags]
         px = _channel_shifts(shifts_used, lowering.channel_group, x.dtype)
@@ -317,7 +316,7 @@ def _mixed(x_q, w_q, act_scale, w_scales, plan, group_size, group_flags, extract
     if flags.any():
         mode = extraction or plan.mode
         lowering = _resolve_lowering(lowering, x_q, w_q, plan, group_size, flags, mode)
-        (x_q, stats), w_q = _lower(x_q, group_size, lowering), lowering.w
+        (x_q, stats), w_q = _lower(x_q, group_size, lowering, mode == "dynamic"), lowering.w
     else:  # all 8-bit: nothing to lower, and no lowering is needed
         stats = KernelStats(np.zeros(x_q.shape[1], dtype=bool), plan.act_shifts.copy())
     return _scale(_contract(x_q, w_q, conv=w_q.ndim == 4), act_scale, w_scales), stats
@@ -343,8 +342,8 @@ def mixed_gemm(
     ``plan_lowering(plan, group_size, group_flags, w_q, extraction, x_q.dtype)``,
     read only when some group is flagged: a caller that runs the same layer
     again passes the one it planned (``netsim`` keeps one per layer, flags
-    and mode), and its ``w`` is contracted in place of ``w_q``.  When it is
-    omitted the call plans its own, which lowers and copies the weights.
+    and weight rule), and its ``w`` is contracted in place of ``w_q``.  When
+    it is omitted the call plans its own, which lowers and copies the weights.
 
     Returns the float32 output [B, N] and extraction stats.
     """

@@ -39,7 +39,7 @@ codes or range) must be a file in the model directory: a name that leads
 out of it is a ``ValueError``, a missing file or a directory a
 ``MissingArtifactError`` (exit 3) naming the file.  ``save_dataset`` and
 ``load_dataset`` check ``data.json``, the dataset index, the same way,
-naming it in each message.
+naming it in each message, and a dataset name is a file name too.
 """
 
 from __future__ import annotations
@@ -351,9 +351,10 @@ def _read_index(meta_path: Path) -> dict:
 
 def save_dataset(path, name: str, x: np.ndarray, y: np.ndarray | None = None):
     """Store a dataset next to the model; shapes go into data.json, whose
-    other entries are kept."""
+    other entries are kept.  ``name`` must be a file name, as for ``load_dataset``."""
     path = Path(path)
     meta_path = path / "data.json"
+    _expect(meta_path, "a dataset name", name, "a file name")
     meta = _read_index(meta_path) if meta_path.exists() else {}
     save_array(path / f"{name}_x.f32bin", x.astype(np.float32))
     meta[name] = {"x_shape": list(x.shape)}
@@ -366,9 +367,11 @@ def save_dataset(path, name: str, x: np.ndarray, y: np.ndarray | None = None):
 def load_dataset(path, name: str):
     """Dataset ``name`` of a model directory, as (inputs, labels or None).
     ``data.json`` is checked as the manifest is: a failed check raises a
-    ``ValueError`` naming it and the key."""
+    ``ValueError`` naming it and the key.  So is ``name``, before anything is
+    read: it must be a file name, so its files stay in the directory."""
     path = Path(path)
     meta_path = path / "data.json"
+    _expect(meta_path, "a dataset name", name, "a file name")
     if not meta_path.exists():
         raise MissingArtifactError(f"no data.json in {path}; run the demo/generation stage first")
     meta = _read_index(meta_path)

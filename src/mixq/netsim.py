@@ -15,10 +15,10 @@ codes, the 4-bit ones, the extraction plan and the lowered weights.  So only
 what a call reads is ever built: a mixed forward quantizes no weights to 4
 bits and lowers the weights of a layer only once its flags set a group.  A
 quantized run calls the kernels straight from each layer's state; in mixed
-mode the state also memoizes, per prepared set of group flags and extraction
-mode, the kernel's ``kernels.Lowering``, which holds the weight operand.  A
-forward keeps only the tensors a residual_add reads; ``tail`` runs a net
-from a layer no residual crosses.
+mode the state also memoizes, per prepared set of group flags and weight
+rule (planned or naive), the kernel's ``kernels.Lowering``, which holds the
+weight operand.  A forward keeps only the tensors a residual_add reads;
+``tail`` runs a net from a layer no residual crosses.
 """
 
 from __future__ import annotations
@@ -135,7 +135,8 @@ class QuantState:
       weight codes ``w_q8``;
     - 4-bit, for the uniform-int4 baseline: ``act_scale4``, ``w_scales4``
       and ``w_q4``;
-    - ``plan``, the extraction plan (reads the 8-bit part);
+    - ``plan``, the extraction plan of the calibrated shifts (reads the
+      8-bit part), whatever the extraction mode;
     - ``w_lo8``, ``w_q8`` with every group lowered per the plan
       (``kernels.lower_weights``).
 
@@ -143,18 +144,19 @@ class QuantState:
     mixed inference quantize no weights to 4 bits, int8 or int4 inference
     plans no extraction, and a mixed forward lowers only the weights of
     layers whose flags set a group.  ``lowering`` memoizes the constants
-    of a mixed kernel's call, its weight operand included.
+    of a mixed kernel's call, its weight operand included.  ``mode`` is
+    only the default extraction of a forward that names none.
     """
 
     weight: np.ndarray  # the layer's float32 weight
     act_range: ChannelRange  # per input channel, float units
     group_size: int
-    mode: str  # extraction mode
+    mode: str  # default extraction mode
 
     def __post_init__(self):
         if self.mode not in EXTRACTION_MODES:
             raise ValueError(f"unknown extraction mode {self.mode!r}")
-        self._lowerings: dict[tuple[bytes, str], kernels.Lowering] = {}
+        self._lowerings: dict[tuple[bytes, bool], kernels.Lowering] = {}
 
     def __getattr__(self, name):
         # reached only while ``name`` is unset: build the part it belongs to
@@ -163,8 +165,7 @@ class QuantState:
         elif name in _PART4:
             self.__dict__.update(zip(_PART4, self._uniform_part(4)))
         elif name == "plan":
-            self.plan = plan_extraction(self.act_q8_bounds(), self.w_q8, self.group_size,
-                                        mode=self.mode)
+            self.plan = plan_extraction(self.act_q8_bounds(), self.w_q8, self.group_size)
         elif name == "w_lo8":
             self.w_lo8 = kernels.lower_weights(self.w_q8, self.plan.weight_shifts, self.group_size)
         else:
@@ -181,40 +182,32 @@ class QuantState:
 
     def lowering(self, flags, extraction: str | None) -> kernels.Lowering | None:
         """The ``kernels.Lowering`` of this layer's 8-bit activation codes
-        under 4-bit group ``flags`` and ``extraction`` (default: the plan's
-        mode), or None when no group is flagged.
+        under 4-bit group ``flags`` and ``extraction`` (default: ``mode``),
+        or None when no group is flagged.
 
-        It is planned once per flags and mode (``extraction``, or the plan's
-        when None) and holds its own read-only copy of the flags, so
-        changing the caller's array later cannot make it stale.  The static
-        and dynamic lowerings of one set of flags contract the same weight
-        operand, so the second one planned takes the first one's ``w``; a
-        naive one lowers its weights with shift 4 and keeps its own.
+        It is planned once per flags and weight rule, naive or planned, so
+        static and dynamic calls on one set of flags share one, and holds
+        its own read-only copy of the flags, so changing the caller's array
+        later cannot make it stale.
         """
         flags = np.asarray(flags, dtype=bool)
         if not flags.any():
             return None
-        key = (flags.tobytes(), extraction or self.mode)
+        key = (flags.tobytes(), (extraction or self.mode) == "naive")
         lowering = self._lowerings.get(key)
         if lowering is None:
             flags = flags.copy()
             flags.flags.writeable = False
-            lowering = self._plan_lowering(flags, extraction)
-            other = {"static": "dynamic", "dynamic": "static"}.get(key[1])
-            twin = self._lowerings.get((key[0], other))
-            if twin is not None:
-                lowering = replace(lowering, w=twin.w)
-            self._lowerings[key] = lowering
+            lowering = self._lowerings[key] = self._plan_lowering(flags, extraction)
         return lowering
 
     def _plan_lowering(self, flags, extraction: str | None) -> kernels.Lowering:
         """``kernels.plan_lowering`` on this layer's 8-bit and lowered weight
         codes as the kernel takes them: a GEMM's [K, N] are views of the
-        [N, K] codes.  Naive extraction on a plan of another mode reads no
-        ``w_lo8``: ``plan_lowering`` lowers the weights at shift 4 itself."""
-        w_q, w_lo = self.w_q8, None
-        if extraction != "naive" or self.mode == "naive":
-            w_lo = self.w_lo8
+        [N, K] codes.  A naive one reads no ``w_lo8``: ``plan_lowering``
+        lowers the weights at shift 4 itself."""
+        extraction = extraction or self.mode
+        w_q, w_lo = self.w_q8, None if extraction == "naive" else self.w_lo8
         if w_q.ndim == 2:
             w_q, w_lo = w_q.T, (None if w_lo is None else w_lo.T)
         return kernels.plan_lowering(self.plan, self.group_size, flags, w_q, extraction,
@@ -301,7 +294,7 @@ def _matmul_quant(layer: Layer, state: QuantState, h, mode: str, group_size: int
         return kernel(codes, w_q, act_scale, scales), None
     kernel = kernels.mixed_conv2d if conv else kernels.mixed_gemm
     return kernel(codes, w_q, act_scale, scales, state.plan, group_size, group_flags=flags,
-                  extraction=extraction, lowering=lowering)
+                  extraction=extraction or state.mode, lowering=lowering)
 
 
 def run(
@@ -322,9 +315,10 @@ def run(
     layer without flags runs all-8-bit.  The kernels' lowerings of a
     prepared selection come from each state's memo
     (``QuantState.lowering``); those of ``flags_override`` are planned per
-    call from the state's lowered weights and not kept.  A layer calibrated
-    with naive extraction takes no other ``extraction``: its plan holds
-    shift 4 for every group.  If ``record`` is given, it gets a
+    call from the state's lowered weights and not kept.  ``extraction``
+    defaults per layer to the mode it was calibrated with; every layer's
+    plan holds its calibrated shifts, so any mode applies.  If ``record``
+    is given, it gets a
     ``LayerRecord`` per matmul layer index: the layer's float input and
     output, and in mixed mode the flags used and the kernel's stats.
     """
@@ -357,9 +351,6 @@ def run(
             else:
                 state, lowering = model.states[idx], None
                 if mode == "mixed":
-                    if state.mode == "naive" and extraction not in (None, "naive"):
-                        raise ValueError(f"layer {idx} ({layer.kind!r}) was calibrated with naive "
-                                         f"extraction, whose plan holds no {extraction} shifts")
                     flags = flags_by_layer.get(idx)
                     if flags is None:
                         flags = np.zeros(model.n_groups(idx), dtype=bool)

@@ -83,7 +83,9 @@ def gen_fluctuating(min_rate: float, duration: float, seed: int,
 
     The rate is one raised-cosine period over the duration, between
     min_rate and peak_factor * min_rate (at mid-trace), sampled per second;
-    arrivals within a second are Poisson at that second's rate.
+    arrivals within a second are Poisson at that second's rate.  A last
+    partial second [t, duration) draws rate * (duration - t) arrivals on
+    average, so every arrival falls before ``duration``.
     """
     _check_rate("min_rate", min_rate)
     rng = np.random.default_rng(seed)
@@ -91,8 +93,9 @@ def gen_fluctuating(min_rate: float, duration: float, seed: int,
     rates = min_rate + (peak_factor - 1.0) * min_rate * 0.5 * (
         1.0 - np.cos(2.0 * np.pi * times / duration)
     )
-    arrivals = [np.sort(rng.uniform(t, t + 1.0, size=int(rng.poisson(r))))
-                for t, r in zip(times, rates)]
+    ends = np.minimum(times + 1.0, duration)
+    arrivals = [np.sort(rng.uniform(t, end, size=int(rng.poisson(r * (end - t)))))
+                for t, end, r in zip(times, ends, rates)]
     return ServingTrace(np.concatenate(arrivals) if arrivals else np.empty(0), duration)
 
 

@@ -283,6 +283,46 @@ def test_infer_without_selections_exit_4(tmp_path, capsys):
     assert run_cli("infer", "--model", str(tmp_path), "--mode", "int8") == 0
 
 
+def test_a_dataset_outside_the_model_directory_exit_4(tmp_path, capsys):
+    """`infer --dataset ../outside` once read <dir>/../outside_x.f32bin,
+    which data.json listed."""
+    graph = synth.make_linear_net(3, 2, 16, 4, 8)
+    x, y = synth.make_dataset(4, 16, 4, 32)
+    model_dir = tmp_path / "model"
+    modelio.save_model(model_dir, netsim.prepare(graph, [x]))
+    modelio.save_array(tmp_path / "outside_x.f32bin", x)
+    meta_path = model_dir / "data.json"
+    meta_path.write_text(json.dumps({"../outside": {"x_shape": list(x.shape)}}))
+    assert run_cli("infer", "--model", str(model_dir), "--mode", "int8",
+                   "--dataset", "../outside") == 4
+    assert (f"{meta_path}: a dataset name must be a file name, not '../outside'"
+            in capsys.readouterr().err)
+
+
+def test_a_naive_calibrated_model_takes_every_extraction(tmp_path, capsys):
+    """`calibrate --extraction naive` only sets the default: `infer` and
+    `report-saturation` with static or dynamic extraction on a naive-calibrated
+    model print and write what they do on a static-calibrated twin (once
+    they exited 4, naming the layer)."""
+    graph = synth.make_linear_net(3, 3, 16, 4, 4)
+    x, y = synth.make_dataset(4, 16, 4, 64)
+    seen = {}
+    for mode in ("naive", "static"):
+        model = netsim.prepare(graph, [x[:32]], extraction_mode=mode)
+        evoselect.install_selections(model, {0.5: {i: np.arange(model.n_groups(i)) % 2 == 0
+                                                   for i in graph.matmul_indices()}})
+        out = tmp_path / mode
+        modelio.save_model(out, model)
+        modelio.save_dataset(out, "eval", x[32:] * np.float32(2), y[32:])
+        for extraction in ("static", "dynamic"):
+            for command in ("infer", "report-saturation"):
+                assert run_cli(command, "--model", str(out), "--extraction", extraction) == 0
+                printed = capsys.readouterr().out.replace(str(out), "<dir>")
+                written = (out / "saturation.csv").read_bytes() if command != "infer" else b""
+                seen.setdefault((command, extraction), []).append((printed, written))
+    assert all(naive == static for naive, static in seen.values())
+
+
 @pytest.mark.parametrize("argv", [
     ("infer", "--mode", "int8"), ("infer", "--mode", "fp32"), ("infer",), ("report-saturation",),
     ("report-l2",), ("report-bits",), ("score",), ("select", "--algo", "greedy"),

@@ -382,26 +382,31 @@ def test_conv_contraction_property_matches_direct_reference(shape, kernel, bits,
 @pytest.mark.parametrize("mode", ["static", "dynamic", "naive"])
 def test_planned_constants_give_the_same_results_and_must_fit_the_call(mode):
     """A kernel given the lowering a caller planned once returns the bytes
-    and stats it computes without it; a lowering planned for other flags or
-    another extraction mode is rejected when the call flags some group, as
-    only then is it read."""
+    and stats it computes without it, and one planned lowering serves static
+    and dynamic calls alike; a lowering planned for other flags or the other
+    weight rule (naive or planned) is rejected when the call flags some
+    group, as only then is it read."""
     rng = np.random.default_rng(12)
+    fits = ("naive",) if mode == "naive" else ("static", "dynamic")
     for _ in range(10):
         x_q, w_q, act_scale, w_scales, bounds, flags = random_case(rng)
         x8, w8 = x_q.astype(np.int8), w_q.astype(np.int8)
         plan = plan_extraction(bounds, w_q.T.copy(), 4, mode=mode)
         planned = {"lowering": plan_lowering(plan, 4, flags, w8)}
-        want, want_stats = mixed_gemm(x8, w8, act_scale, w_scales, plan, 4, group_flags=flags)
-        got, stats = mixed_gemm(x8, w8, act_scale, w_scales, plan, 4, group_flags=flags, **planned)
-        assert got.tobytes() == want.tobytes() and got.strides == want.strides
-        for field in ("saturated_channels", "act_shifts_used"):
-            assert getattr(stats, field).tobytes() == getattr(want_stats, field).tobytes()
-        other = "dynamic" if mode != "dynamic" else "static"
-        bad_calls = [{"group_flags": f, "extraction": e}
-                     for f, e in ((~flags, None), (flags, other)) if f.any()]
-        for bad in bad_calls:
-            with pytest.raises(ValueError, match="lowering was planned"):
-                mixed_gemm(x8, w8, act_scale, w_scales, plan, 4, **bad, **planned)
+        for e in fits:
+            want, want_stats = mixed_gemm(x8, w8, act_scale, w_scales, plan, 4, group_flags=flags,
+                                          extraction=e)
+            got, stats = mixed_gemm(x8, w8, act_scale, w_scales, plan, 4, group_flags=flags,
+                                    extraction=e, **planned)
+            assert got.tobytes() == want.tobytes() and got.strides == want.strides
+            for field in ("saturated_channels", "act_shifts_used"):
+                assert getattr(stats, field).tobytes() == getattr(want_stats, field).tobytes()
+        others = ("static", "dynamic") if mode == "naive" else ("naive",)
+        for f, e in [(~flags, None)] + [(flags, o) for o in others]:
+            if f.any():
+                with pytest.raises(ValueError, match="lowering was planned"):
+                    mixed_gemm(x8, w8, act_scale, w_scales, plan, 4, group_flags=f, extraction=e,
+                               **planned)
 
 
 def test_a_lowering_planned_for_another_weight_shape_is_rejected():

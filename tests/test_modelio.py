@@ -127,6 +127,27 @@ def test_dataset_round_trip(tmp_path):
     assert gy is None
 
 
+@pytest.mark.parametrize("name", ["../outside", "sub/eval", ".."])
+def test_a_dataset_name_stays_in_the_directory(tmp_path, name):
+    """load_dataset and save_dataset take a dataset name only if it is a
+    file name, before reading or writing anything (a data.json key
+    "../outside" once read <dir>/../outside_x.f32bin)."""
+    model_dir = tmp_path / "model"
+    (model_dir / "sub").mkdir(parents=True)
+    x = np.ones((2, 3), dtype=np.float32)
+    modelio.save_array(tmp_path / "outside_x.f32bin", x)
+    modelio.save_array(model_dir / "sub" / "eval_x.f32bin", x)
+    modelio.save_array(model_dir / ".._x.f32bin", x)
+    (model_dir / "data.json").write_text(json.dumps({name: {"x_shape": [2, 3]}}))
+    before = sorted((p, p.read_bytes()) for p in tmp_path.rglob("*") if p.is_file())
+    want = f"{model_dir / 'data.json'}: a dataset name must be a file name, not {name!r}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        modelio.load_dataset(model_dir, name)
+    with pytest.raises(ValueError, match=re.escape(want)):
+        modelio.save_dataset(model_dir, name, x)
+    assert sorted((p, p.read_bytes()) for p in tmp_path.rglob("*") if p.is_file()) == before
+
+
 def test_missing_artifacts_raise(tmp_path):
     with pytest.raises(MissingArtifactError):
         modelio.load_model(tmp_path / "nope")

@@ -72,7 +72,7 @@ def test_residual_add_from_source_layer():
     np.testing.assert_allclose(got, want, rtol=1e-6)
 
 
-def eager_state(weight, act_range, group_size, mode) -> dict:
+def eager_state(weight, act_range, group_size) -> dict:
     """Every attribute a QuantState derives, by the formula that built them
     all when the state was made."""
     flat = weight.reshape(weight.shape[0], -1)
@@ -88,7 +88,7 @@ def eager_state(weight, act_range, group_size, mode) -> dict:
     lo = np.clip(np.rint(act_range.min / act_scale), -128, 127)
     hi = np.clip(np.rint(act_range.max / act_scale), -128, 127)
     bounds = np.stack([lo, hi], axis=1).astype(np.int64)
-    plan = plan_extraction(bounds, q8, group_size, mode=mode)
+    plan = plan_extraction(bounds, q8, group_size)
     w_lo8 = kernels.lower_weights(q8, plan.weight_shifts, group_size)
     return dict(act_scale=act_scale, act_scale4=act_scale4, w_scales8=s8, w_q8=q8,
                 w_scales4=s4, w_q4=q4, plan=plan, w_lo8=w_lo8)
@@ -117,7 +117,8 @@ def test_lazy_state_equals_the_eager_formula(conv, n_out, n_in, group_size, mode
                                              zero_range, seed):
     """Whichever attribute is read first, a QuantState builds the same arrays,
     scales and plan as the formula that built them all at once, for linear
-    and conv layers, ragged last groups and every extraction mode.  The
+    and conv layers, ragged last groups and every extraction mode, whose
+    plan always holds the calibrated shifts.  The
     first read builds exactly the part it belongs to and the parts that part
     reads: the 8- and 4-bit parts read none, the plan reads the 8-bit part
     and the lowered weights read the plan."""
@@ -131,7 +132,7 @@ def test_lazy_state_equals_the_eager_formula(conv, n_out, n_in, group_size, mode
     state = netsim.QuantState(weight, act_range, group_size, mode)
     getattr(state, first)
     assert set(DERIVED) & set(vars(state)) == set(BUILT_BY_FIRST_READ[first])
-    for name, want in eager_state(weight, act_range, group_size, mode).items():
+    for name, want in eager_state(weight, act_range, group_size).items():
         assert_same(getattr(state, name), want, f"{name} after {first}")
 
 
@@ -484,7 +485,7 @@ def test_mixed_forward_reuses_the_lowered_weights(monkeypatch):
     run(model, x[:4], mode="mixed", flags_override=flags, extraction="naive")
     assert len(lowered) == len(calls) == len(matmuls)
     for (x_q, w_q, act_scale, w_scales, plan, group_size), kwargs, (got, _) in calls:
-        assert plan.mode == "static" and kwargs["lowering"].mode == "naive"
+        assert plan.mode == "static" and kwargs["lowering"].naive
         n_groups, n_out = plan.weight_shifts.shape
         naive = ExtractionPlan(np.full(n_groups, MAX_SHIFT), np.full((n_groups, n_out), MAX_SHIFT),
                                mode="naive")
@@ -494,9 +495,10 @@ def test_mixed_forward_reuses_the_lowered_weights(monkeypatch):
 
 
 def test_lowerings_are_planned_once_per_prepared_flags(monkeypatch):
-    """set_ratio cycles over prepared ratios plan each flagged layer's
-    lowering once per (flags, extraction); flags_override forwards plan
-    theirs per call and leave every state's memo as it was."""
+    """set_ratio cycles over prepared ratios, under static and dynamic
+    extraction, plan each flagged layer's lowering once per flags and weight
+    rule, so once per set of flags; flags_override forwards plan theirs per
+    call and leave every state's memo as it was."""
     model, _, (x, _) = small_model(seed=48)
     matmuls = model.graph.matmul_indices()
     rng = np.random.default_rng(6)
@@ -517,7 +519,7 @@ def test_lowerings_are_planned_once_per_prepared_flags(monkeypatch):
         for ratio in (0.25, 0.5) * 3:
             netsim.set_ratio(model, ratio)
             run(model, x, mode="mixed", extraction=extraction)
-    assert len(planned) == 2 * len(distinct)
+    assert len(planned) == len(distinct)
     rec = {}
     run(model, x, mode="mixed", extraction="dynamic", record=rec)
     i = next(i for i in matmuls if model.selections[0.5][i].any())
@@ -601,10 +603,10 @@ def test_a_fully_flagged_layer_contracts_a_view_of_its_lowered_weights(conv):
 @pytest.mark.parametrize("conv", [False, True], ids=["linear", "conv"])
 @pytest.mark.parametrize("first", ["static", "dynamic"])
 def test_static_and_dynamic_lowerings_of_one_flag_set_share_their_weight_operand(conv, first):
-    """On a static plan, the static and dynamic lowerings of one set of
-    flags, planned in either order, hold one weight operand between them; a
-    naive one, lowered with shift 4, holds its own.  Every forward returns
-    the bytes of a fresh model whose memo holds only its own lowering."""
+    """Static and dynamic forwards on one set of flags, in either order,
+    share one lowering; a naive one, lowered with shift 4, holds its own
+    weight operand.  Every forward returns the bytes of a fresh model whose
+    memo holds only its own lowering."""
     def fresh():
         model, _, (x, _) = small_conv_model(seed=4) if conv else small_model(seed=4)
         matmuls = model.graph.matmul_indices()
@@ -622,8 +624,7 @@ def test_static_and_dynamic_lowerings_of_one_flag_set_share_their_weight_operand
     for i in matmuls:
         state, flags = model.states[i], model.selections[0.5][i]
         static, dynamic, naive = (state.lowering(flags, e) for e in ("static", "dynamic", "naive"))
-        assert len(state._lowerings) == 3
-        assert np.shares_memory(static.w, dynamic.w) and static.w is dynamic.w
+        assert len(state._lowerings) == 2 and static is dynamic
         assert not np.shares_memory(static.w, state.w_lo8)
         assert not np.shares_memory(naive.w, static.w)
 
@@ -842,22 +843,63 @@ def test_calibration_sample_not_finite_named():
         netsim.prepare(graph, [x[:4], x[4:]])
 
 
-def test_naive_calibrated_layer_takes_no_other_extraction():
-    """A naive plan holds shift 4 for every group: a static override once
-    returned the naive logits and a dynamic one mixed each batch's
-    activation shifts with shift-4 weights."""
-    graph = synth.make_linear_net(3, 4, 32, 8, 8)
-    x, _ = synth.make_dataset(4, 32, 8, 64)
-    model = netsim.prepare(graph, [x], extraction_mode="naive")
-    flags = {i: np.ones(model.n_groups(i), dtype=bool) for i in graph.matmul_indices()}
-    naive = run(model, x, mode="mixed", flags_override=flags)
-    assert np.array_equal(run(model, x, mode="mixed", flags_override=flags, extraction="naive"),
-                          naive)
-    for extraction in ("static", "dynamic"):
-        want = (f"layer 0 ('linear') was calibrated with naive extraction, whose plan holds "
-                f"no {extraction} shifts")
-        with pytest.raises(ValueError, match=re.escape(want)):
-            run(model, x, mode="mixed", flags_override=flags, extraction=extraction)
+def calibrated_twins(conv, laid_out):
+    """A naive-calibrated and a static-calibrated model of one net, with
+    the same nested selections at 0.5 and 1.0, plus eval inputs twice as
+    wide as calibration's (so static extraction clips)."""
+    if conv:
+        graph = synth.make_conv_net(4, 3, 8, 5, 8, 3, 2)
+        x, _ = synth.make_image_dataset(5, 8, 5, 8, 48)
+    else:
+        graph = synth.make_linear_net(4, 4, 16, 8, 4)
+        x, _ = synth.make_dataset(5, 16, 8, 64)
+    twins = []
+    for mode in ("naive", "static"):
+        model = netsim.prepare(graph, [x[:32]], extraction_mode=mode)
+        ranks = {i: np.random.default_rng(i).permutation(model.n_groups(i))
+                 for i in graph.matmul_indices()}
+        model.selections = {r: {i: rank < math.ceil(r * rank.size) for i, rank in ranks.items()}
+                            for r in (0.5, 1.0)}
+        twins.append(layout.apply_layout(model, layout.plan_layout(model)) if laid_out else model)
+    return twins, x[32:] * np.float32(2)
+
+
+def assert_same_forward(a, b, x, ratio, extraction_a, extraction_b):
+    """Mixed forwards of ``a`` and ``b`` at ``ratio`` with equal outputs,
+    records and kernel stats."""
+    recs = {}, {}
+    outs = [run(model, x, mode="mixed", ratio=ratio, extraction=e, record=rec)
+            for model, e, rec in zip((a, b), (extraction_a, extraction_b), recs)]
+    where = (ratio, extraction_a, extraction_b)
+    assert outs[0].tobytes() == outs[1].tobytes(), where
+    assert recs[0].keys() == recs[1].keys()
+    for i, got in recs[0].items():
+        want = recs[1][i]
+        for name in ("input", "output", "flags"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (where, i, name)
+        for name, value in vars(got.stats).items():
+            assert value.tobytes() == getattr(want.stats, name).tobytes(), (where, i, name)
+
+
+@pytest.mark.parametrize("laid_out", [False, True], ids=["plain", "laid-out"])
+@pytest.mark.parametrize("conv", [False, True], ids=["linear", "conv"])
+def test_the_calibrated_extraction_only_sets_the_default(conv, laid_out):
+    """Every layer's plan holds its calibrated shifts, whatever extraction
+    it was calibrated with.  So a naive-calibrated model's static and
+    dynamic forwards equal those of a static-calibrated twin: outputs,
+    records and kernel stats.  Its default forward is the twin's naive one,
+    and each flagged layer keeps one lowering per flag set and weight rule,
+    at most two per flag set.  (A naive-calibrated layer once refused
+    static and dynamic extraction.)"""
+    (naive, static), x = calibrated_twins(conv, laid_out)
+    for ratio in (0.5, 1.0):
+        for extraction in ("static", "dynamic"):
+            assert_same_forward(naive, static, x, ratio, extraction, extraction)
+        assert_same_forward(naive, static, x, ratio, None, "naive")
+    for model in (naive, static):
+        for i, state in model.states.items():
+            flag_sets = {sel[i].tobytes() for sel in model.selections.values() if sel[i].any()}
+            assert len(state._lowerings) == 2 * len(flag_sets), i
 
 
 @settings(max_examples=30, deadline=None)

@@ -57,6 +57,24 @@ def test_fluctuating_peak_is_three_times_min():
     assert np.all(np.abs(counts - rates) < 4.0 * np.sqrt(rates))
 
 
+@pytest.mark.parametrize("duration", [0.5, 2.5, 120.0])
+def test_fluctuating_arrivals_fall_before_the_duration(duration):
+    """The last partial second draws over what is left of it, at its share
+    of the rate (once a 2.5-s trace at 100 req/s put 79 of 564 arrivals at
+    2.5 s or later).  Whole-second durations draw what they always drew."""
+    trace = gen_fluctuating(100.0, duration, seed=4)
+    assert trace.arrivals.size and trace.arrivals.max() < duration
+    times = np.arange(math.ceil(duration))
+    rates = 100.0 + 100.0 * (1.0 - np.cos(2.0 * np.pi * times / duration))
+    mean = float((rates * np.minimum(1.0, duration - times)).sum())
+    assert abs(trace.arrivals.size - mean) < 4.0 * math.sqrt(mean)
+    if duration == times.size:
+        rng = np.random.default_rng(4)
+        whole = [np.sort(rng.uniform(t, t + 1.0, size=int(rng.poisson(r))))
+                 for t, r in zip(times, rates)]
+        assert trace.arrivals.tobytes() == np.concatenate(whole).tobytes()
+
+
 @pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf])
 def test_generators_reject_bad_rates_naming_them(rate):
     with pytest.raises(ValueError, match="^rate must be finite and non-negative"):
